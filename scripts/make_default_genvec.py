@@ -19,11 +19,17 @@ from latkern.weights import PdeWeightInput, derive_product
 N = 8192
 S = 512
 
-def main() -> None:
+
+def default_spec() -> KernelSpec:
+    """Product weights of the diffusion model the bundled vector is for."""
     model = DiffusionModel(0.4, 2.4, S)
     inp = PdeWeightInput(1.0 / 2.2, decay_sequence(model, S), 0.1)
     params = derive_product(inp, S)
-    spec = KernelSpec(params.alpha, params.scheme)
+    return KernelSpec(params.alpha, params.scheme)
+
+
+def main() -> None:
+    spec = default_spec()
     t0 = time.perf_counter()
     report = cbc_construct(spec, N, S)
     out = (

@@ -8,6 +8,7 @@ a P1 finite-element diffusion solver, and the convergence-study drivers.
 from .extended import ExtendedReal, RangeError
 from .interpolant import (
     Interpolant,
+    SingularSpectrumError,
     TrigPolynomial,
     build,
     evaluate,

@@ -135,6 +135,17 @@ def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
     Path(path).write_text(header + "\n" + "".join(rows))
 
 
+def _genvec_prefix(path: str, n: int, s: int) -> Lattice:
+    """The first s components of the generating vector in path."""
+    lat = read_genvec(path, n)
+    if lat.s < s:
+        raise ValueError(
+            f"{path}: generating vector has {lat.s} components, "
+            f"fewer than the {s} required"
+        )
+    return Lattice(lat.n, lat.z[:s])
+
+
 def run_interp_convergence(cfg: StudyConfig):
     """(n, error, slope_so_far) rows plus a final RateFit.
 
@@ -147,6 +158,12 @@ def run_interp_convergence(cfg: StudyConfig):
     spec = KernelSpec(params.alpha, params.scheme)
     mesh = FemMesh(cfg.mesh_level)
     sob = sobol_points(cfg.s, cfg.L, cfg.seed)
+    # read every vector before the first solve, so a bad file fails fast
+    given = (
+        {}
+        if cfg.genvec is None
+        else {n: _genvec_prefix(cfg.genvec, n, cfg.s) for n in cfg.n_schedule}
+    )
     header = "n,error,slope_so_far"
     rows: list[str] = []
     ns: list[int] = []
@@ -154,7 +171,7 @@ def run_interp_convergence(cfg: StudyConfig):
     for n in cfg.n_schedule:
         t0 = time.perf_counter()
         if cfg.genvec is not None:
-            lat = read_genvec(cfg.genvec, n)
+            lat = given[n]
         else:
             lat = cbc_construct(spec, n, cfg.s).lattice()
         pts = lat.points()
@@ -190,7 +207,7 @@ def run_interp_convergence(cfg: StudyConfig):
 
 def _quadrature_lattice(cfg: StudyConfig) -> Lattice:
     if cfg.genvec is not None:
-        return read_genvec(cfg.genvec, cfg.quad_n)
+        return _genvec_prefix(cfg.genvec, cfg.quad_n, cfg.s_ref)
     ref = resources.files("latkern").joinpath("data", "genvec-default.txt")
     with resources.as_file(ref) as path:
         lat = read_genvec(path)

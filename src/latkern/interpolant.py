@@ -25,6 +25,7 @@ from .lattice import Lattice
 __all__ = [
     "Interpolant",
     "InterpolantBatch",
+    "SingularSpectrumError",
     "TrigPolynomial",
     "build",
     "build_many",
@@ -37,6 +38,21 @@ __all__ = [
 ]
 
 _SINGULAR_REL = 1e-13
+
+
+class SingularSpectrumError(ArithmeticError):
+    """The circulant spectrum is too close to singular to divide by."""
+
+
+def _check_spectrum(spectrum: np.ndarray) -> None:
+    mags = np.abs(spectrum)
+    lo, hi = float(np.min(mags)), float(np.max(mags))
+    if lo < _SINGULAR_REL * hi:
+        raise SingularSpectrumError(
+            f"near-singular circulant spectrum: min/max |lambda| = "
+            f"{lo:.3e}/{hi:.3e} = {lo / hi:.2e}, below {_SINGULAR_REL:g}; "
+            "degenerate points or weights"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,11 +85,7 @@ def build(spec: KernelSpec, lat: Lattice, values) -> Interpolant:
         raise ValueError("values must have one entry per lattice point")
     col = _kernel_column(spec, lat)
     spectrum = dft(col)
-    mags = np.abs(spectrum)
-    if np.min(mags) < _SINGULAR_REL * np.max(mags):
-        raise ValueError(
-            "near-singular circulant spectrum: degenerate points or weights"
-        )
+    _check_spectrum(spectrum)
     ahat = _solve_spectrum(spectrum, dft(values))
     coeffs = dft(ahat, direction="inverse").real
     node_vals = dft(ahat * np.conj(spectrum), direction="inverse").real
@@ -110,9 +122,7 @@ class InterpolantBatch:
         self.lat = lat
         col = _kernel_column(spec, lat)
         self.spectrum = np.fft.fft(col)
-        mags = np.abs(self.spectrum)
-        if np.min(mags) < _SINGULAR_REL * np.max(mags):
-            raise ValueError("near-singular circulant spectrum")
+        _check_spectrum(self.spectrum)
         self.coeff_fft = np.fft.fft(values, axis=1) / np.conj(
             self.spectrum
         )[None, :]

@@ -8,6 +8,13 @@ evaluation routes exist:
 * ``kernel_eval_bruteforce`` — subset enumeration, tiny dimensions only
 * ``BatchKernelState`` / ``kernel_values_batch`` — vectorized float rows with
   per-sample binary exponents, used by the lattice search and interpolation
+
+For every weight family the kernel value after one more coordinate is
+affine in that coordinate's factor values: A + eta * B per point, with A
+the current contraction and B the contraction of the order-shifted rows.
+``BatchKernelState.affine_split`` returns the pair, so the CBC search
+scores all phi(n) candidates of a dimension with one vectorised quadratic
+form, at O(phi(n) * n) cost per dimension, whatever the family.
 """
 
 from __future__ import annotations
@@ -205,15 +212,21 @@ class BatchKernelState:
 
     Holds order-resolved rows P[ell] (floats) and a shared per-sample binary
     exponent E, so POD/SPOD factorial order factors never touch float range
-    until the final contraction.  ``candidate_values`` evaluates a trial
-    next coordinate without committing; ``commit`` advances the state.
+    until the final contraction.  ``affine_split`` gives the kernel values
+    as an affine function of a trial next coordinate without committing;
+    ``commit`` advances the state.
     """
 
     def __init__(self, spec: KernelSpec, m: int, s: int):
+        sch = spec.scheme
+        if s > sch.dimension:
+            raise ValueError(
+                f"point dimension {s} exceeds the weight sequence "
+                f"({sch.dimension} coordinates)"
+            )
         self.spec = spec
         self.s = s
         self.dims_done = 0
-        sch = spec.scheme
         span = sch.order_span(s)
         self.P = np.zeros((span + 1, m))
         self.P[0] = 1.0
@@ -234,27 +247,34 @@ class BatchKernelState:
             self.P = np.ldexp(self.P, -sh)
             self.E += sh
 
-    def _next_rows(self, eta_vec: np.ndarray):
-        """Rows after appending one coordinate with factor values eta_vec."""
+    def _add_shift(self, out: np.ndarray, w) -> np.ndarray:
+        """out += w times the order shift that coordinate dims_done adds.
+
+        POD and SPOD only.  w is the coordinate's factor values (commit)
+        or 1.0 (the coefficient of eta in ``affine_split``).
+        """
         sch = self.spec.scheme
         j = self.dims_done  # 0-based index of the coordinate being added
-        if sch.kind == "product":
-            return self.P * (1.0 + sch.gamma_j[j] * eta_vec)
-        new = self.P.copy()
         span = self.P.shape[0] - 1
         if sch.kind == "pod":
             top = min(self.dims_done + 1, span)
-            new[1 : top + 1] += sch.gamma_j[j] * eta_vec * self.P[0:top]
+            out[1 : top + 1] += sch.gamma_j[j] * w * self.P[0:top]
         else:
             top = min((self.dims_done + 1) * sch.sigma, span)
             for nu in range(1, sch.sigma + 1):
                 if nu > top:
                     break
-                new[nu : top + 1] += (
-                    sch.gamma_jnu[j, nu - 1] * eta_vec
-                    * self.P[0 : top + 1 - nu]
+                out[nu : top + 1] += (
+                    sch.gamma_jnu[j, nu - 1] * w * self.P[0 : top + 1 - nu]
                 )
-        return new
+        return out
+
+    def _next_rows(self, eta_vec: np.ndarray):
+        """Rows after appending one coordinate with factor values eta_vec."""
+        sch = self.spec.scheme
+        if sch.kind == "product":
+            return self.P * (1.0 + sch.gamma_j[self.dims_done] * eta_vec)
+        return self._add_shift(self.P.copy(), eta_vec)
 
     def _contract(self, P):
         """Sum_ell Gamma_ell P[ell] * 2^E as scaled pairs (S, F)."""
@@ -270,9 +290,22 @@ class BatchKernelState:
             _scaled_add(S, F, row * self._gm[ell], self.E + self._ge[ell])
         return S, F
 
-    def candidate_values(self, eta_vec: np.ndarray):
-        """Kernel values if eta_vec were the next coordinate: scaled (S, F)."""
-        return self._contract(self._next_rows(eta_vec))
+    def affine_split(self):
+        """Scaled pairs (A, B): A + eta * B are the kernel values if eta
+        were the next coordinate's factor values.
+
+        A is the current contraction, B the contraction of the coefficient
+        of eta in the next rows: gamma_j P for product weights, the order
+        shift of P for POD and SPOD.
+        """
+        if self.dims_done >= self.s:
+            raise ValueError("all coordinates already committed")
+        sch = self.spec.scheme
+        if sch.kind == "product":
+            shift = sch.gamma_j[self.dims_done] * self.P
+        else:
+            shift = self._add_shift(np.zeros_like(self.P), 1.0)
+        return self._contract(self.P), self._contract(shift)
 
     def commit(self, eta_vec: np.ndarray) -> None:
         if self.dims_done >= self.s:

@@ -79,6 +79,9 @@ class CbcReport:
     n_is_prime: bool
     criterion_trace: list[float] = field(default_factory=list)
     wce_bound_trace: list[float] = field(default_factory=list)
+    # per dimension, log10(mean-square kernel / S_d): the decimal digits
+    # the subtraction forming S_d cancels (inf when S_d is 0)
+    digits_lost: list[float] = field(default_factory=list)
 
     def lattice(self) -> Lattice:
         return Lattice(self.n, self.z)
@@ -115,7 +118,11 @@ def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> ExtendedReal:
 
 def _criterion_from_parts(
     minuend: ExtendedReal, subtrahend: ExtendedReal
-) -> float:
+) -> tuple[float, float]:
+    """(minuend - subtrahend clamped at 0, decimal digits it cancels).
+
+    The digits lost are log10(minuend / value): inf when nothing is left.
+    """
     value = minuend - subtrahend
     ref = minuend.to_float()
     val = value.to_float()
@@ -128,13 +135,15 @@ def _criterion_from_parts(
             "criterion value dominated by cancellation; significance lost",
             RuntimeWarning,
         )
-    return max(val, 0.0)
+    if val <= 0.0:
+        return 0.0, math.inf
+    return val, math.log10(ref) - math.log10(val)
 
 
 def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
     """Search criterion S_s(z) >= 0 via the kernel-square identity."""
     sub = squared_weight_sum(spec.scheme, lat.s, 2.0 * zeta(2 * spec.alpha))
-    return _criterion_from_parts(_mean_square_kernel(spec, lat), sub)
+    return _criterion_from_parts(_mean_square_kernel(spec, lat), sub)[0]
 
 
 def _is_prime(n: int) -> bool:
@@ -148,13 +157,62 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Candidate x point entries scored per block, so memory does not grow with n.
+_SCORE_BLOCK = 2**16
+# A candidate replaces the best so far only if it scores below
+# best * (1 - _TIE_REL), so near-ties go to the smaller candidate.
+_TIE_REL = 1e-12
+
+
+def _folded(S: np.ndarray, F: np.ndarray, top: int) -> np.ndarray:
+    """Values S * 2^F as floats in units of 2^top (top >= every live F)."""
+    return np.ldexp(S, np.clip(F - top, -1100, 0))
+
+
+def _first_best(scores: np.ndarray) -> int:
+    """Index the ascending tie rule settles on in a score vector.
+
+    Scanning in order, a score replaces the best so far only if it lies
+    below best * (1 - _TIE_REL).  Each pass jumps to the next replacement.
+    """
+    best = 0
+    while True:
+        later = scores[best + 1 :] < scores[best] * (1.0 - _TIE_REL)
+        if not later.any():
+            return best
+        best += 1 + int(np.argmax(later))
+
+
+def _candidate_scores(
+    a: np.ndarray, b: np.ndarray, etable: np.ndarray, cands: np.ndarray
+) -> np.ndarray:
+    """sum_k (a_k + eta[(k c) mod n] b_k)^2 for every candidate c."""
+    n = len(etable)
+    k = np.arange(n, dtype=np.int64)
+    step = max(1, _SCORE_BLOCK // n)
+    out = np.empty(len(cands))
+    for i in range(0, len(cands), step):
+        idx = np.multiply.outer(cands[i : i + step], k)
+        v = etable[np.remainder(idx, n, out=idx)]
+        v *= b
+        v += a
+        out[i : i + step] = np.einsum("ck,ck->c", v, v)
+    return out
+
+
 def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     """Greedy per-dimension minimizer of S_d over unit candidates.
 
-    Per-point kernel state is cached across dimensions, so each candidate
-    costs one row update plus an order contraction.  Ties break to the
-    smallest candidate; the candidate loop runs in ascending index order,
-    making the result independent of any parallel scheduling.
+    Per-point kernel state is cached across dimensions.  At each dimension
+    the kernel value at point k is affine in the new coordinate's factor,
+    A_k + eta({k c / n}) B_k, for every weight family
+    (``BatchKernelState.affine_split``), so all phi(n) candidates are
+    scored by one vectorised quadratic form sum_k (A_k + eta B_k)^2, in
+    blocks of candidates, at O(phi(n) * n) cost per dimension.  Ties are
+    broken by an explicit rule on the score vector in ascending candidate
+    order: a candidate replaces the best so far only if it scores below
+    best * (1 - 1e-12), so near-ties such as the mirrored candidates c and
+    n - c go to the smaller one.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -171,32 +229,33 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     z: list[int] = []
     crit_trace: list[float] = []
     bound_trace: list[float] = []
+    lost_trace: list[float] = []
     for d in range(1, s + 1):
-        best_c = -1
-        best_score: ExtendedReal | None = None
-        best_eta = None
-        margin = ExtendedReal.from_float(1.0 - 1e-12)
-        for c in cands:
-            ev = etable[(karr * c) % n]
-            score = _scaled_sumsq(*state.candidate_values(ev))
-            # strict improvement beyond rounding noise, so exact ties
-            # (e.g. the mirrored candidates c and n-c) break to smallest c
-            if best_score is None or score < best_score * margin:
-                best_score = score
-                best_c = int(c)
-                best_eta = ev
-        state.commit(best_eta)
+        (sa, fa), (sb, fb) = state.affine_split()
+        live = np.concatenate([fa[sa != 0.0], fb[sb != 0.0]])
+        top = int(np.max(live)) if len(live) else 0
+        scores = _candidate_scores(
+            _folded(sa, fa, top), _folded(sb, fb, top), etable, cands
+        )
+        i = _first_best(scores)
+        best_c = int(cands[i])
+        state.commit(etable[(karr * best_c) % n])
         z.append(best_c)
+        mean_sq = ExtendedReal.from_float(float(scores[i])) * ExtendedReal(
+            1.0, 2 * top, 1
+        ) / nfac
         sub = squared_weight_sum(spec.scheme, d, two_zeta)
-        sd = _criterion_from_parts(best_score / nfac, sub)
+        sd, lost = _criterion_from_parts(mean_sq, sub)
         crit_trace.append(sd)
         bound_trace.append(math.sqrt(2.0) * sd**0.25)
+        lost_trace.append(lost)
     return CbcReport(
         n=n,
         z=np.array(z, dtype=np.int64),
         n_is_prime=_is_prime(n),
         criterion_trace=crit_trace,
         wce_bound_trace=bound_trace,
+        digits_lost=lost_trace,
     )
 
 
@@ -234,7 +293,10 @@ def write_genvec(path: str | Path, z, n: int) -> None:
 
 
 def read_genvec(path: str | Path, n: int | None = None) -> Lattice:
-    """Parse 'i z_i' lines (1-based, contiguous); n from header or caller."""
+    """Parse 'i z_i' lines (1-based, contiguous); n from header or caller.
+
+    A '# n=' header and an n passed by the caller must agree.
+    """
     entries: dict[int, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -243,7 +305,13 @@ def read_genvec(path: str | Path, n: int | None = None) -> Lattice:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("n="):
-                n = int(body[2:])
+                header_n = int(body[2:])
+                if n is not None and n != header_n:
+                    raise ValueError(
+                        f"{path}: header says n={header_n}, but n={n} "
+                        "was requested"
+                    )
+                n = header_n
             continue
         parts = line.split()
         if len(parts) != 2:

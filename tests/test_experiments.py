@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +234,76 @@ class TestCli:
 
     def test_unknown_command_exits_1(self):
         assert cli(["frobnicate"]) == 1
+
+    @staticmethod
+    def _no_solves(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fem_solve ran before the vector check")
+
+        monkeypatch.setattr("latkern.experiments.fem_solve", fail)
+
+    @pytest.mark.parametrize(
+        "command,sizes",
+        [
+            ("interp-study", ["--s", "4", "--n-list", "16", "--L", "1"]),
+            ("dimtrunc-study", []),
+        ],
+    )
+    def test_short_genvec_exits_1_before_solving(
+        self, command, sizes, tmp_path, monkeypatch, capsys
+    ):
+        # dimtrunc-study needs s_ref = 512 components at quad_n = 8192
+        genvec = tmp_path / "short.txt"
+        n = 16 if command == "interp-study" else 8192
+        write_genvec(genvec, [1, 3, 5], n)
+        self._no_solves(monkeypatch)
+        rc = cli(
+            [command, "--weights", "product", "--mesh-level", "1",
+             "--genvec", str(genvec), *sizes]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "short.txt" in err and "3 components" in err
+
+    def test_genvec_header_n_outside_schedule_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        genvec = tmp_path / "z.txt"
+        write_genvec(genvec, [1, 3, 5, 7], 64)
+        self._no_solves(monkeypatch)
+        rc = cli(
+            ["interp-study", "--weights", "product", "--s", "4",
+             "--n-list", "16,32,64", "--mesh-level", "1", "--L", "1",
+             "--genvec", str(genvec)]
+        )
+        assert rc == 1
+        assert "n=64" in capsys.readouterr().err
+
+    def test_singular_spectrum_exits_2(self, tmp_path, monkeypatch, capsys):
+        # SPOD weights on the first 10 components of the bundled n = 8192
+        # vector: min/max |lambda| is about 1.7e-15.  The spectrum depends
+        # only on the lattice and the kernel, so the solves are stubbed.
+        full = read_genvec(
+            Path(__file__).resolve().parent.parent
+            / "src" / "latkern" / "data" / "genvec-default.txt"
+        )
+        genvec = tmp_path / "z10.txt"
+        write_genvec(genvec, full.z[:10], full.n)
+        mesh = FemMesh(1)
+
+        class Zero:
+            interior_values = np.zeros(mesh.n_unknowns)
+
+        monkeypatch.setattr(
+            "latkern.experiments.fem_solve", lambda *a, **k: Zero
+        )
+        rc = cli(
+            ["interp-study", "--weights", "spod", "--s", "10",
+             "--n-list", "8192", "--mesh-level", "1", "--L", "1",
+             "--genvec", str(genvec)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "near-singular circulant spectrum" in err
+        assert "min/max |lambda|" in err

@@ -6,6 +6,7 @@ import pytest
 
 from latkern.extended import ExtendedReal, RangeError, xfactorial
 from latkern.kernel import (
+    BatchKernelState,
     KernelSpec,
     eta,
     frac,
@@ -13,6 +14,7 @@ from latkern.kernel import (
     kernel_eval_bruteforce,
     kernel_values_batch,
     rnorm,
+    scaled_to_float,
 )
 from latkern.special import zeta
 from latkern.weights import (
@@ -169,6 +171,34 @@ class TestBatchPath:
         spec = KernelSpec(2, sch)
         with pytest.raises(RangeError):
             kernel_values_batch(spec, np.zeros((3, s)))
+
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_affine_split_matches_commit(self, family):
+        # A + eta * B is the kernel value after committing eta, per point
+        d = _derived(family)
+        spec = KernelSpec(d.alpha, d.scheme)
+        rng = np.random.default_rng(5)
+        dy = rng.random((16, 6))
+        state = BatchKernelState(spec, 16, 6)
+        for j in range(6):
+            ev = eta(spec.alpha, dy[:, j])
+            (sa, fa), (sb, fb) = state.affine_split()
+            got = scaled_to_float(sa, fa) + ev * scaled_to_float(sb, fb)
+            state.commit(ev)
+            want = scaled_to_float(*state.values())
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        with pytest.raises(ValueError, match="committed"):
+            state.affine_split()
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_dimension_beyond_weights_rejected(self, family):
+        d = _derived(family, s=4)
+        spec = KernelSpec(d.alpha, d.scheme)
+        with pytest.raises(ValueError, match="exceeds the weight sequence"):
+            BatchKernelState(spec, 3, 5)
+        with pytest.raises(ValueError, match="exceeds the weight sequence"):
+            kernel_values_batch(spec, np.zeros((3, 5)))
 
 
 class TestStructuralProperties:

@@ -1,12 +1,24 @@
+import copy
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latkern.kernel import KernelSpec, kernel_eval, rnorm
+from latkern.experiments import derive_for_family
+from latkern.kernel import (
+    BatchKernelState,
+    KernelSpec,
+    eta,
+    kernel_eval,
+    rnorm,
+)
 from latkern.lattice import (
     Lattice,
+    _first_best,
+    _scaled_sumsq,
     cbc_construct,
     criterion_S,
     fooling_vector,
@@ -14,12 +26,50 @@ from latkern.lattice import (
     read_genvec,
     write_genvec,
 )
+from latkern.pde import DiffusionModel, decay_sequence
 from latkern.special import zeta
-from latkern.weights import WeightScheme
+from latkern.weights import PdeWeightInput, WeightScheme, squared_weight_sum
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _product_spec(gammas, alpha=2):
     return KernelSpec(alpha, WeightScheme("product", gamma_j=np.asarray(gammas)))
+
+
+def _study_spec(family, s, c=0.2, theta=2.4):
+    """Weights derived from the diffusion model, as the studies derive them."""
+    model = DiffusionModel(c, theta, s)
+    inp = PdeWeightInput(1.0 / 2.2, decay_sequence(model, s), 0.1)
+    params = derive_for_family(family, inp, s)
+    return KernelSpec(params.alpha, params.scheme)
+
+
+def _cbc_oracle(spec, n, s):
+    """CBC by a loop over candidates, each scored from its own kernel values.
+
+    Each candidate is committed on a copy of the kernel state and its
+    kernel values are squared and summed with `_scaled_sumsq`.  A candidate
+    replaces the best so far only if it scores below best * (1 - 1e-12).
+    Returns z and the mean-square kernel of each chosen prefix.
+    """
+    cands = [c for c in range(1, n) if math.gcd(c, n) == 1]
+    etable = eta(spec.alpha, np.arange(n, dtype=float) / n)
+    k = np.arange(n, dtype=np.int64)
+    state = BatchKernelState(spec, n, s)
+    z, mean_sq = [], []
+    for _ in range(s):
+        best_c, best = None, None
+        for c in cands:
+            trial = copy.deepcopy(state)
+            trial.commit(etable[(k * c) % n])
+            score = _scaled_sumsq(*trial.values())
+            if best is None or score < best * (1.0 - 1e-12):
+                best_c, best = c, score
+        state.commit(etable[(k * best_c) % n])
+        z.append(best_c)
+        mean_sq.append((best / float(n)).to_float())
+    return z, mean_sq
 
 
 class TestLattice:
@@ -164,6 +214,74 @@ class TestCbc:
         assert rep.criterion_trace == sorted(rep.criterion_trace)
         assert not cbc_construct(spec, 8, 2).n_is_prime
 
+    @pytest.mark.parametrize("n", [2, 13, 16, 64, 256, 257])
+    @pytest.mark.parametrize(
+        "family,s", [("product", 6), ("pod", 5), ("spod", 5)]
+    )
+    def test_matches_per_candidate_oracle(self, family, s, n):
+        spec = _study_spec(family, s)
+        rep = cbc_construct(spec, n, s)
+        z, mean_sq = _cbc_oracle(spec, n, s)
+        assert rep.z.tolist() == z
+        x = 2.0 * zeta(2 * spec.alpha)
+        for d in range(1, s + 1):
+            want = mean_sq[d - 1] - squared_weight_sum(
+                spec.scheme, d, x
+            ).to_float()
+            got = rep.criterion_trace[d - 1]
+            assert abs(got - max(want, 0.0)) <= 1e-13 * mean_sq[d - 1]
+
+    def test_tie_rule_on_score_vector(self):
+        # ties within 1e-12 stay with the earlier (smaller) candidate, and
+        # the rule is applied in ascending order, not to the global minimum
+        assert _first_best(np.array([3.0, 1.0, 1.0 - 1e-13, 2.0])) == 1
+        assert _first_best(np.array([3.0, 1.0, 1.0 - 2e-12])) == 2
+        chain = np.array([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12])
+        assert _first_best(chain) == 2
+        assert _first_best(np.array([5.0])) == 0
+
+    @pytest.mark.parametrize("n", [13, 64, 257])
+    def test_mirror_pairs_go_to_smaller_candidate(self, n):
+        # c and n - c give the same kernel values up to rounding of eta
+        spec = _product_spec([0.9, 0.6, 0.4, 0.3])
+        rep = cbc_construct(spec, n, 4)
+        prefix = rep.z[:1].tolist()
+        for zd in rep.z[1:]:
+            mirror = n - int(zd)
+            assert zd < mirror
+            mine = criterion_S(spec, Lattice(n, np.array(prefix + [zd])))
+            other = criterion_S(spec, Lattice(n, np.array(prefix + [mirror])))
+            assert other == pytest.approx(mine, rel=1e-12)
+            prefix.append(int(zd))
+
+    def test_reproduces_bundled_vector(self):
+        # the weights scripts/make_default_genvec.py builds the vector with
+        path = ROOT / "scripts" / "make_default_genvec.py"
+        mod_spec = importlib.util.spec_from_file_location("make_genvec", path)
+        script = importlib.util.module_from_spec(mod_spec)
+        mod_spec.loader.exec_module(script)
+        rep = cbc_construct(script.default_spec(), 8192, 6)
+        bundled = read_genvec(
+            ROOT / "src" / "latkern" / "data" / "genvec-default.txt"
+        )
+        assert rep.z.tolist() == [1, 2431, 3739, 985, 3175, 3827]
+        assert rep.z.tolist() == bundled.z[:6].tolist()
+
+    def test_digits_lost_behind_cancellation_warning(self):
+        spec = _study_spec("spod", 10)
+        with pytest.warns(RuntimeWarning, match="significance lost"):
+            rep = cbc_construct(spec, 1024, 10)
+        assert len(rep.digits_lost) == 10
+        x = 2.0 * zeta(2 * spec.alpha)
+        for d, (sd, lost) in enumerate(
+            zip(rep.criterion_trace, rep.digits_lost), start=1
+        ):
+            mean_sq = sd + squared_weight_sum(spec.scheme, d, x).to_float()
+            assert lost == pytest.approx(math.log10(mean_sq / sd), abs=1e-9)
+        # the warning fires once more than 13 of the ~16 digits cancel
+        assert max(rep.digits_lost) > 13.0
+        assert rep.to_csv().count("\n") == 11
+
     def test_csv_dump(self):
         spec = _product_spec([0.9, 0.6])
         csv = cbc_construct(spec, 7, 2).to_csv()
@@ -215,6 +333,13 @@ class TestGenvecIO:
         path.write_text("1 1\n2 182667\n")
         lat = read_genvec(path, n=2**20)
         np.testing.assert_array_equal(lat.z, [1, 182667])
+
+    def test_header_n_must_match_requested_n(self, tmp_path):
+        path = tmp_path / "z.txt"
+        write_genvec(path, np.array([1, 27]), 64)
+        assert read_genvec(path, 64).n == 64
+        with pytest.raises(ValueError, match="n=64.*n=16"):
+            read_genvec(path, 16)
 
     def test_missing_n_errors(self, tmp_path):
         path = tmp_path / "z.txt"
