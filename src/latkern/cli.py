@@ -25,52 +25,61 @@ from .weights import PdeWeightInput
 __all__ = ["cli", "main"]
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="latkern",
-        description="Lattice-point kernel interpolation studies",
-    )
-    p.add_argument("--config", help="key=value file; flags override it")
-    sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--weights", choices=["product", "pod", "spod"])
-    common.add_argument("--theta", type=float)
-    common.add_argument("--c", type=float)
-    common.add_argument("--p", type=float)
-    common.add_argument("--delta", type=float)
-    common.add_argument("--s", type=int)
-    common.add_argument("--n-list", help="comma-separated point counts")
-    common.add_argument("--mesh-level", type=int)
-    common.add_argument("--L", type=int)
-    common.add_argument("--genvec")
-    common.add_argument("--out")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
-    sub.add_parser("cbc", parents=[common])
-    sub.add_parser("interp-study", parents=[common])
-    sub.add_parser("dimtrunc-study", parents=[common])
-    sub.add_parser("selftest", parents=[common])
-    return p
+def _ints(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(","))
 
 
-_CONFIG_KEYS = {
+# The type of every option, for flags and config keys alike.
+_TYPES = {
     "weights": str,
     "theta": float,
     "c": float,
     "p": float,
     "delta": float,
     "s": int,
-    "n_list": str,
+    "n_list": _ints,
     "mesh_level": int,
     "L": int,
+    "seed": int,
     "genvec": str,
     "out": str,
-    "seed": int,
-    "threads": int,
+}
+
+_WEIGHT_OPTIONS = ("weights", "theta", "c", "p", "delta", "s", "n_list")
+
+# Each command's study kind and the options its code reads; a command
+# accepts no other flag or config key.
+_COMMANDS = {
+    "cbc": ("cbc-only", (*_WEIGHT_OPTIONS, "out")),
+    "interp-study": (
+        "interp-convergence",
+        (*_WEIGHT_OPTIONS, "mesh_level", "L", "seed", "genvec", "out"),
+    ),
+    "dimtrunc-study": (
+        "dim-truncation",
+        ("theta", "c", "mesh_level", "genvec", "out"),
+    ),
+    "selftest": (None, ()),
 }
 
 
-def _read_config(path: str) -> dict:
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="latkern",
+        description="Lattice-point kernel interpolation studies",
+        allow_abbrev=False,
+    )
+    p.add_argument("--config", help="key=value file; flags override it")
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, (_, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command, allow_abbrev=False)
+        for key in options:
+            cmd.add_argument("--" + key.replace("_", "-"), type=_TYPES[key])
+    return p
+
+
+def _read_config(path: str, command: str) -> dict:
+    options = _COMMANDS[command][1]
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -80,35 +89,35 @@ def _read_config(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, val = (t.strip() for t in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _CONFIG_KEYS[key](val)
+        if key not in options:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r} for {command}"
+            )
+        out[key] = _TYPES[key](val)
     return out
 
 
-def _build_config(kind: str, args: argparse.Namespace) -> StudyConfig:
-    merged = {}
-    if args.config:
-        merged.update(_read_config(args.config))
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+def _settings(args: argparse.Namespace) -> dict:
+    """Config-file values overridden by flags, as StudyConfig keywords."""
+    merged = _read_config(args.config, args.command) if args.config else {}
+    for key in _COMMANDS[args.command][1]:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
-    kwargs = {"kind": kind}
-    for key, val in merged.items():
-        if key == "n_list":
-            kwargs["n_schedule"] = tuple(int(t) for t in str(val).split(","))
-        else:
-            kwargs[key] = val
-    return StudyConfig(**kwargs)
+    if "n_list" in merged:
+        merged["n_schedule"] = merged.pop("n_list")
+    return merged
 
 
 def _cmd_cbc(cfg: StudyConfig) -> int:
+    if len(cfg.n_schedule) != 1:
+        ns = ",".join(map(str, cfg.n_schedule))
+        raise ValueError(f"cbc builds one n, not the n list {ns}")
+    (n,) = cfg.n_schedule
     model = DiffusionModel(cfg.c, cfg.theta, cfg.s)
     inp = PdeWeightInput(cfg.p, decay_sequence(model, cfg.s), cfg.delta)
     params = derive_for_family(cfg.weights, inp, cfg.s)
     spec = KernelSpec(params.alpha, params.scheme)
-    n = cfg.n_schedule[-1]
     report = cbc_construct(spec, n, cfg.s)
     if cfg.out:
         write_genvec(cfg.out, report.z, n)
@@ -117,7 +126,7 @@ def _cmd_cbc(cfg: StudyConfig) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: StudyConfig) -> int:
+def _cmd_selftest() -> int:
     """Quick oracle-backed invariants; exits nonzero on any failure."""
     from .interpolant import build, evaluate
     from .lattice import Lattice, criterion_S
@@ -156,25 +165,17 @@ def cli(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    kind = {
-        "cbc": "cbc-only",
-        "interp-study": "interp-convergence",
-        "dimtrunc-study": "dim-truncation",
-        "selftest": "cbc-only",
-    }[args.command]
+    kind = _COMMANDS[args.command][0]
     try:
-        cfg = _build_config(kind, args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
-        if args.command == "cbc":
+        settings = _settings(args)
+        if kind is None:
+            return _cmd_selftest()
+        cfg = StudyConfig(kind, **settings)
+        if kind == "cbc-only":
             return _cmd_cbc(cfg)
-        if args.command == "selftest":
-            return _cmd_selftest(cfg)
         run = (
             run_interp_convergence
-            if args.command == "interp-study"
+            if kind == "interp-convergence"
             else run_dim_truncation
         )
         rows, fit = run(cfg)
@@ -183,7 +184,7 @@ def cli(argv=None) -> int:
         if fit is not None:
             sys.stdout.write(f"# fitted slope {fit.slope!r}\n")
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (RangeError, ArithmeticError, RuntimeError) as exc:

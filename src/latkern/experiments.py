@@ -2,9 +2,9 @@
 
 Two studies: kernel-interpolation convergence of the parameterized FEM
 solution over a schedule of lattice sizes, and dimension-truncation error
-against a high-dimensional reference.  Both are deterministic for a fixed
-config and seed; all reductions run in a fixed order, so results do not
-depend on thread counts.
+against a high-dimensional reference.  Both are deterministic: all
+reductions run in a fixed order, so the same config and seed give the same
+CSV, byte for byte.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class StudyConfig:
     seed: int = 0
     genvec: str | None = None
     out: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in ("interp-convergence", "dim-truncation", "cbc-only"):
@@ -80,6 +79,8 @@ class StudyConfig:
             raise ValueError("n schedule must be strictly increasing")
         if self.L < 1 or self.mesh_level < 1 or self.s < 1:
             raise ValueError("L, mesh level, and s must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -176,6 +177,7 @@ def run_interp_convergence(cfg: StudyConfig):
         else {n: _genvec_prefix(cfg.genvec, n, cfg.s) for n in cfg.n_schedule}
     )
     header = "n,error,slope_so_far"
+    _write_rows(cfg.out, header, [])  # a bad path fails before any solve
     rows: list[str] = []
     ns: list[int] = []
     errs: list[float] = []
@@ -198,7 +200,7 @@ def run_interp_convergence(cfg: StudyConfig):
         )
         secs = time.perf_counter() - t0
         # timing goes to stderr, not the CSV: identical config + seed must
-        # yield byte-identical output regardless of thread count
+        # yield byte-identical output
         print(f"n={n}: {secs:.1f}s", file=sys.stderr)
         rows.append(f"{n},{err!r},{slope!r}\n")
         _write_rows(cfg.out, header, rows)  # flush partial results
@@ -233,10 +235,11 @@ def run_dim_truncation(cfg: StudyConfig):
     lat = _quadrature_lattice(cfg)
     pts = lat.points()
     nq = lat.n
+    header = "s,error"
+    _write_rows(cfg.out, header, [])  # a bad path fails before any solve
     ref = np.empty((nq, mesh.n_unknowns))
     for k in range(nq):
         ref[k] = fem_solve(mesh, model, pts[k]).interior_values
-    header = "s,error"
     rows: list[str] = []
     svals: list[int] = []
     errs: list[float] = []

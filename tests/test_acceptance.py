@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from latkern.cli import cli
 from latkern.experiments import (
     StudyConfig,
     fit_rate,
@@ -313,7 +314,7 @@ def test_criterion_5_worst_case_bound():
 # -- criteria 6 and 9 --------------------------------------------------------
 
 
-def _study_config(out, threads):
+def _study_config(out):
     return StudyConfig(
         "interp-convergence",
         weights="spod",
@@ -327,7 +328,6 @@ def _study_config(out, threads):
         L=20,
         seed=0,
         out=str(out),
-        threads=threads,
     )
 
 
@@ -335,7 +335,7 @@ def _study_config(out, threads):
 def interp_study(tmp_path_factory):
     out = tmp_path_factory.mktemp("study") / "interp.csv"
     t0 = time.perf_counter()
-    rows, fit = run_interp_convergence(_study_config(out, threads=1))
+    rows, fit = run_interp_convergence(_study_config(out))
     elapsed = time.perf_counter() - t0
     return out, rows, fit, elapsed
 
@@ -354,14 +354,28 @@ def test_criterion_6_pde_interpolation_rate(interp_study):
 
 
 def test_criterion_9_thread_count_determinism(interp_study, tmp_path):
+    # The same configuration and seed give a byte-identical CSV: criterion
+    # 6's configuration again, through a config file and the CLI, against
+    # the library run.  A setting the CLI mistypes fails here, and so does
+    # one it drops whose value is not the StudyConfig default (L here);
+    # TestCli::test_cli_csv_matches_library moves every value off its
+    # default at a small size.
     ref_out, _, _, _ = interp_study
-    out2 = tmp_path / "interp-threads4.csv"
-    run_interp_convergence(_study_config(out2, threads=4))
+    cfg = _study_config(ref_out)
+    conf = tmp_path / "interp.conf"
+    conf.write_text(
+        f"weights = {cfg.weights}\ntheta = {cfg.theta!r}\nc = {cfg.c!r}\n"
+        f"p = {cfg.p!r}\ndelta = {cfg.delta!r}\ns = {cfg.s}\n"
+        f"n_list = {','.join(map(str, cfg.n_schedule))}\n"
+        f"mesh_level = {cfg.mesh_level}\nL = {cfg.L}\nseed = {cfg.seed}\n"
+    )
+    out2 = tmp_path / "interp-cli.csv"
+    assert cli(["--config", str(conf), "interp-study", "--out", str(out2)]) == 0
     a = ref_out.read_bytes()
     b = out2.read_bytes()
     assert a == b
     print(
-        f"\n[criterion 9] PASS byte-identical CSV across thread counts "
+        f"\n[criterion 9] PASS byte-identical CSV, CLI against library "
         f"({len(a)} bytes)"
     )
 

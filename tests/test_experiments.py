@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latkern.cli import cli
+from latkern.cli import _cmd_cbc, _parser, cli
 from latkern.experiments import (
     StudyConfig,
     derive_for_family,
@@ -90,6 +92,10 @@ class TestStudyConfig:
     def test_unknown_weights(self):
         with pytest.raises(ValueError):
             StudyConfig("interp-convergence", weights="uniform")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            StudyConfig("interp-convergence", seed=-1)
 
 
 class TestSharedSpectrumPath:
@@ -283,7 +289,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "command,sizes",
         [
-            ("interp-study", ["--s", "4", "--n-list", "16", "--L", "1"]),
+            (
+                "interp-study",
+                ["--weights", "product", "--s", "4", "--n-list", "16",
+                 "--L", "1"],
+            ),
             ("dimtrunc-study", []),
         ],
     )
@@ -296,8 +306,7 @@ class TestCli:
         write_genvec(genvec, [1, 3, 5], n)
         self._no_solves(monkeypatch)
         rc = cli(
-            [command, "--weights", "product", "--mesh-level", "1",
-             "--genvec", str(genvec), *sizes]
+            [command, "--mesh-level", "1", "--genvec", str(genvec), *sizes]
         )
         assert rc == 1
         err = capsys.readouterr().err
@@ -338,3 +347,163 @@ class TestCli:
         err = capsys.readouterr().err
         assert "near-singular circulant spectrum" in err
         assert "min/max |lambda|" in err
+
+    @pytest.mark.parametrize(
+        "argv,missing",
+        [
+            (["interp-study", "--s", "4", "--n-list", "16", "--L", "1",
+              "--genvec", "{dir}/none.txt"], "none.txt"),
+            (["dimtrunc-study", "--genvec", "{dir}/none.txt"], "none.txt"),
+            (["interp-study", "--s", "4", "--n-list", "16", "--L", "1",
+              "--out", "{dir}/none/out.csv"], "none"),
+            (["dimtrunc-study", "--mesh-level", "1",
+              "--out", "{dir}/none/out.csv"], "none"),
+            (["cbc", "--s", "2", "--n-list", "8",
+              "--out", "{dir}/none/z.txt"], "none"),
+        ],
+    )
+    def test_file_error_exits_1(
+        self, argv, missing, tmp_path, monkeypatch, capsys
+    ):
+        # a missing --genvec or an --out in no directory is an input error
+        # and fails before the first solve
+        self._no_solves(monkeypatch)
+        rc = cli([a.format(dir=tmp_path) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(tmp_path / missing) in err
+
+    def test_negative_seed_exits_1(self, monkeypatch, capsys):
+        self._no_solves(monkeypatch)
+        rc = cli(["interp-study", "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
+    def test_cbc_several_n_exits_1(self, capsys):
+        rc = cli(["cbc", "--weights", "product", "--s", "2",
+                  "--n-list", "16,32,64"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "16,32,64" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,config,name",
+        [
+            (["dimtrunc-study", "--s", "64"], None, "--s"),
+            (["dimtrunc-study", "--n-list", "2048"], None, "--n-list"),
+            (["cbc", "--L", "5"], None, "--L"),
+            (["selftest", "--weights", "pod"], None, "--weights"),
+            (["interp-study", "--threads", "4"], None, "--threads"),
+            (["interp-study"], "threads = 4\n", "'threads'"),
+            (["cbc"], "L = 5\n", "'L'"),
+            (["cbc", "--n", "8"], None, "--n"),  # no prefix of --n-list
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_1(
+        self, argv, config, name, tmp_path, monkeypatch, capsys
+    ):
+        self._no_solves(monkeypatch)
+        if config is not None:
+            conf = tmp_path / "study.conf"
+            conf.write_text(config)
+            argv = ["--config", str(conf), *argv]
+        assert cli(argv) == 1
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_cli_csv_matches_library(self, via, tmp_path):
+        # every value differs from the StudyConfig default and changes the
+        # CSV, so a flag or key that the CLI drops or mistypes shows here
+        values = dict(
+            weights="product", theta=2.7, c=0.3, p=0.45, delta=0.05, s=3,
+            n_list="8,16", mesh_level=2, L=2, seed=5,
+        )
+        lib_out = tmp_path / "lib.csv"
+        cfg = dict(values, n_schedule=(8, 16), out=str(lib_out))
+        del cfg["n_list"]
+        run_interp_convergence(StudyConfig("interp-convergence", **cfg))
+        cli_out = tmp_path / "cli.csv"
+        if via == "flags":
+            argv = [
+                t for k, v in values.items()
+                for t in ("--" + k.replace("_", "-"), str(v))
+            ]
+            argv = ["interp-study", *argv]
+        else:
+            conf = tmp_path / "study.conf"
+            conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+            argv = ["--config", str(conf), "interp-study"]
+        assert cli([*argv, "--out", str(cli_out)]) == 0
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+_FIELDS = {f.name for f in dataclasses.fields(StudyConfig)}
+
+
+class _ReadRecorder(StudyConfig):
+    """A StudyConfig that records the fields read after __post_init__."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            reads = object.__getattribute__(self, "__dict__").get("reads")
+            if reads is not None:
+                reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryOptionIsRead:
+    COMMANDS = ["cbc", "interp-study", "dimtrunc-study", "selftest"]
+
+    @staticmethod
+    def _subparsers():
+        return next(
+            a for a in _parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices
+
+    def test_every_command_covered(self):
+        assert sorted(self._subparsers()) == sorted(self.COMMANDS)
+
+    def _fields_read(self, command, tmp_path):
+        out = str(tmp_path / "out.txt")
+        if command == "cbc":
+            cfg = _ReadRecorder(
+                "cbc-only", weights="product", s=2, n_schedule=(8,), out=out
+            )
+            _cmd_cbc(cfg)
+        elif command == "interp-study":
+            cfg = _ReadRecorder(
+                "interp-convergence", weights="product", s=2,
+                n_schedule=(4, 8), mesh_level=2, L=1, out=out,
+            )
+            run_interp_convergence(cfg)
+        elif command == "dimtrunc-study":
+            # the CLI pins quad_n = 8192; call the study at a small one
+            n, s_ref = 16, 8
+            genvec = tmp_path / "z.txt"
+            write_genvec(genvec, [pow(3, j, n) for j in range(s_ref)], n)
+            cfg = _ReadRecorder(
+                "dim-truncation", s_ref=s_ref, quad_n=n, mesh_level=2,
+                genvec=str(genvec), out=out,
+            )
+            run_dim_truncation(cfg)
+        else:
+            return set()  # selftest builds no StudyConfig
+        return cfg.reads
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_accepted_option_is_read(self, command, tmp_path):
+        accepted = {
+            "n_schedule" if a.dest == "n_list" else a.dest
+            for a in self._subparsers()[command]._actions
+            if a.dest != "help"
+        }
+        unread = accepted - self._fields_read(command, tmp_path)
+        assert not unread, f"{command} accepts options it never reads"
