@@ -147,12 +147,6 @@ class TrigPolynomial:
             out += c * np.exp(2j * math.pi * (Y @ np.asarray(h, float)))
         return out[0] if single else out
 
-    def real_part(self):
-        def f(y):
-            return np.real(self(y))
-
-        return f
-
 
 def h_norm(spec: KernelSpec, f: TrigPolynomial) -> float:
     total = ExtendedReal.zero()
@@ -169,8 +163,8 @@ def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:
     """RMS interpolation error over the shifted lattices y + t_k, y in shifts.
 
     truth maps the (n, s) shifted points to the true values, shaped like
-    `itp.shifted_union(y)` (points on the last axis); sq_norm maps the
-    error at one point to its squared norm (np.square for scalar values).
+    `itp.shifted_union(y)` (points on the last axis); sq_norm maps the error
+    to its n squared norms, one per point (np.square for scalar values).
     """
     if len(shifts) < 1:
         raise ValueError("need at least one shift")
@@ -179,8 +173,7 @@ def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:
     for y in shifts:
         y = np.asarray(y, dtype=float)
         err = np.asarray(truth(frac(y[None, :] + pts))) - itp.shifted_union(y)
-        for k in range(itp.lat.n):
-            acc += sq_norm(err[..., k])
+        acc += float(np.sum(sq_norm(err)))
     return math.sqrt(acc / (len(shifts) * itp.lat.n))
 
 

@@ -10,12 +10,10 @@ only interior nodes carry unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .special import zeta
 
@@ -33,6 +31,8 @@ __all__ = [
 ]
 
 _SQRT6 = math.sqrt(6.0)
+# Node values per block of points, so memory does not grow with the batch.
+_SOLVE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,8 @@ class DiffusionModel:
     def __post_init__(self):
         if self.c < 0 or self.theta <= 1.0 or self.s < 0:
             raise ValueError("need c >= 0, theta > 1, s >= 0")
+        # zeta sums 10^4 terms, so once per model
+        object.__setattr__(self, "_spread", self.c / _SQRT6 * zeta(self.theta))
         if self.a_min <= 0.0:
             raise ValueError(
                 f"fluctuation too large: a_min = {self.a_min} <= 0"
@@ -52,11 +54,11 @@ class DiffusionModel:
 
     @property
     def a_min(self) -> float:
-        return self.a0 - (self.c / _SQRT6) * zeta(self.theta)
+        return self.a0 - self._spread
 
     @property
     def a_max(self) -> float:
-        return self.a0 + (self.c / _SQRT6) * zeta(self.theta)
+        return self.a0 + self._spread
 
 
 def decay_sequence(model: DiffusionModel, s: int) -> np.ndarray:
@@ -107,29 +109,13 @@ class FemMesh:
         interior = np.zeros((N + 1, N + 1), dtype=bool)
         interior[1:N, 1:N] = True
         self.interior_mask = interior.ravel()
-        self.interior_index = np.full((N + 1) ** 2, -1, dtype=np.int64)
-        self.interior_index[self.interior_mask] = np.arange(
-            (N - 1) ** 2, dtype=np.int64
-        )
         self.n_unknowns = (N - 1) ** 2
-        self._local = self._local_matrices()
-        self._mass = None
-        self._stiffness = None
         self._psi_cache: dict[tuple, np.ndarray] = {}
-
-    def _local_matrices(self):
-        """Per-triangle gradient products A_T (grad l_i . grad l_j)."""
-        out = []
-        T = self.triangles.shape[0] // 2
-        for t in (0, T):  # one representative of each orientation
-            p = self.nodes[self.triangles[t]]
-            B = np.column_stack([p[1] - p[0], p[2] - p[0]])
-            area = abs(np.linalg.det(B)) / 2.0
-            grads = np.linalg.inv(B).T @ np.array(
-                [[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
-            )
-            out.append(area * grads.T @ grads)
-        return out
+        # the unit 5-point Laplacian in the orthonormal sine basis
+        k = np.arange(1, N)
+        self._sine = math.sqrt(2.0 / N) * np.sin(np.outer(k, k) * math.pi / N)
+        lam = 4.0 * np.sin(k * math.pi / (2 * N)) ** 2
+        self._inv_laplace = 1.0 / (lam[:, None] + lam[None, :])
 
     def psi_at_centroids(self, model: DiffusionModel) -> np.ndarray:
         """(T, s) table of psi_j sampled at element centroids, cached."""
@@ -187,29 +173,6 @@ class FemMesh:
             self._psi_cache[key] = tab
         return tab
 
-    def mass_matrix(self) -> sp.csr_matrix:
-        """Consistent P1 mass matrix over all nodes (boundary included)."""
-        if self._mass is None:
-            area = self.h * self.h / 2.0
-            local = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-            tri = self.triangles
-            rows = np.repeat(tri, 3, axis=1).ravel()
-            cols = np.tile(tri, (1, 3)).ravel()
-            data = np.tile(local.ravel(), tri.shape[0])
-            nn = self.nodes.shape[0]
-            self._mass = sp.coo_matrix(
-                (data, (rows, cols)), shape=(nn, nn)
-            ).tocsr()
-        return self._mass
-
-    def stiffness_matrix(self) -> sp.csr_matrix:
-        """Unit-coefficient P1 stiffness matrix over all nodes."""
-        if self._stiffness is None:
-            self._stiffness = _assemble_all_nodes(
-                self, np.ones(self.triangles.shape[0])
-            )
-        return self._stiffness
-
 
 @dataclass
 class FemSolution:
@@ -222,44 +185,38 @@ class FemSolution:
         return full
 
 
-def _assemble_all_nodes(mesh: FemMesh, a_T: np.ndarray) -> sp.csr_matrix:
-    tri = mesh.triangles
-    T = tri.shape[0]
-    half = T // 2
-    data = np.empty((T, 3, 3))
-    data[:half] = a_T[:half, None, None] * mesh._local[0]
-    data[half:] = a_T[half:, None, None] * mesh._local[1]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    nn = mesh.nodes.shape[0]
-    return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-
-
-def _assemble_stiffness(mesh: FemMesh, a_T: np.ndarray) -> sp.csr_matrix:
-    A = _assemble_all_nodes(mesh, a_T)
-    idx = np.where(mesh.interior_mask)[0]
-    return A[np.ix_(idx, idx)].tocsr()
-
-
 def _load_vector(mesh: FemMesh, source) -> np.ndarray:
     """Interior load by the exact barycentric rule for nodal-linear sources.
 
     integral_T f phi_i = area/12 (2 f_i + f_j + f_k) is exact when f is
     linear on T (as the default q(x) = x2 is) and O(h^2)-consistent
-    otherwise.
+    otherwise.  Over the six triangles at node i it sums to
+    area/6 (6 f_i + the values at the six neighbours).
     """
-    fvals = np.asarray(source(mesh.nodes), dtype=float)
-    tri = mesh.triangles
-    area = mesh.h * mesh.h / 2.0
-    ft = fvals[tri]
-    contrib = area / 12.0 * (ft + ft.sum(axis=1, keepdims=True))
-    b = np.zeros(mesh.nodes.shape[0])
-    np.add.at(b, tri.ravel(), contrib.ravel())
-    return b[mesh.interior_mask]
+    F = np.asarray(source(mesh.nodes), dtype=float).reshape(mesh.N + 1, -1)
+    near = F[:-2, 1:-1] + F[2:, 1:-1] + F[1:-1, :-2] + F[1:-1, 2:]
+    near += F[:-2, :-2] + F[2:, 2:]  # the neighbours along the diagonals
+    return (mesh.h**2 / 12.0 * (6.0 * F[1:-1, 1:-1] + near)).ravel()
 
 
 def _default_source(x):
     return x[:, 1]
+
+
+def _edge_weights(mesh: FemMesh, a_T: np.ndarray):
+    """Half the sum of a_T (B, T) over each axis edge's two triangles: wx
+    joins nodes (i, j), (i + 1, j) and wy (i, j), (i, j + 1).  P1 on this
+    mesh weighs the diagonal edges 0, so K is a 5-point stencil."""
+    lo, up = a_T.reshape(len(a_T), 2, mesh.N, mesh.N).transpose(1, 0, 2, 3)
+    return 0.5 * (lo[:, :, 1:] + up[:, :, :-1]), 0.5 * (lo[:, :-1] + up[:, 1:])
+
+
+def _stencil(w, u: np.ndarray) -> np.ndarray:
+    """K u for interior node values u (B, N-1, N-1), K from edge weights w."""
+    U = np.pad(u, ((0, 0), (1, 1), (1, 1)))  # zero Dirichlet values
+    fx = w[0] * np.diff(U[:, :, 1:-1], axis=1)
+    fy = w[1] * np.diff(U[:, 1:-1], axis=2)
+    return fx[:, :-1] - fx[:, 1:] + fy[:, :, :-1] - fy[:, :, 1:]
 
 
 def fem_solve(
@@ -269,24 +226,46 @@ def fem_solve(
     source=_default_source,
     coefficient_quadrature: str = "centroid",
 ) -> FemSolution:
-    y = np.asarray(y, dtype=float)[: model.s]
+    """P1 solution at one parameter point y (s,) or at each row of y (B, s).
+
+    Chebyshev iteration on L^-1 K, L the unit 5-point Laplacian (Saad, Alg.
+    12.1): edge weights in [a_min, a_max] put its spectrum there, which fixes
+    the steps for an energy-norm error bound 1/T_k(mid/half) <= 1e-12.  No
+    inner products: a point's iterates use only its own data.
+    """
     if coefficient_quadrature == "centroid":
         psi = mesh.psi_at_centroids(model)
     elif coefficient_quadrature == "exact":
         psi = mesh.psi_element_averages(model)
     else:
         raise ValueError("coefficient_quadrature must be 'centroid' or 'exact'")
-    a_T = model.a0 + (psi @ np.sin(2.0 * math.pi * y)) / _SQRT6
-    A = _assemble_stiffness(mesh, a_T)
-    b = _load_vector(mesh, source)
-    dinv = 1.0 / A.diagonal()
-    M = spla.LinearOperator(A.shape, matvec=lambda v: dinv * v)
-    u, info = spla.cg(
-        A, b, rtol=1e-10, atol=0.0, maxiter=10 * mesh.n_unknowns, M=M
-    )
-    if info != 0:
-        raise RuntimeError(f"CG failed to converge (info={info})")
-    return FemSolution(mesh, u)
+    S, inv_l = mesh._sine, mesh._inv_laplace  # L is diagonal in the sine basis
+    lo, hi = model.a_min, model.a_max
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    # c = 0 gives K = a0 L, so the first step is exact
+    steps = math.ceil(math.acosh(1e12) / math.acosh(mid / half)) if half else 1
+    Y = np.atleast_2d(np.asarray(y, dtype=float))[:, : model.s]
+    b = _load_vector(mesh, source).reshape(1, mesh.N - 1, mesh.N - 1)
+    u = np.empty((len(Y),) + b.shape[1:])
+    block = max(1, _SOLVE_BLOCK // mesh.nodes.shape[0])
+    for i in range(0, len(Y), block):
+        sines = np.sin(2.0 * math.pi * Y[i : i + block])
+        w = _edge_weights(mesh, model.a0 + sines @ psi.T / _SQRT6)
+        r, rho, d = b, half / mid, S @ ((S @ b @ S) * inv_l) @ S / mid
+        u[i : i + block] = d
+        for _ in range(steps - 1):
+            r = r - _stencil(w, d)
+            rho_next = 1.0 / (2.0 * mid / half - rho)
+            z = S @ ((S @ r @ S) * inv_l) @ S  # L^-1 r
+            d = rho_next * rho * d + 2.0 * rho_next / half * z
+            u[i : i + block] += d
+            rho = rho_next
+    u = u.reshape(len(Y), mesh.n_unknowns)
+    if bad := np.count_nonzero(~np.isfinite(u).all(axis=1)):
+        raise RuntimeError(
+            f"mesh level {mesh.m}: {bad} of {len(Y)} solutions not finite"
+        )
+    return FemSolution(mesh, u[0] if np.ndim(y) == 1 else u)
 
 
 def truncated_solve(
@@ -300,32 +279,51 @@ def truncated_solve(
     return fem_solve(mesh, model, yt)
 
 
-def _nodal_form(mesh: FemMesh, Q: sp.csr_matrix, v) -> float:
-    """sqrt(v^T Q v) for an all-node matrix Q; v interior or full."""
+def _norm_by_squares(mesh: FemMesh, v, form):
+    """sqrt of form(ll, lr, ul, ur) at each square's corners, summed, for one
+    vector v (a float) or a batch (B, ...), interior or full."""
     if isinstance(v, FemSolution):
         v = v.full_values()
     v = np.asarray(v, dtype=float)
-    if v.shape == (mesh.n_unknowns,):
-        full = np.zeros(mesh.nodes.shape[0])
-        full[mesh.interior_mask] = v
-        v = full
-    elif v.shape != (mesh.nodes.shape[0],):
+    V = np.atleast_2d(v)
+    nodes = mesh.nodes.shape[0]
+    if V.shape[1] not in (mesh.n_unknowns, nodes):
         raise ValueError("vector length matches neither unknowns nor nodes")
-    return math.sqrt(max(float(v @ (Q @ v)), 0.0))
+    idx = mesh.interior_mask if V.shape[1] < nodes else slice(None)
+    out = np.empty(len(V))
+    block = max(1, _SOLVE_BLOCK // nodes)
+    for i in range(0, len(V), block):
+        g = np.zeros((len(V[i : i + block]), nodes))
+        g[:, idx] = V[i : i + block]
+        g = g.reshape(-1, mesh.N + 1, mesh.N + 1)
+        q = form(g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:])
+        out[i : i + block] = q.sum(axis=(1, 2))
+    return float(np.sqrt(out[0])) if v.ndim == 1 else np.sqrt(out)
 
 
-def l2_norm(mesh: FemMesh, v) -> float:
-    """sqrt(v^T M v) with the consistent mass matrix; v interior or full."""
-    return _nodal_form(mesh, mesh.mass_matrix(), v)
+def l2_norm(mesh: FemMesh, v):
+    """sqrt(v^T M v) with the consistent mass matrix; v interior or full.
+
+    Triangle (a, b, c) adds area/12 (a^2 + b^2 + c^2 + (a + b + c)^2).
+    """
+    def form(ll, lr, ul, ur):  # triangles (ll, lr, ur) and (ll, ur, ul)
+        sq = 2 * ll * ll + lr * lr + 2 * ur * ur + ul * ul
+        return sq + (ll + lr + ur) ** 2 + (ll + ur + ul) ** 2
+
+    return mesh.h / math.sqrt(24.0) * _norm_by_squares(mesh, v, form)
 
 
-def h1_seminorm(mesh: FemMesh, v) -> float:
+def h1_seminorm(mesh: FemMesh, v):
     """|v|_H1 = sqrt(v^T K v), K the unit-coefficient stiffness matrix.
 
     On interior vectors (zero boundary values) this is the norm of
-    V = H^1_0(D); v interior or full.
+    V = H^1_0(D); v interior or full.  A triangle adds half the squares of
+    the differences along its two axis edges.
     """
-    return _nodal_form(mesh, mesh.stiffness_matrix(), v)
+    def form(ll, lr, ul, ur):
+        return (lr - ll) ** 2 + (ur - lr) ** 2 + (ur - ul) ** 2 + (ul - ll) ** 2
+
+    return math.sqrt(0.5) * _norm_by_squares(mesh, v, form)
 
 
 def export_solution_csv(path: str | Path, sol: FemSolution) -> None:

@@ -1,14 +1,18 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import latkern.pde
 from latkern.pde import (
     DiffusionModel,
     FemMesh,
-    _assemble_stiffness,
+    _edge_weights,
     _load_vector,
+    _stencil,
     decay_sequence,
     diffusion_at,
     export_solution_csv,
@@ -24,6 +28,82 @@ def _model(c=0.2, theta=2.4, s=4):
     return DiffusionModel(c, theta, s)
 
 
+# -- oracle: general P1 assembly by sparse COO, element by element ----------
+
+
+def _local_matrices(mesh):
+    """Per-triangle gradient products A_T (grad l_i . grad l_j)."""
+    out = []
+    T = mesh.triangles.shape[0] // 2
+    for t in (0, T):  # one representative of each orientation
+        p = mesh.nodes[mesh.triangles[t]]
+        B = np.column_stack([p[1] - p[0], p[2] - p[0]])
+        area = abs(np.linalg.det(B)) / 2.0
+        grads = np.linalg.inv(B).T @ np.array(
+            [[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
+        )
+        out.append(area * grads.T @ grads)
+    return out
+
+
+def _assemble_all_nodes(mesh, a_T):
+    """P1 stiffness matrix of the coefficient a_T over all nodes."""
+    tri = mesh.triangles
+    T = tri.shape[0]
+    half = T // 2
+    local = _local_matrices(mesh)
+    data = np.empty((T, 3, 3))
+    data[:half] = a_T[:half, None, None] * local[0]
+    data[half:] = a_T[half:, None, None] * local[1]
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    nn = mesh.nodes.shape[0]
+    return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
+
+
+def _assemble_stiffness(mesh, a_T):
+    """The stiffness matrix restricted to the interior unknowns."""
+    A = _assemble_all_nodes(mesh, a_T)
+    idx = np.where(mesh.interior_mask)[0]
+    return A[np.ix_(idx, idx)].tocsr()
+
+
+def _mass_matrix(mesh):
+    """Consistent P1 mass matrix over all nodes (boundary included)."""
+    area = mesh.h * mesh.h / 2.0
+    local = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    data = np.tile(local.ravel(), tri.shape[0])
+    nn = mesh.nodes.shape[0]
+    return sp.coo_matrix((data, (rows, cols)), shape=(nn, nn)).tocsr()
+
+
+def _load_oracle(mesh, source):
+    """Interior load summed triangle by triangle: area/12 (2 f_i + f_j + f_k)."""
+    ft = np.asarray(source(mesh.nodes), dtype=float)[mesh.triangles]
+    contrib = mesh.h**2 / 24.0 * (ft + ft.sum(axis=1, keepdims=True))
+    b = np.zeros(mesh.nodes.shape[0])
+    np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
+    return b[mesh.interior_mask]
+
+
+def _a_T(mesh, model, y, quadrature="centroid"):
+    psi = (
+        mesh.psi_at_centroids(model)
+        if quadrature == "centroid"
+        else mesh.psi_element_averages(model)
+    )
+    return model.a0 + (psi @ np.sin(2 * math.pi * np.asarray(y))) / math.sqrt(6.0)
+
+
+def _dense_solve(mesh, model, y, quadrature="centroid"):
+    """(solution, interior stiffness matrix) by a dense direct solve."""
+    A = _assemble_stiffness(mesh, _a_T(mesh, model, y, quadrature)).toarray()
+    return np.linalg.solve(A, _load_oracle(mesh, lambda x: x[:, 1])), A
+
+
 class TestDiffusionModel:
     def test_bounds(self):
         m = _model(c=0.2, theta=2.4, s=100)
@@ -31,6 +111,19 @@ class TestDiffusionModel:
         assert m.a_max == pytest.approx(1.0 + want, rel=1e-10)
         assert m.a_min == pytest.approx(1.0 - want, rel=1e-10)
         assert m.a_min == pytest.approx(0.8869, abs=5e-4)
+
+    def test_zeta_summed_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counting_zeta(x):
+            calls.append(x)
+            return zeta(x)
+
+        monkeypatch.setattr(latkern.pde, "zeta", counting_zeta)
+        m = _model()
+        for _ in range(3):
+            assert m.a_min < 1.0 < m.a_max
+        assert calls == [2.4]
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -81,7 +174,7 @@ class TestMesh:
 
     def test_mass_matrix_total(self):
         mesh = FemMesh(3)
-        M = mesh.mass_matrix()
+        M = _mass_matrix(mesh)
         assert M.sum() == pytest.approx(1.0)  # integral of 1*1
         # symmetry
         assert abs(M - M.T).max() == 0.0
@@ -112,6 +205,32 @@ class TestStiffness:
         A = _assemble_stiffness(mesh, a_T).toarray()
         np.testing.assert_allclose(A, A.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(A)) > 0.0
+
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("quadrature", ["centroid", "exact"])
+    def test_stencil_matches_oracle(self, level, quadrature):
+        mesh = FemMesh(level)
+        m = _model(c=0.4, s=16)
+        rng = np.random.default_rng(level)
+        Y = rng.random((3, 16))
+        a_T = np.array([_a_T(mesh, m, y, quadrature) for y in Y])
+        u = rng.standard_normal((3, mesh.n_unknowns))
+        n = mesh.N - 1
+        got = _stencil(_edge_weights(mesh, a_T), u.reshape(3, n, n))
+        for k in range(3):
+            want = _assemble_stiffness(mesh, a_T[k]) @ u[k]
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[k].ravel() - want)) <= 1e-13 * scale
+
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_load_vector_matches_triangle_sums(self, level):
+        mesh = FemMesh(level)
+        for f in (lambda x: x[:, 1], lambda x: np.exp(x[:, 0]) * np.cos(3 * x[:, 1])):
+            want = _load_oracle(mesh, f)
+            got = _load_vector(mesh, f)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestElementAverages:
@@ -197,6 +316,44 @@ class TestSolve:
         u = fem_solve(mesh, m, y).interior_values
         assert np.max(np.abs(A @ u - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
+    @pytest.mark.parametrize("level,c", [(3, 0.2), (4, 0.4), (5, 0.2)])
+    @pytest.mark.parametrize("quadrature", ["centroid", "exact"])
+    def test_against_dense_solve(self, level, c, quadrature):
+        # relative energy-norm error of the fixed-length iteration
+        mesh = FemMesh(level)
+        m = _model(c=c, s=8)
+        y = np.random.default_rng(level).random(8)
+        want, A = _dense_solve(mesh, m, y, quadrature)
+        got = fem_solve(
+            mesh, m, y, coefficient_quadrature=quadrature
+        ).interior_values
+        e = got - want
+        assert math.sqrt(e @ A @ e) <= 1e-12 * math.sqrt(want @ A @ want)
+
+    def test_constant_coefficient(self):
+        # c = 0: a_min = a_max, and one preconditioned step is exact
+        mesh = FemMesh(4)
+        m = DiffusionModel(0.0, 2.4, 4)
+        y = np.array([0.3, 0.8, 0.1, 0.6])
+        want, _ = _dense_solve(mesh, m, y)
+        got = fem_solve(mesh, m, y).interior_values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_batch_matches_single_solves(self):
+        mesh = FemMesh(3)
+        m = _model(c=0.4, s=6)
+        Y = np.random.default_rng(23).random((300, 6))
+        batch = fem_solve(mesh, m, Y).interior_values
+        assert batch.shape == (300, mesh.n_unknowns)
+        single = np.array([fem_solve(mesh, m, y).interior_values for y in Y])
+        assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(np.abs(single))
+
+    def test_non_finite_solution_raises(self):
+        mesh = FemMesh(3)
+        Y = np.random.default_rng(29).random((5, 4))
+        with pytest.raises(RuntimeError, match="mesh level 3: 5 of 5 solutions"):
+            fem_solve(mesh, _model(), Y, source=lambda x: np.full(len(x), np.nan))
+
     def test_coefficient_quadrature_option(self):
         mesh = FemMesh(3)
         m = _model()
@@ -255,6 +412,36 @@ class TestL2Norm:
         mesh = FemMesh(3)
         with pytest.raises(ValueError):
             l2_norm(mesh, np.zeros(5))
+
+
+class TestBatchedNorms:
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_against_oracle_quadratic_forms(self, interior):
+        mesh = FemMesh(4)
+        rng = np.random.default_rng(31)
+        V = rng.standard_normal(
+            (7, mesh.n_unknowns if interior else mesh.nodes.shape[0])
+        )
+        full = V
+        if interior:
+            full = np.zeros((7, mesh.nodes.shape[0]))
+            full[:, mesh.interior_mask] = V
+        K = _assemble_all_nodes(mesh, np.ones(mesh.triangles.shape[0]))
+        for norm, Q in ((l2_norm, _mass_matrix(mesh)), (h1_seminorm, K)):
+            got = norm(mesh, V)
+            assert got.shape == (7,)
+            want = np.sqrt(np.einsum("bi,bi->b", full, (Q @ full.T).T))
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+            assert norm(mesh, V[2]) == got[2]
+
+
+def test_import_leaves_out_scipy_sparse():
+    code = "import sys, latkern; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestH1Seminorm:
