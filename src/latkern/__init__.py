@@ -22,7 +22,6 @@ from .lattice import (
     cbc_construct,
     criterion_S,
     fooling_vector,
-    lattice_point,
     read_genvec,
     write_genvec,
 )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +38,6 @@ __all__ = [
     "evaluate",
     "h_norm",
     "l2_error_estimate",
-    "save_interpolant",
-    "load_interpolant",
 ]
 
 _SINGULAR_REL = 1e-13
@@ -175,37 +172,3 @@ def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:
         err = np.asarray(truth(frac(y[None, :] + pts))) - itp.shifted_union(y)
         acc += float(np.sum(sq_norm(err)))
     return math.sqrt(acc / (len(shifts) * itp.lat.n))
-
-
-# ---------------------------------------------------------------------------
-# text serialization for surrogate reuse
-
-
-def save_interpolant(path: str | Path, itp: Interpolant) -> None:
-    if itp.coeffs.ndim != 1:
-        raise ValueError("only a single interpolant can be saved, not a batch")
-    lines = [
-        f"# n={itp.lat.n} s={itp.lat.s} alpha={itp.spec.alpha} "
-        f"scheme={itp.spec.scheme.kind}",
-        "# z " + " ".join(str(int(v)) for v in itp.lat.z),
-    ]
-    lines += [repr(float(a)) for a in itp.coeffs]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_interpolant(path: str | Path, spec: KernelSpec) -> Interpolant:
-    text = Path(path).read_text().splitlines()
-    head = dict(
-        kv.split("=") for kv in text[0].lstrip("# ").split() if "=" in kv
-    )
-    if int(head["alpha"]) != spec.alpha or head["scheme"] != spec.scheme.kind:
-        raise ValueError("kernel spec does not match the stored header")
-    z = np.array([int(t) for t in text[1].lstrip("# ").split()[1:]], np.int64)
-    lat = Lattice(int(head["n"]), z)
-    coeffs = np.array([float(t) for t in text[2:] if t.strip()])
-    if coeffs.shape != (lat.n,):
-        raise ValueError("coefficient count does not match header n")
-    return Interpolant(
-        spec, lat, circulant_spectrum(spec, lat), np.fft.rfft(coeffs), coeffs,
-        0.0,
-    )

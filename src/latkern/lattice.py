@@ -27,7 +27,6 @@ from .weights import squared_weight_sum
 __all__ = [
     "Lattice",
     "CbcReport",
-    "lattice_point",
     "criterion_S",
     "cbc_construct",
     "fooling_vector",
@@ -66,17 +65,10 @@ class Lattice:
         return ((k[:, None] * self.z[None, :]) % self.n) / self.n
 
 
-def lattice_point(lat: Lattice, k: int) -> np.ndarray:
-    if not 1 <= k <= lat.n:
-        raise ValueError(f"k={k} outside 1..{lat.n}")
-    return ((k * lat.z) % lat.n) / lat.n
-
-
 @dataclass
 class CbcReport:
     n: int
     z: np.ndarray
-    n_is_prime: bool
     criterion_trace: list[float] = field(default_factory=list)
     wce_bound_trace: list[float] = field(default_factory=list)
     # per dimension, log10(mean-square kernel / S_d): the decimal digits
@@ -144,17 +136,6 @@ def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
     """Search criterion S_s(z) >= 0 via the kernel-square identity."""
     sub = squared_weight_sum(spec.scheme, lat.s, 2.0 * zeta(2 * spec.alpha))
     return _criterion_from_parts(_mean_square_kernel(spec, lat), sub)[0]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # Candidate x point entries scored per block, so memory does not grow with n.
@@ -252,7 +233,6 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     return CbcReport(
         n=n,
         z=np.array(z, dtype=np.int64),
-        n_is_prime=_is_prime(n),
         criterion_trace=crit_trace,
         wce_bound_trace=bound_trace,
         digits_lost=lost_trace,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "l2_norm",
     "h1_seminorm",
     "decay_sequence",
-    "export_solution_csv",
 ]
 
 _SQRT6 = math.sqrt(6.0)
@@ -67,17 +65,30 @@ def decay_sequence(model: DiffusionModel, s: int) -> np.ndarray:
     return model.c * j**-model.theta / (_SQRT6 * model.a_min)
 
 
+def _parameters(model: DiffusionModel, y) -> np.ndarray:
+    """y (s',) or (B, s') as floats, cut to the model's first s <= s'."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] < model.s:
+        raise ValueError(
+            f"y has {y.shape[-1]} components, the model needs s = {model.s}"
+        )
+    return y[..., : model.s]
+
+
 def diffusion_at(model: DiffusionModel, x, y) -> float | np.ndarray:
+    """a(x, y) at points x (..., 2), for one parameter point y (s,) or for
+    each row of y (B, s), shaped y.shape[:-1] + x.shape[:-1]."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)[: model.s]
-    j = np.arange(1, len(y) + 1, dtype=float)
+    y = _parameters(model, y)
+    j = np.arange(1, model.s + 1, dtype=float)
     psi = (
         model.c
         * j**-model.theta
         * np.sin(j * math.pi * x[..., 0, None])
         * np.sin(j * math.pi * x[..., 1, None])
     )
-    a = model.a0 + (psi @ np.sin(2.0 * math.pi * y)) / _SQRT6
+    sines = np.sin(2.0 * math.pi * y)
+    a = model.a0 + np.tensordot(sines, psi, (-1, -1)) / _SQRT6
     eps = 1e-12 * max(1.0, model.a_max)
     if np.any(a < model.a_min - eps) or np.any(a > model.a_max + eps):
         raise AssertionError("coefficient left [a_min, a_max]")
@@ -119,7 +130,7 @@ class FemMesh:
 
     def psi_at_centroids(self, model: DiffusionModel) -> np.ndarray:
         """(T, s) table of psi_j sampled at element centroids, cached."""
-        key = ("centroid", model.c, model.theta, model.s, model.a0)
+        key = (model.c, model.theta, model.s)
         tab = self._psi_cache.get(key)
         if tab is None:
             j = np.arange(1, model.s + 1, dtype=float)
@@ -132,47 +143,6 @@ class FemMesh:
             self._psi_cache[key] = tab
         return tab
 
-    def psi_element_averages(self, model: DiffusionModel) -> np.ndarray:
-        """(T, s) table of exact per-triangle averages of psi_j.
-
-        P1 gradients are constant on each triangle, so pairing the local
-        gradient products with the exact integral of the coefficient makes
-        the stiffness assembly exact in x.  Unlike point sampling, the true
-        element average of sin(j pi x1) sin(j pi x2) decays like 1/j^2 once
-        j exceeds the mesh resolution instead of aliasing at O(1) amplitude;
-        the two quadratures therefore put different effective amplitudes on
-        under-resolved coefficient modes.
-        """
-        key = ("exact", model.c, model.theta, model.s, model.a0)
-        tab = self._psi_cache.get(key)
-        if tab is None:
-            half = self.triangles.shape[0] // 2
-            # lower-left corner (x0, y0) of the square containing each
-            # lower-orientation triangle; upper triangles share the square
-            x0 = self.nodes[self.triangles[:half, 0], 0][:, None]
-            y0 = self.nodes[self.triangles[:half, 0], 1][:, None]
-            h = self.h
-            j = np.arange(1, model.s + 1, dtype=float)[None, :]
-            w = j * math.pi
-            # I_L = int over the lower triangle {0<=u<=t<=h} of
-            # sin(w(x0+t)) sin(w(y0+u)); S = integral over the full square
-            cx0, cxh = np.cos(w * x0), np.cos(w * (x0 + h))
-            cy0, cyh = np.cos(w * y0), np.cos(w * (y0 + h))
-            S = (cx0 - cxh) * (cy0 - cyh) / w**2
-            I_L = (
-                cy0 * (cx0 - cxh) / w
-                - (np.cos(w * (x0 + y0)) - np.cos(w * (x0 + y0 + 2 * h)))
-                / (4 * w)
-                - (h / 2.0) * np.sin(w * (x0 - y0))
-            ) / w
-            area = h * h / 2.0
-            coeff = model.c * j**-model.theta
-            tab = np.empty((self.triangles.shape[0], model.s))
-            tab[:half] = coeff * I_L / area
-            tab[half:] = coeff * (S - I_L) / area
-            self._psi_cache[key] = tab
-        return tab
-
 
 @dataclass
 class FemSolution:
@@ -180,8 +150,10 @@ class FemSolution:
     interior_values: np.ndarray
 
     def full_values(self) -> np.ndarray:
-        full = np.zeros(self.mesh.nodes.shape[0])
-        full[self.mesh.interior_mask] = self.interior_values
+        """Values at every node, 0 on the boundary: (nodes,) or (B, nodes)."""
+        v = self.interior_values
+        full = np.zeros(v.shape[:-1] + self.mesh.interior_mask.shape)
+        full[..., self.mesh.interior_mask] = v
         return full
 
 
@@ -224,7 +196,6 @@ def fem_solve(
     model: DiffusionModel,
     y,
     source=_default_source,
-    coefficient_quadrature: str = "centroid",
 ) -> FemSolution:
     """P1 solution at one parameter point y (s,) or at each row of y (B, s).
 
@@ -233,18 +204,13 @@ def fem_solve(
     the steps for an energy-norm error bound 1/T_k(mid/half) <= 1e-12.  No
     inner products: a point's iterates use only its own data.
     """
-    if coefficient_quadrature == "centroid":
-        psi = mesh.psi_at_centroids(model)
-    elif coefficient_quadrature == "exact":
-        psi = mesh.psi_element_averages(model)
-    else:
-        raise ValueError("coefficient_quadrature must be 'centroid' or 'exact'")
+    psi = mesh.psi_at_centroids(model)
     S, inv_l = mesh._sine, mesh._inv_laplace  # L is diagonal in the sine basis
     lo, hi = model.a_min, model.a_max
     mid, half = (hi + lo) / 2, (hi - lo) / 2
     # c = 0 gives K = a0 L, so the first step is exact
     steps = math.ceil(math.acosh(1e12) / math.acosh(mid / half)) if half else 1
-    Y = np.atleast_2d(np.asarray(y, dtype=float))[:, : model.s]
+    Y = _parameters(model, np.atleast_2d(y))
     b = _load_vector(mesh, source).reshape(1, mesh.N - 1, mesh.N - 1)
     u = np.empty((len(Y),) + b.shape[1:])
     block = max(1, _SOLVE_BLOCK // mesh.nodes.shape[0])
@@ -324,11 +290,3 @@ def h1_seminorm(mesh: FemMesh, v):
         return (lr - ll) ** 2 + (ur - lr) ** 2 + (ur - ul) ** 2 + (ul - ll) ** 2
 
     return math.sqrt(0.5) * _norm_by_squares(mesh, v, form)
-
-
-def export_solution_csv(path: str | Path, sol: FemSolution) -> None:
-    full = sol.full_values()
-    with open(path, "w") as fh:
-        fh.write("x1,x2,value\n")
-        for (x1, x2), val in zip(sol.mesh.nodes, full):
-            fh.write(f"{float(x1)!r},{float(x2)!r},{float(val)!r}\n")

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "MAX_BERNOULLI_DEGREE",
     "E_POW_INV_E",
-    "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_coeffs",
     "zeta",
@@ -49,12 +48,6 @@ def _bernoulli_numbers() -> tuple[Fraction, ...]:
         out.append(row[0])
     out[1] = -out[1]
     return tuple(out)
-
-
-def bernoulli_number(k: int) -> float:
-    if not 0 <= k <= MAX_BERNOULLI_DEGREE:
-        raise UnsupportedDegreeError(f"Bernoulli number index {k} out of range")
-    return float(_bernoulli_numbers()[k])
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,8 @@ and are therefore stored as ExtendedReal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "weight_of",
     "theory_error_constant",
     "squared_weight_sum",
-    "save_params",
-    "load_params",
 ]
 
 _ENUM_LIMIT = 12
@@ -355,74 +352,3 @@ def squared_weight_sum(scheme: WeightScheme, s: int, x: float) -> ExtendedReal:
             total = total + scheme.Gamma[ell] * scheme.Gamma[ellp] * \
                 ExtendedReal.from_float(r[ell, ellp])
     return total
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_params(path: str | Path, params: DerivedParams) -> None:
-    """Plain-text key-value dump; order factors are recomputed on load."""
-    sch = params.scheme
-    lines = [
-        f"kind {sch.kind}",
-        f"alpha {params.alpha}",
-        f"sigma {params.sigma}",
-        f"lambda {params.lam!r}",
-        f"s {sch.dimension}",
-    ]
-    if params.scenario is not None:
-        lines.append(f"scenario {params.scenario}")
-    if params.rate is not None:
-        lines.append(f"rate {params.rate!r}")
-    if sch.kind in ("product", "pod"):
-        lines.append(
-            "gamma_j " + " ".join(repr(float(g)) for g in sch.gamma_j)
-        )
-    if sch.kind == "spod":
-        for nu in range(1, sch.sigma + 1):
-            col = " ".join(
-                repr(float(g)) for g in sch.gamma_jnu[:, nu - 1]
-            )
-            lines.append(f"gamma_j_nu{nu} {col}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_params(path: str | Path) -> DerivedParams:
-    kv: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        kv[key] = rest
-    kind = kv["kind"]
-    alpha = int(kv["alpha"])
-    sigma = int(kv["sigma"])
-    lam = float(kv["lambda"])
-    s = int(kv["s"])
-    scenario = kv.get("scenario")
-    rate = float(kv["rate"]) if "rate" in kv else None
-    if kind == "product":
-        scheme = WeightScheme(
-            "product", sigma=sigma,
-            gamma_j=np.array([float(t) for t in kv["gamma_j"].split()]),
-        )
-    elif kind == "pod":
-        scheme = WeightScheme(
-            "pod", sigma=sigma,
-            gamma_j=np.array([float(t) for t in kv["gamma_j"].split()]),
-            Gamma=_pod_order_factors(alpha, sigma, lam, s),
-        )
-    elif kind == "spod":
-        cols = [
-            [float(t) for t in kv[f"gamma_j_nu{nu}"].split()]
-            for nu in range(1, sigma + 1)
-        ]
-        scheme = WeightScheme(
-            "spod", sigma=sigma, Gamma=_spod_order_factors(lam, s * sigma),
-            gamma_jnu=np.array(cols).T,
-        )
-    else:
-        raise ValueError(f"unknown weight kind {kind!r} in {path}")
-    return DerivedParams(alpha, sigma, lam, scheme, scenario=scenario, rate=rate)

@@ -11,8 +11,6 @@ from latkern.interpolant import (
     evaluate,
     h_norm,
     l2_error_estimate,
-    load_interpolant,
-    save_interpolant,
 )
 from latkern.kernel import KernelSpec, kernel_eval, rnorm
 from latkern.lattice import Lattice, cbc_construct, fooling_vector
@@ -342,34 +340,3 @@ class TestOptimalitySanity:
         )
         e_quad = math.sqrt(np.mean((np.real(f(G)) - np.real(fq(G))) ** 2))
         assert e_kernel <= 2.0 * e_quad + 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = _spec()
-        lat = Lattice(16, np.array([1, 7, 5]))
-        rng = np.random.default_rng(31)
-        itp = build(spec, lat, rng.standard_normal(16))
-        path = tmp_path / "itp.txt"
-        save_interpolant(path, itp)
-        back = load_interpolant(path, spec)
-        np.testing.assert_array_equal(back.coeffs, itp.coeffs)
-        assert back.lat.n == 16
-        y = rng.random(3)
-        assert evaluate(back, y) == evaluate(itp, y)
-
-    def test_batch_rejected(self, tmp_path):
-        spec = _spec()
-        itp = build(spec, Lattice(8, np.array([1, 3, 5])), np.ones((2, 8)))
-        with pytest.raises(ValueError):
-            save_interpolant(tmp_path / "itp.txt", itp)
-
-    def test_mismatched_spec_rejected(self, tmp_path):
-        spec = _spec()
-        lat = Lattice(8, np.array([1, 3, 5]))
-        itp = build(spec, lat, np.zeros(8))
-        path = tmp_path / "itp.txt"
-        save_interpolant(path, itp)
-        other = _spec(alpha=4)
-        with pytest.raises(ValueError):
-            load_interpolant(path, other)

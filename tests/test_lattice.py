@@ -22,7 +22,6 @@ from latkern.lattice import (
     cbc_construct,
     criterion_S,
     fooling_vector,
-    lattice_point,
     read_genvec,
     write_genvec,
 )
@@ -75,16 +74,7 @@ def _cbc_oracle(spec, n, s):
 class TestLattice:
     def test_point_example(self):
         lat = Lattice(5, np.array([1, 2]))
-        np.testing.assert_allclose(lattice_point(lat, 1), [0.2, 0.4])
-
-    def test_wraparound_point(self):
-        lat = Lattice(5, np.array([1, 2]))
-        np.testing.assert_allclose(lattice_point(lat, 5), [0.0, 0.0])
-
-    def test_k_out_of_range(self):
-        lat = Lattice(5, np.array([1, 2]))
-        with pytest.raises(ValueError):
-            lattice_point(lat, 6)
+        np.testing.assert_allclose(lat.points()[1], [0.2, 0.4])
 
     def test_group_property(self):
         lat = Lattice(7, np.array([1, 3, 5]))
@@ -205,14 +195,11 @@ class TestCbc:
     def test_trace_and_bound_shapes(self):
         spec = _product_spec([0.9, 0.6, 0.4])
         rep = cbc_construct(spec, 13, 3)
-        assert not rep.n_is_prime == (13 != 13)  # 13 is prime
-        assert rep.n_is_prime
         assert len(rep.criterion_trace) == 3
         for s, b in zip(rep.criterion_trace, rep.wce_bound_trace):
             assert s >= 0.0
             assert b == pytest.approx(math.sqrt(2.0) * s**0.25)
         assert rep.criterion_trace == sorted(rep.criterion_trace)
-        assert not cbc_construct(spec, 8, 2).n_is_prime
 
     @pytest.mark.parametrize("n", [2, 13, 16, 64, 256, 257])
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from latkern.pde import (
     _stencil,
     decay_sequence,
     diffusion_at,
-    export_solution_csv,
     fem_solve,
     h1_seminorm,
     l2_norm,
@@ -89,18 +88,14 @@ def _load_oracle(mesh, source):
     return b[mesh.interior_mask]
 
 
-def _a_T(mesh, model, y, quadrature="centroid"):
-    psi = (
-        mesh.psi_at_centroids(model)
-        if quadrature == "centroid"
-        else mesh.psi_element_averages(model)
-    )
+def _a_T(mesh, model, y):
+    psi = mesh.psi_at_centroids(model)
     return model.a0 + (psi @ np.sin(2 * math.pi * np.asarray(y))) / math.sqrt(6.0)
 
 
-def _dense_solve(mesh, model, y, quadrature="centroid"):
+def _dense_solve(mesh, model, y):
     """(solution, interior stiffness matrix) by a dense direct solve."""
-    A = _assemble_stiffness(mesh, _a_T(mesh, model, y, quadrature)).toarray()
+    A = _assemble_stiffness(mesh, _a_T(mesh, model, y)).toarray()
     return np.linalg.solve(A, _load_oracle(mesh, lambda x: x[:, 1])), A
 
 
@@ -146,6 +141,23 @@ class TestDiffusionModel:
         got = diffusion_at(m, x, [0.25])
         want = 1.0 + 0.2 * 1.0 * 1.0 / math.sqrt(6.0)
         assert got[0] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(3,), (2,), (5, 3)])
+    def test_short_parameter_vector_rejected(self, shape):
+        x = np.array([[0.3, 0.7], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=f"{shape[-1]} .* s = 4"):
+            diffusion_at(_model(), x, np.full(shape, 0.25))
+
+    def test_batch_of_points(self):
+        m = _model()
+        x = np.array([[0.3, 0.7], [0.5, 0.5], [0.1, 0.9]])
+        Y = np.random.default_rng(3).random((5, 6))  # cut to s = 4
+        got = diffusion_at(m, x, Y)
+        assert got.shape == (5, 3)
+        for k in range(5):
+            np.testing.assert_allclose(
+                got[k], diffusion_at(m, x, Y[k, :4]), rtol=1e-15
+            )
 
     def test_decay_sequence(self):
         m = _model(c=0.2, theta=2.4, s=3)
@@ -200,7 +212,7 @@ class TestStiffness:
     def test_symmetric_positive_definite(self):
         mesh = FemMesh(2)
         m = _model()
-        psi = mesh.psi_element_averages(m)
+        psi = mesh.psi_at_centroids(m)
         a_T = 1.0 + (psi @ np.sin(2 * math.pi * np.array([0.1, 0.7, 0.3, 0.9]))) / math.sqrt(6.0)
         A = _assemble_stiffness(mesh, a_T).toarray()
         np.testing.assert_allclose(A, A.T, atol=1e-14)
@@ -208,13 +220,12 @@ class TestStiffness:
 
 
     @pytest.mark.parametrize("level", [2, 3, 4])
-    @pytest.mark.parametrize("quadrature", ["centroid", "exact"])
-    def test_stencil_matches_oracle(self, level, quadrature):
+    def test_stencil_matches_oracle(self, level):
         mesh = FemMesh(level)
         m = _model(c=0.4, s=16)
         rng = np.random.default_rng(level)
         Y = rng.random((3, 16))
-        a_T = np.array([_a_T(mesh, m, y, quadrature) for y in Y])
+        a_T = np.array([_a_T(mesh, m, y) for y in Y])
         u = rng.standard_normal((3, mesh.n_unknowns))
         n = mesh.N - 1
         got = _stencil(_edge_weights(mesh, a_T), u.reshape(3, n, n))
@@ -231,42 +242,6 @@ class TestStiffness:
             want = _load_oracle(mesh, f)
             got = _load_vector(mesh, f)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-class TestElementAverages:
-    @pytest.mark.parametrize("j", [1, 3, 17, 64, 200])
-    def test_against_dense_quadrature(self, j):
-        # dense subdivision oracle for the exact closed-form triangle
-        # integral of sin(j pi x1) sin(j pi x2)
-        mesh = FemMesh(2)
-        model = DiffusionModel(0.3, 2.0, j)
-        tab = mesh.psi_element_averages(model)
-        coeff = 0.3 * float(j) ** -2.0
-        M = 2000
-        u = (np.arange(M) + 0.5) / M
-        A, B = np.meshgrid(u, u, indexing="ij")
-        # folding the square over its diagonal samples each triangle
-        # uniformly without a jagged boundary
-        lower = (np.maximum(A, B), np.minimum(A, B))
-        upper = (np.minimum(A, B), np.maximum(A, B))
-        for t, (U, V) in ((0, lower), (mesh.triangles.shape[0] // 2, upper)):
-            x0, y0 = mesh.nodes[mesh.triangles[t, 0]]
-            X = x0 + U * mesh.h
-            Y = y0 + V * mesh.h
-            avg = np.mean(np.sin(j * math.pi * X) * np.sin(j * math.pi * Y))
-            assert tab[t, j - 1] == pytest.approx(
-                coeff * avg, rel=2e-4, abs=1e-7 * coeff
-            )
-
-    def test_high_frequency_averages_decay(self):
-        # the exact averages decay for modes beyond the mesh resolution,
-        # unlike point samples which stay O(1)
-        mesh = FemMesh(3)
-        model = DiffusionModel(0.2, 2.0, 512)
-        j = np.arange(1, 513, dtype=float)
-        tab = np.max(np.abs(mesh.psi_element_averages(model)), axis=0)
-        normalized = tab / (0.2 * j**-2.0)  # per-mode average magnitude
-        assert normalized[511] < 1e-2 * normalized[0]
 
 
 class TestSolve:
@@ -317,16 +292,13 @@ class TestSolve:
         assert np.max(np.abs(A @ u - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
     @pytest.mark.parametrize("level,c", [(3, 0.2), (4, 0.4), (5, 0.2)])
-    @pytest.mark.parametrize("quadrature", ["centroid", "exact"])
-    def test_against_dense_solve(self, level, c, quadrature):
+    def test_against_dense_solve(self, level, c):
         # relative energy-norm error of the fixed-length iteration
         mesh = FemMesh(level)
         m = _model(c=c, s=8)
         y = np.random.default_rng(level).random(8)
-        want, A = _dense_solve(mesh, m, y, quadrature)
-        got = fem_solve(
-            mesh, m, y, coefficient_quadrature=quadrature
-        ).interior_values
+        want, A = _dense_solve(mesh, m, y)
+        got = fem_solve(mesh, m, y).interior_values
         e = got - want
         assert math.sqrt(e @ A @ e) <= 1e-12 * math.sqrt(want @ A @ want)
 
@@ -348,23 +320,16 @@ class TestSolve:
         single = np.array([fem_solve(mesh, m, y).interior_values for y in Y])
         assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(np.abs(single))
 
+    @pytest.mark.parametrize("shape", [(3,), (2,), (5, 3)])
+    def test_short_parameter_vector_rejected(self, shape):
+        with pytest.raises(ValueError, match=f"{shape[-1]} .* s = 4"):
+            fem_solve(FemMesh(3), _model(), np.full(shape, 0.25))
+
     def test_non_finite_solution_raises(self):
         mesh = FemMesh(3)
         Y = np.random.default_rng(29).random((5, 4))
         with pytest.raises(RuntimeError, match="mesh level 3: 5 of 5 solutions"):
             fem_solve(mesh, _model(), Y, source=lambda x: np.full(len(x), np.nan))
-
-    def test_coefficient_quadrature_option(self):
-        mesh = FemMesh(3)
-        m = _model()
-        y = np.array([0.3, 0.8, 0.1, 0.6])
-        a = fem_solve(mesh, m, y).interior_values
-        b = fem_solve(mesh, m, y, coefficient_quadrature="exact").interior_values
-        # both are O(h^2)-consistent discretizations of the same problem
-        assert np.max(np.abs(a - b)) <= 1e-3
-        assert np.max(np.abs(a - b)) > 0.0
-        with pytest.raises(ValueError):
-            fem_solve(mesh, m, y, coefficient_quadrature="midpoint")
 
     def test_a_priori_bound(self):
         # energy estimate: a_min |u|_H1^2 <= (f, u) <= ||f|| ||u|| and the
@@ -433,6 +398,21 @@ class TestBatchedNorms:
             want = np.sqrt(np.einsum("bi,bi->b", full, (Q @ full.T).T))
             np.testing.assert_allclose(got, want, rtol=1e-13)
             assert norm(mesh, V[2]) == got[2]
+
+    def test_batch_solution(self):
+        mesh = FemMesh(3)
+        m = _model()
+        Y = np.random.default_rng(37).random((3, 4))
+        sol = fem_solve(mesh, m, Y)
+        full = sol.full_values()
+        assert full.shape == (3, mesh.nodes.shape[0])
+        for norm in (l2_norm, h1_seminorm):
+            got = norm(mesh, sol)
+            for k in range(3):
+                assert got[k] == norm(mesh, sol.interior_values[k])
+        for k in range(3):
+            one = fem_solve(mesh, m, Y[k]).full_values()
+            assert np.max(np.abs(full[k] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_import_leaves_out_scipy_sparse():
@@ -517,16 +497,3 @@ class TestTruncatedSolve:
         mesh = FemMesh(2)
         with pytest.raises(ValueError):
             truncated_solve(mesh, _model(), np.zeros(4), 5)
-
-
-class TestExport:
-    def test_csv_smoke(self, tmp_path):
-        mesh = FemMesh(2)
-        sol = fem_solve(mesh, _model(), np.zeros(4))
-        path = tmp_path / "sol.csv"
-        export_solution_csv(path, sol)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2,value"
-        assert len(lines) == 1 + mesh.nodes.shape[0]
-        x1, x2, val = lines[1].split(",")
-        assert float(x1) == 0.0 and float(x2) == 0.0 and float(val) == 0.0

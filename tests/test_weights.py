@@ -12,8 +12,6 @@ from latkern.weights import (
     derive_pod,
     derive_product,
     derive_spod,
-    load_params,
-    save_params,
     squared_weight_sum,
     theory_error_constant,
     weight_of,
@@ -188,24 +186,3 @@ class TestSquaredWeightSum:
                 gu = weight_of(d.scheme, u).to_float()
                 want += gu * gu * x**r
         assert got == pytest.approx(want, rel=1e-11)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
-    def test_round_trip(self, tmp_path, family):
-        inp = _input(1 / 2.2, s=6)
-        d = {
-            "product": derive_product,
-            "pod": derive_pod,
-            "spod": derive_spod,
-        }[family](inp, 6)
-        path = tmp_path / "params.txt"
-        save_params(path, d)
-        back = load_params(path)
-        assert (back.alpha, back.sigma) == (d.alpha, d.sigma)
-        assert back.lam == d.lam
-        assert back.scheme.Gamma == d.scheme.Gamma
-        for u in [(1,), (2, 3), (1, 4, 6)]:
-            assert weight_of(back.scheme, u).to_float() == pytest.approx(
-                weight_of(d.scheme, u).to_float(), rel=1e-12
-            )
