@@ -18,7 +18,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .interpolant import build, circulant_spectrum, l2_error_estimate
 from .kernel import KernelSpec
@@ -114,9 +113,11 @@ def sobol_points(s: int, L: int, seed_offset: int = 0) -> np.ndarray:
     """First L Sobol' points after skipping the all-zeros point."""
     if s > _SOBOL_MAX_DIM:
         raise ValueError(
-            f"s={s} exceeds the direction-number table; use a random-uniform"
-            " fallback instead"
+            f"Sobol' points have at most {_SOBOL_MAX_DIM} dimensions,"
+            f" got s = {s}"
         )
+    from scipy.stats import qmc  # only Sobol' shifts need scipy.stats
+
     eng = qmc.Sobol(d=s, scramble=False)
     eng.fast_forward(1 + seed_offset)
     with warnings.catch_warnings():

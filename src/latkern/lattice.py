@@ -60,9 +60,17 @@ class Lattice:
         return len(self.z)
 
     def points(self) -> np.ndarray:
-        """All n points as an (n, s) array; row k is t_k, row 0 is 0."""
-        k = np.arange(self.n, dtype=np.int64)
-        return ((k[:, None] * self.z[None, :]) % self.n) / self.n
+        """All n points as an (n, s) array; row k is t_k, row 0 is 0.
+
+        Computed on the first call and kept; the array is read-only.
+        """
+        pts = self.__dict__.get("_points")
+        if pts is None:
+            k = np.arange(self.n, dtype=np.int64)
+            pts = ((k[:, None] * self.z[None, :]) % self.n) / self.n
+            pts.flags.writeable = False
+            object.__setattr__(self, "_points", pts)
+        return pts
 
 
 @dataclass

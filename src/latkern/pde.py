@@ -240,6 +240,12 @@ def truncated_solve(
     y = np.asarray(y, dtype=float)
     if s > model.s:
         raise ValueError("truncation dimension exceeds the model dimension")
+    if y.ndim != 1:
+        raise ValueError(f"y has shape {y.shape}, one point (s,) is needed")
+    if len(y) < s:
+        raise ValueError(
+            f"y has {len(y)} components, the truncation needs s = {s}"
+        )
     yt = np.zeros(model.s)
     yt[:s] = y[:s]
     return fem_solve(mesh, model, yt)

@@ -51,6 +51,12 @@ class TestSobol:
         b = sobol_points(2, 3, seed_offset=1)
         np.testing.assert_array_equal(a[1:], b)
 
+    def test_too_many_dimensions_named(self):
+        with pytest.raises(
+            ValueError, match=r"at most 21201 dimensions, got s = 21202$"
+        ):
+            sobol_points(21202, 4)
+
 
 class TestFitRate:
     def test_exact_power_law(self):

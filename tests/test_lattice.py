@@ -85,6 +85,18 @@ class TestLattice:
                 diff, pts[(k - kp) % 7], atol=1e-12
             )
 
+    def test_points_computed_once_and_read_only(self):
+        lat = Lattice(11, np.array([1, 3, 7]))
+        pts = lat.points()
+        assert lat.points() is pts
+        closed = np.array(
+            [[(k * zj % 11) / 11 for zj in (1, 3, 7)] for k in range(11)]
+        )
+        np.testing.assert_array_equal(pts, closed)
+        with pytest.raises(ValueError, match="read-only"):
+            pts[1, 0] = 0.5
+        np.testing.assert_array_equal(lat.points(), closed)
+
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             Lattice(6, np.array([1, 2]))

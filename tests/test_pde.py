@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -424,6 +425,34 @@ def test_import_leaves_out_scipy_sparse():
     assert out.stdout.strip() == "False"
 
 
+def test_cbc_cli_leaves_out_scipy_stats():
+    # scipy.stats (which pulls in scipy.sparse) is loaded by the first
+    # Sobol' draw only; a CBC run never makes one.
+    code = """
+import json, sys, warnings
+import numpy as np
+import latkern.cli
+cold = [m for m in ("scipy.stats", "scipy.sparse") if m in sys.modules]
+rc = latkern.cli.cli(["cbc", "--weights", "pod", "--s", "4", "--n-list", "32"])
+after_cbc = "scipy.stats" in sys.modules
+from latkern.experiments import sobol_points
+from scipy.stats import qmc
+eng = qmc.Sobol(d=5, scramble=False)
+eng.fast_forward(4)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UserWarning)
+    want = eng.random(16)
+same = bool(np.array_equal(sobol_points(5, 16, 3), want))
+print(json.dumps([cold, rc, after_cbc, same]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True,
+    )
+    last = out.stdout.strip().splitlines()[-1]
+    assert json.loads(last) == [[], 0, False, True]
+
+
 class TestH1Seminorm:
     @staticmethod
     def _gradient_oracle(mesh, full):
@@ -497,3 +526,15 @@ class TestTruncatedSolve:
         mesh = FemMesh(2)
         with pytest.raises(ValueError):
             truncated_solve(mesh, _model(), np.zeros(4), 5)
+
+    def test_batch_rejected(self):
+        mesh = FemMesh(2)
+        with pytest.raises(ValueError, match=r"shape \(2, 4\), one point"):
+            truncated_solve(mesh, _model(), np.zeros((2, 4)), 4)
+
+    def test_short_parameter_vector_rejected(self):
+        mesh = FemMesh(2)
+        with pytest.raises(
+            ValueError, match="y has 2 components, the truncation needs s = 3"
+        ):
+            truncated_solve(mesh, _model(), np.zeros(2), 3)
