@@ -2,7 +2,8 @@
 
 Builds a product-weight CBC vector at n = 8192 for 512 dimensions, sized
 for the dimension-truncation study's lattice quadrature over [0,1)^{s'}.
-One-off; output is committed as package data.
+One-off; output is committed as package data.  On a 2-core VM it takes
+about 82 s (0.16 s per dimension) with a peak RSS of about 32 MB.
 
 Usage: python3 scripts/make_default_genvec.py
 """

@@ -13,8 +13,8 @@ For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
 the current contraction and B the contraction of the order-shifted rows.
 ``BatchKernelState.affine_split`` returns the pair, so the CBC search
-scores all phi(n) candidates of a dimension with one vectorised quadratic
-form, at O(phi(n) * n) cost per dimension, whatever the family.
+scores the phi(n)/2 candidates c <= n/2 of a dimension with one vectorised
+quadratic form, at O(phi(n)/2 * n) cost per dimension, whatever the family.
 """
 
 from __future__ import annotations

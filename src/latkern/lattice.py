@@ -45,15 +45,15 @@ class Lattice:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        z = np.asarray(self.z, dtype=np.int64)
-        object.__setattr__(self, "z", z)
+        z = np.asarray(self.z)
         if z.ndim != 1 or len(z) == 0:
             raise ValueError("z must be a nonempty integer vector")
-        if np.any(z < 1) or np.any(z >= max(self.n, 2)):
-            raise ValueError("z entries must lie in {1..n-1}")
-        for zj in z:
+        for zj in z.tolist():
+            if not 0 < zj < max(self.n, 2) or zj != int(zj):
+                raise ValueError(f"z entry {zj!r} is not an integer in 1..n-1")
             if math.gcd(int(zj), self.n) != 1:
                 raise ValueError(f"z entry {zj} is not coprime with n={self.n}")
+        object.__setattr__(self, "z", z.astype(np.int64))
 
     @property
     def s(self) -> int:
@@ -148,8 +148,8 @@ def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
 
 # Candidate x point entries scored per block, so memory does not grow with n.
 _SCORE_BLOCK = 2**16
-# A candidate replaces the best so far only if it scores below
-# best * (1 - _TIE_REL), so near-ties go to the smaller candidate.
+# A candidate replaces the best so far only if it scores below best *
+# (1 - _TIE_REL): near-ties go to the smaller one; mirror pairs tie exactly.
 _TIE_REL = 1e-12
 
 
@@ -170,6 +170,13 @@ def _first_best(scores: np.ndarray) -> int:
         if not later.any():
             return best
         best += 1 + int(np.argmax(later))
+
+
+def _candidates(alpha: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units c <= n/2, and eta at min(k, n - k)/n: bitwise even in k."""
+    k = np.arange(n, dtype=np.int64)
+    cands = np.flatnonzero(np.gcd(k[: n // 2 + 1], n) == 1)
+    return cands, eta(alpha, np.minimum(k, n - k) / n)
 
 
 def _candidate_scores(
@@ -195,22 +202,18 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     Per-point kernel state is cached across dimensions.  At each dimension
     the kernel value at point k is affine in the new coordinate's factor,
     A_k + eta({k c / n}) B_k, for every weight family
-    (``BatchKernelState.affine_split``), so all phi(n) candidates are
-    scored by one vectorised quadratic form sum_k (A_k + eta B_k)^2, in
-    blocks of candidates, at O(phi(n) * n) cost per dimension.  Ties are
-    broken by an explicit rule on the score vector in ascending candidate
-    order: a candidate replaces the best so far only if it scores below
-    best * (1 - 1e-12), so near-ties such as the mirrored candidates c and
-    n - c go to the smaller one.
+    (``BatchKernelState.affine_split``), so the candidates are scored by
+    one vectorised quadratic form sum_k (A_k + eta B_k)^2, in blocks, at
+    O(phi(n)/2 * n) cost per dimension: eta is even, so the unit n - c
+    scores the same bits as c, and only the units c <= n/2 are scored.
+    Ties go to the smaller candidate by the ascending rule of
+    ``_first_best``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if s < 1 or s > spec.scheme.dimension:
         raise ValueError("target dimension outside the weight sequence")
-    cands = np.array(
-        [c for c in range(1, n) if math.gcd(c, n) == 1], dtype=np.int64
-    )
-    etable = eta(spec.alpha, np.arange(n, dtype=float) / n)
+    cands, etable = _candidates(spec.alpha, n)
     karr = np.arange(n, dtype=np.int64)
     state = BatchKernelState(spec, n, s)
     two_zeta = 2.0 * zeta(2 * spec.alpha)
@@ -227,9 +230,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
             _folded(sa, fa, top), _folded(sb, fb, top), etable, cands
         )
         i = _first_best(scores)
-        best_c = int(cands[i])
-        state.commit(etable[(karr * best_c) % n])
-        z.append(best_c)
+        z.append(int(cands[i]))
+        state.commit(etable[karr * z[-1] % n])
         mean_sq = ExtendedReal.from_float(float(scores[i])) * ExtendedReal(
             1.0, 2 * top, 1
         ) / nfac
