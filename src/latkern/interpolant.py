@@ -62,7 +62,12 @@ def _kernel_column(spec: KernelSpec, lat: Lattice, y=None) -> np.ndarray:
     """[K(t_j, y)]_j for j = 0..n-1 (y = 0 gives the circulant column)."""
     pts = lat.points()
     if y is not None:
-        pts = pts - np.asarray(y, dtype=float)[None, :]
+        y = np.asarray(y, dtype=float)
+        if y.shape != (lat.s,):
+            raise ValueError(
+                f"y has {y.size} components, the lattice has s = {lat.s}"
+            )
+        pts = pts - y
     return kernel_values_batch(spec, pts)
 
 

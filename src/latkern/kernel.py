@@ -9,6 +9,12 @@ evaluation routes exist:
 * ``BatchKernelState`` / ``kernel_values_batch`` — vectorized float rows with
   per-sample binary exponents, used by the lattice search and interpolation
 
+The batch route makes one array pass per block: ``kernel_values_batch``
+evaluates eta once on the whole (s, m) block of differences, and for POD
+and SPOD one contraction scales every live order row to each sample's top
+exponent and sums the rows in row order.  Power-of-two scaling is exact,
+so the sums round as adding the rows one at a time does.
+
 For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
 the current contraction and B the contraction of the order-shifted rows.
@@ -44,6 +50,8 @@ __all__ = [
 _ENUM_LIMIT = 12
 # Renormalize batch rows once magnitudes leave [2^-200, 2^200].
 _RENORM_BITS = 200
+# Exponent of a zero term: below every live one, and safe to subtract from.
+_NO_EXPONENT = -(2**62)
 
 
 @dataclass(frozen=True)
@@ -62,17 +70,22 @@ class KernelSpec:
 
 def frac(x):
     """Fractional part mapped into [0, 1), robust at integer boundaries."""
-    f = x - np.floor(x)
-    return np.where(f >= 1.0, 0.0, f) if isinstance(f, np.ndarray) else (
-        0.0 if f >= 1.0 else f
-    )
+    f = np.floor(x, order="C")
+    if not isinstance(f, np.ndarray):
+        f = x - f
+        return 0.0 if f >= 1.0 else f
+    np.subtract(x, f, out=f)
+    f[f >= 1.0] = 0.0
+    return f
 
 
 def eta(alpha: int, delta):
     """One-dimensional kernel factor: scaled Bernoulli polynomial at {delta}."""
     sign = (-1) ** (alpha // 2 + 1)
     coef = (2.0 * math.pi) ** alpha / (sign * math.factorial(alpha))
-    return coef * bernoulli_poly(alpha, frac(delta))
+    val = bernoulli_poly(alpha, frac(delta))
+    val *= coef
+    return val
 
 
 def rnorm(alpha: int, scheme: WeightScheme, h) -> ExtendedReal:
@@ -161,18 +174,6 @@ def kernel_eval_bruteforce(spec: KernelSpec, y, yp) -> float:
 # vectorized batch path with per-sample binary exponents
 
 
-def _scaled_add(S, F, T, Te):
-    """In-place (S, F) <- (S, F) + (T, Te) for value arrays S * 2^F."""
-    live = T != 0.0
-    empty = S == 0.0
-    nf = np.where(live, np.where(empty, Te, np.maximum(F, Te)), F)
-    sh_s = np.clip(F - nf, -1100, 0).astype(np.int64)
-    sh_t = np.clip(Te - nf, -1100, 0).astype(np.int64)
-    S2 = np.ldexp(S, sh_s) + np.where(live, np.ldexp(T, sh_t), 0.0)
-    S[:] = S2
-    F[:] = np.where(S2 == 0.0, 0, nf)
-
-
 def scaled_to_float(S, F):
     """Collapse value arrays S * 2^F to float64, raising on overflow."""
     with np.errstate(over="ignore"):
@@ -217,13 +218,14 @@ class BatchKernelState:
 
     def _renorm(self):
         mx = np.max(np.abs(self.P), axis=0)
-        live = mx > 0.0
-        over = live & ((mx > 2.0**_RENORM_BITS) | (mx < 2.0**-_RENORM_BITS))
-        if np.any(over):
-            _, ex = np.frexp(mx)
-            sh = np.where(over, ex.astype(np.int64), 0)
-            self.P = np.ldexp(self.P, -sh)
-            self.E += sh
+        lo, hi = 2.0**-_RENORM_BITS, 2.0**_RENORM_BITS
+        if not mx.size or (lo <= mx.min() and mx.max() <= hi):
+            return
+        over = (mx > 0.0) & ((mx > hi) | (mx < lo))
+        _, ex = np.frexp(mx)
+        sh = np.where(over, ex.astype(np.int64), 0)
+        self.P = np.ldexp(self.P, -sh)
+        self.E += sh
 
     def _add_shift(self, out: np.ndarray, w) -> np.ndarray:
         """out += w times the order shift that coordinate dims_done adds.
@@ -247,25 +249,31 @@ class BatchKernelState:
                 )
         return out
 
-    def _next_rows(self, eta_vec: np.ndarray):
-        """Rows after appending one coordinate with factor values eta_vec."""
-        sch = self.spec.scheme
-        if sch.kind == "product":
-            return self.P * (1.0 + sch.gamma_j[self.dims_done] * eta_vec)
-        return self._add_shift(self.P.copy(), eta_vec)
-
     def _contract(self, P):
-        """Sum_ell Gamma_ell P[ell] * 2^E as scaled pairs (S, F)."""
-        m = P.shape[1]
+        """Sum_ell Gamma_ell P[ell] * 2^E as scaled pairs (S, F).
+
+        F is each sample's top exponent over its live terms.  Every term is
+        scaled to it (exactly, by a power of two) and the rows are summed
+        in row order, all in one array step.
+        """
         if self.spec.scheme.kind == "product":
             return P[0].copy(), self.E.copy()
-        S = np.zeros(m)
-        F = np.zeros(m, dtype=np.int64)
-        for ell in range(P.shape[0]):
-            row = P[ell]
-            if not np.any(row):
-                continue
-            _scaled_add(S, F, row * self._gm[ell], self.E + self._ge[ell])
+        rows = np.flatnonzero(P.any(axis=1))
+        if not len(rows):
+            return np.zeros(P.shape[1]), np.zeros(P.shape[1], dtype=np.int64)
+        T = P[rows]
+        T *= self._gm[rows, None]
+        sh = self.E + self._ge[rows, None]
+        sh[T == 0.0] = _NO_EXPONENT
+        F = sh.max(axis=0)
+        sh -= F
+        # any double times 2^-2200 is 0, so the clip alters no term
+        np.clip(sh, -2200, 0, out=sh)
+        np.ldexp(T, sh, out=T)
+        # accumulate adds in row order (sum may pair terms up); + 0.0 turns
+        # a sum of -0.0 terms into the +0.0 of an empty sum
+        S = np.add.accumulate(T, out=T)[-1] + 0.0
+        F[S == 0.0] = 0
         return S, F
 
     def affine_split(self):
@@ -288,7 +296,13 @@ class BatchKernelState:
     def commit(self, eta_vec: np.ndarray) -> None:
         if self.dims_done >= self.s:
             raise ValueError("all coordinates already committed")
-        self.P = self._next_rows(eta_vec)
+        sch = self.spec.scheme
+        if sch.kind == "product":
+            factor = sch.gamma_j[self.dims_done] * eta_vec
+            factor += 1.0
+            self.P *= factor
+        else:
+            self.P = self._add_shift(self.P.copy(), eta_vec)
         self.dims_done += 1
         self._renorm()
 
@@ -297,13 +311,21 @@ class BatchKernelState:
         return self._contract(self.P)
 
 
-def kernel_values_batch(spec: KernelSpec, dy: np.ndarray) -> np.ndarray:
-    """K evaluated at a batch of difference vectors dy of shape (m, s)."""
+def _committed(spec: KernelSpec, dy) -> BatchKernelState:
+    """The batch state with every coordinate of dy (m, s) committed.
+
+    eta is evaluated once, on the whole (s, m) block of differences.
+    """
     dy = np.asarray(dy, dtype=float)
     if dy.ndim != 2:
         raise ValueError("dy must be a 2-D array of difference vectors")
     m, s = dy.shape
     state = BatchKernelState(spec, m, s)
-    for j in range(s):
-        state.commit(eta(spec.alpha, dy[:, j]))
-    return scaled_to_float(*state.values())
+    for row in eta(spec.alpha, dy.T):
+        state.commit(row)
+    return state
+
+
+def kernel_values_batch(spec: KernelSpec, dy: np.ndarray) -> np.ndarray:
+    """K evaluated at a batch of difference vectors dy of shape (m, s)."""
+    return scaled_to_float(*_committed(spec, dy).values())

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .extended import ExtendedReal
-from .kernel import BatchKernelState, KernelSpec, eta
+from .kernel import BatchKernelState, KernelSpec, _committed, eta
 from .special import zeta
 from .weights import squared_weight_sum
 
@@ -108,11 +108,7 @@ def _scaled_sumsq(S: np.ndarray, F: np.ndarray) -> ExtendedReal:
 
 
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> ExtendedReal:
-    state = BatchKernelState(spec, lat.n, lat.s)
-    pts = lat.points()
-    for j in range(lat.s):
-        state.commit(eta(spec.alpha, pts[:, j]))
-    total = _scaled_sumsq(*state.values())
+    total = _scaled_sumsq(*_committed(spec, lat.points()).values())
     return total / ExtendedReal.from_float(float(lat.n))
 
 

@@ -69,9 +69,19 @@ def bernoulli_poly_coeffs(degree: int) -> np.ndarray:
 
 
 def bernoulli_poly(degree: int, x):
-    """B_degree(x) for even degree >= 2 and x in [0, 1); vectorized in x."""
-    val = np.polyval(bernoulli_poly_coeffs(degree), x)
-    return val if isinstance(val, np.ndarray) else float(val)
+    """B_degree(x) for even degree >= 2 and x in [0, 1); vectorized in x.
+
+    Horner in place on one new array, in np.polyval's order of operations
+    (p0 x, + p1, * x, ..., + p_last), so the bits are polyval's.
+    """
+    p = bernoulli_poly_coeffs(degree)
+    x = np.asarray(x, dtype=float)
+    val = p[0] * x
+    for c in p[1:-1]:
+        val += c
+        val *= x
+    val += p[-1]
+    return val if val.ndim else float(val)
 
 
 _ZETA_TERMS = 10_000

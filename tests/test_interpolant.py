@@ -178,6 +178,20 @@ class TestShiftedUnion:
         np.testing.assert_allclose(su, direct, rtol=1e-10, atol=1e-12)
 
 
+class TestParameterLength:
+    @pytest.mark.parametrize("y", [[0.3], 0.3, [0.1] * 5, np.zeros((1, 4))])
+    def test_y_must_have_s_components(self, y):
+        # a 1-vector once broadcast over all s coordinates without a word
+        lat = Lattice(16, np.array([1, 7, 5, 3]))
+        itp = build(_spec((0.9, 0.6, 0.4, 0.3)), lat, np.arange(16.0))
+        msg = f"y has {np.size(y)} components, the lattice has s = 4"
+        with pytest.raises(ValueError, match=msg):
+            evaluate(itp, y)
+        with pytest.raises(ValueError, match=msg):
+            itp.shifted_union(y)
+        assert np.isfinite(evaluate(itp, [0.3] * 4))
+
+
 class TestHNorm:
     def test_constant(self):
         f = TrigPolynomial({(0, 0, 0): -2.5})

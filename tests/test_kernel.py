@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,55 @@ from latkern.weights import (
     derive_product,
     derive_spod,
 )
+
+
+def _scaled_add(S, F, T, Te):
+    """In-place (S, F) <- (S, F) + (T, Te) for value arrays S * 2^F.
+
+    One row at a time: the oracle for ``BatchKernelState._contract``.
+    """
+    live = T != 0.0
+    empty = S == 0.0
+    nf = np.where(live, np.where(empty, Te, np.maximum(F, Te)), F)
+    sh_s = np.clip(F - nf, -1100, 0).astype(np.int64)
+    sh_t = np.clip(Te - nf, -1100, 0).astype(np.int64)
+    S2 = np.ldexp(S, sh_s) + np.where(live, np.ldexp(T, sh_t), 0.0)
+    S[:] = S2
+    F[:] = np.where(S2 == 0.0, 0, nf)
+
+
+def _contract_oracle(state, P):
+    """Sum_ell Gamma_ell P[ell] 2^E by one _scaled_add per live row."""
+    S = np.zeros(P.shape[1])
+    F = np.zeros(P.shape[1], dtype=np.int64)
+    for ell in range(P.shape[0]):
+        if np.any(P[ell]):
+            _scaled_add(S, F, P[ell] * state._gm[ell], state.E + state._ge[ell])
+    return S, F
+
+
+def _canonical(S, F):
+    """Scaled pairs as (mantissa in [0.5, 1), exponent); zero is (0, 0)."""
+    mant, ex = np.frexp(S)
+    return mant, np.where(S == 0.0, 0, ex + F)
+
+
+def _wide_state(rng, m=64, mag_bits=300, power=100.0):
+    """A POD state with Gamma_ell = (ell!)^power, about 4,400 bits from
+    first to last at power 100, and random rows P: normal entries times
+    2^k, |k| <= mag_bits, with all-zero rows, all-zero samples and
+    scattered zeros."""
+    s = 16
+    G = tuple(xfactorial(ell).powf(power) for ell in range(s + 1))
+    sch = WeightScheme("pod", gamma_j=np.ones(s), Gamma=G)
+    state = BatchKernelState(KernelSpec(2, sch), m, s)
+    P = rng.standard_normal((s + 1, m))
+    P *= np.ldexp(1.0, rng.integers(-mag_bits, mag_bits + 1, P.shape))
+    P[rng.random(P.shape) < 0.2] = 0.0
+    P[rng.choice(s + 1, 3, replace=False)] = 0.0
+    P[:, rng.choice(m, m // 16, replace=False)] = 0.0
+    state.E = rng.integers(-3000, 3001, m)
+    return state, P
 
 
 def _derived(family, s=6, p=1 / 2.2):
@@ -191,6 +241,83 @@ class TestBatchPath:
             np.testing.assert_allclose(got, want, rtol=1e-13)
         with pytest.raises(ValueError, match="committed"):
             state.affine_split()
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_empty_batch(self, family):
+        d = _derived(family)
+        spec = KernelSpec(d.alpha, d.scheme)
+        assert kernel_values_batch(spec, np.zeros((0, 6))).shape == (0,)
+
+    def test_product_leaving_renorm_range_partway(self):
+        # gamma_j = 10: a factor 1 + 10 eta(0) = 33.9 per coordinate lifts
+        # the running product past 2^200 by coordinate 40, and factors near
+        # 1/33.9 (or 33.9 after tiny ones) bring it back into range; at
+        # s = 250 the all-zero difference, 33.9^250 ~ 2^1271, is out of range
+        s, half = 250, 125
+        sch = WeightScheme("product", gamma_j=np.full(s, 10.0))
+        spec = KernelSpec(2, sch)
+        big = 1.0 + 10.0 * eta(2, 0.0)
+        # eta(2, d) = 2 pi^2 (d^2 - d + 1/6); solve 1 + 10 eta = 1 / big
+        q = 1.0 / 6.0 - (1.0 / big - 1.0) / (20.0 * math.pi**2)
+        back = (1.0 - math.sqrt(1.0 - 4.0 * q)) / 2.0
+        dy = np.empty((4, s))
+        dy[0, :half], dy[0, half:] = 0.0, back
+        dy[1, :half], dy[1, half:] = back, 0.0
+        dy[2] = np.where(np.arange(s) % 2 == 0, 0.0, back)
+        dy[3, :half], dy[3, half:] = 0.5, -back
+        dy += 1e-4 * np.random.default_rng(7).standard_normal((4, s))
+        state = BatchKernelState(spec, 4, s)
+        for j in range(half):
+            state.commit(eta(2, dy[:, j]))
+        assert state.E[0] > 200 and state.E[1] < -200 and state.E[3] > 200
+        got = kernel_values_batch(spec, dy)
+        want = [kernel_eval(spec, frac(row), np.zeros(s)) for row in dy]
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+        with pytest.raises(RangeError):
+            kernel_eval(spec, np.zeros(s), np.zeros(s))
+        with pytest.raises(RangeError):
+            kernel_values_batch(spec, np.vstack([dy, np.zeros(s)]))
+
+    @pytest.mark.parametrize("m", [1, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contract_matches_scaled_add_loop(self, seed, m):
+        # the one-step contraction against the row-by-row oracle: same
+        # values S * 2^F, with order factors spreading past 1100 bits
+        state, P = _wide_state(np.random.default_rng(seed), m)
+        assert np.ptp(state._ge) > 1100
+        got = _canonical(*state._contract(P))
+        want = _canonical(*_contract_oracle(state, P))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_contract_sums_in_row_order(self, m):
+        # terms of one size, where the order of the additions shows in the
+        # bits; one sample (m = 1) is a single column, which numpy's
+        # pairwise sum would split up
+        for seed in range(20):
+            state, P = _wide_state(np.random.default_rng(seed), m, 0, 0.0)
+            got = _canonical(*state._contract(P))
+            want = _canonical(*_contract_oracle(state, P))
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_contract_exact_beyond_the_oracle(self):
+        # with row entries themselves 2^+-1000 apart, the oracle's 1100-bit
+        # shift cap leaves part of far smaller terms in its sum; the
+        # contraction scales every term exactly, so it is the exact sum
+        # rounded, to the error bound of a 17-term float sum
+        state, P = _wide_state(np.random.default_rng(99), mag_bits=1000)
+        S, F = state._contract(P)
+        for i in range(P.shape[1]):
+            terms = [
+                Fraction(float(P[ell, i] * state._gm[ell]))
+                * Fraction(2) ** int(state.E[i] + state._ge[ell])
+                for ell in range(P.shape[0])
+            ]
+            got = Fraction(float(S[i])) * Fraction(2) ** int(F[i])
+            bound = Fraction(17, 2**53) * sum(abs(x) for x in terms)
+            assert abs(got - sum(terms)) <= bound
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_dimension_beyond_weights_rejected(self, family):

@@ -8,6 +8,7 @@ from latkern.special import (
     UnsupportedDegreeError,
     bell_touchard,
     bernoulli_poly,
+    bernoulli_poly_coeffs,
     stirling2,
     zeta,
 )
@@ -38,6 +39,22 @@ class TestBernoulliPoly:
         vec = bernoulli_poly(6, x)
         scal = [bernoulli_poly(6, float(t)) for t in x]
         np.testing.assert_allclose(vec, scal, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("degree", range(2, 17, 2))
+    def test_bits_equal_polyval(self, degree):
+        # oracle: np.polyval, whose order of operations the Horner loop keeps
+        p = bernoulli_poly_coeffs(degree)
+        rng = np.random.default_rng(degree)
+        edges = [0.0, -0.0, 1.0 - 2.0**-53, 2.0**-1074, 0.5, -0.25, -3.75]
+        x = np.concatenate([edges, rng.random(200), 8.0 * rng.random(50) - 4.0])
+        assert bernoulli_poly(degree, x).tobytes() == np.polyval(p, x).tobytes()
+        ints = np.arange(-5, 6)
+        assert bernoulli_poly(degree, ints).tobytes() == \
+            np.polyval(p, ints).tobytes()
+        for t in edges + [3, -2]:
+            got = bernoulli_poly(degree, t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.polyval(p, t).tobytes()
 
 
 class TestZeta:
