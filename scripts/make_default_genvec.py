@@ -3,7 +3,7 @@
 Builds a product-weight CBC vector at n = 8192 for 512 dimensions, sized
 for the dimension-truncation study's lattice quadrature over [0,1)^{s'}.
 One-off; output is committed as package data.  On a 2-core VM it takes
-about 82 s (0.16 s per dimension) with a peak RSS of about 32 MB.
+about 2 s (4 ms per dimension) with a peak RSS of about 35 MB.
 
 Usage: python3 scripts/make_default_genvec.py
 """

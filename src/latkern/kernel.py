@@ -19,8 +19,9 @@ For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
 the current contraction and B the contraction of the order-shifted rows.
 ``BatchKernelState.affine_split`` returns the pair, so the CBC search
-scores the phi(n)/2 candidates c <= n/2 of a dimension with one vectorised
-quadratic form, at O(phi(n)/2 * n) cost per dimension, whatever the family.
+ranks the candidates c <= n/2 of a dimension by sum_k 2 A_k B_k eta +
+B_k^2 eta^2, all of them by one FFT over the unit group mod n, at
+O(d(n) phi(n) log n) cost per dimension, whatever the family.
 """
 
 from __future__ import annotations

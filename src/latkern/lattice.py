@@ -7,6 +7,13 @@ The search criterion S_s(z) is evaluated through the computable identity
 whose subtracted term is computed in factored form per weight family; the
 equality with the aliasing double sum over the dual lattice is exercised
 against a brute-force oracle in the tests.
+
+The CBC search ranks the candidates of a dimension by the part of the
+mean-square kernel that depends on the candidate, D(c), not by the full
+sum, which the candidate-independent sum_k A_k^2 dominates.  D is a
+correlation over the multiplicative group of units mod n (Nuyens and
+Cools, Math. Comp. 75, 2006), so one FFT scores every candidate, at
+O(d(n) phi(n) log n) cost per dimension for every weight family.
 """
 
 from __future__ import annotations
@@ -22,7 +29,11 @@ import numpy as np
 from .extended import ExtendedReal
 from .kernel import BatchKernelState, KernelSpec, _committed, eta
 from .special import zeta
-from .weights import squared_weight_sum
+from .weights import (
+    _scaled_total,
+    squared_weight_prefixes,
+    squared_weight_sum,
+)
 
 __all__ = [
     "Lattice",
@@ -98,13 +109,7 @@ class CbcReport:
 
 def _scaled_sumsq(S: np.ndarray, F: np.ndarray) -> ExtendedReal:
     """sum_k (S_k 2^{F_k})^2 as an ExtendedReal, shift-stable."""
-    live = S != 0.0
-    if not np.any(live):
-        return ExtendedReal.zero()
-    f2 = 2 * F[live]
-    top = int(np.max(f2))
-    t = float(np.sum(S[live] ** 2 * np.ldexp(1.0, np.clip(f2 - top, -1100, 0))))
-    return ExtendedReal.from_float(t) * ExtendedReal(1.0, top, 1)
+    return _scaled_total(S * S, 2 * F)
 
 
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> ExtendedReal:
@@ -142,11 +147,12 @@ def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
     return _criterion_from_parts(_mean_square_kernel(spec, lat), sub)[0]
 
 
-# Candidate x point entries scored per block, so memory does not grow with n.
-_SCORE_BLOCK = 2**16
-# A candidate replaces the best so far only if it scores below best *
-# (1 - _TIE_REL): near-ties go to the smaller one; mirror pairs tie exactly.
-_TIE_REL = 1e-12
+# Candidates tie when their S_d differ by at most _TIE times the spread of
+# S_d over all candidates; the smallest of the tied ones is taken.  On the
+# search's own inputs the FFT scores were measured within 4e-16 of that
+# spread of their exact values (test_tie_margin_above_fft_noise asserts
+# _TIE / 100), so rounding neither makes nor breaks a tie.
+_TIE = 1e-13
 
 
 def _folded(S: np.ndarray, F: np.ndarray, top: int) -> np.ndarray:
@@ -154,42 +160,145 @@ def _folded(S: np.ndarray, F: np.ndarray, top: int) -> np.ndarray:
     return np.ldexp(S, np.clip(F - top, -1100, 0))
 
 
-def _first_best(scores: np.ndarray) -> int:
-    """Index the ascending tie rule settles on in a score vector.
+def _eta_table(alpha: int, n: int) -> np.ndarray:
+    """eta at min(k, n - k)/n for k = 0..n-1: bitwise even in k."""
+    k = np.arange(n, dtype=np.int64)
+    return eta(alpha, np.minimum(k, n - k) / n)
 
-    Scanning in order, a score replaces the best so far only if it lies
-    below best * (1 - _TIE_REL).  Each pass jumps to the next replacement.
+
+def _first_within(D: np.ndarray) -> int:
+    """Index of the first score within _TIE of the spread above the lowest.
+
+    D(c) - D(c') is S_d(c) - S_d(c') up to a positive factor, so the rule
+    reads on the S_d scale: with the candidates ascending, the smallest
+    whose S_d is at most min S_d + _TIE (max S_d - min S_d).
     """
-    best = 0
-    while True:
-        later = scores[best + 1 :] < scores[best] * (1.0 - _TIE_REL)
-        if not later.any():
-            return best
-        best += 1 + int(np.argmax(later))
+    lo = D.min()
+    return int(np.argmax(D <= lo + _TIE * (D.max() - lo)))
 
 
-def _candidates(alpha: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units c <= n/2, and eta at min(k, n - k)/n: bitwise even in k."""
-    k = np.arange(n, dtype=np.int64)
-    cands = np.flatnonzero(np.gcd(k[: n // 2 + 1], n) == 1)
-    return cands, eta(alpha, np.minimum(k, n - k) / n)
-
-
-def _candidate_scores(
-    a: np.ndarray, b: np.ndarray, etable: np.ndarray, cands: np.ndarray
-) -> np.ndarray:
-    """sum_k (a_k + eta[(k c) mod n] b_k)^2 for every candidate c."""
-    n = len(etable)
-    k = np.arange(n, dtype=np.int64)
-    step = max(1, _SCORE_BLOCK // n)
-    out = np.empty(len(cands))
-    for i in range(0, len(cands), step):
-        idx = np.multiply.outer(cands[i : i + step], k)
-        v = etable[np.remainder(idx, n, out=idx)]
-        v *= b
-        v += a
-        out[i : i + step] = np.einsum("ck,ck->c", v, v)
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for every prime power p^e exactly dividing n, p ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
     return out
+
+
+def _primitive_root(p: int) -> int:
+    """A primitive root mod the odd prime p that is primitive mod p^2 too,
+    and so generates the units mod every power of p."""
+    qs = [q for q, _ in _prime_powers(p - 1)]
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g if pow(g, p - 1, p * p) != 1 else g + p
+
+
+def _unit_torus(n: int) -> np.ndarray:
+    """The units mod n on their torus of discrete-log coordinates.
+
+    By CRT, U(n) is the product of the unit groups mod the prime powers q
+    exactly dividing n: cyclic for odd q (a primitive root generates it),
+    <3> for q = 4, {+-1} x <5> for q = 2^e with e >= 3, trivial for q = 2.
+    Each cyclic factor of order L with generator g is one axis of length
+    L; g is lifted to the unit G = g mod q, 1 mod n/q.  Entry a of the
+    returned array is prod_i G_i^{a_i} mod n, so multiplying two units adds
+    their coordinates, and every unit appears once.
+    """
+    gens = []
+    for p, e in _prime_powers(n):
+        q = p**e
+        if p == 2 and e >= 3:
+            gens += [(q, q - 1, 2), (q, 5, q // 4)]
+        elif p == 2 and e == 2:
+            gens.append((q, 3, 2))
+        elif p != 2:
+            gens.append((q, _primitive_root(p), q - q // p))
+    units = np.ones((), dtype=np.int64)
+    for q, g, order in gens:
+        r = n // q
+        lift = 1 + r * ((g - 1) * pow(r, -1, q) % q)
+        powers = np.ones(1, dtype=np.int64)
+        while len(powers) < order:  # doubling: G^0..G^(2m-1) from G^0..G^(m-1)
+            step = pow(lift, len(powers), n)
+            powers = np.concatenate([powers, powers * step % n])
+        units = units[..., None] * powers[:order] % n
+    return units.reshape(units.shape or (1,))
+
+
+class _UnitScorer:
+    """The candidate-dependent part of the CBC score, by FFT over U(n).
+
+    For one dimension, with u = 2AB and v = B^2 from the affine split, the
+    score of candidate c is sum_k (A_k + eta_kc B_k)^2 = sum_k A_k^2 + D(c),
+    D(c) = sum_k u_k eta_kc + v_k eta_kc^2 and eta_kc = eta({k c / n}).  The
+    points k with gcd(k, n) = g are g k' for the units k' mod m = n/g, and
+    k c = g (k' c mod m), so their share of D is a correlation over U(m).
+    Each class is lifted onto U(n), where every unit mod m has
+    phi(n)/phi(m) preimages, with the weight phi(m)/phi(n).  On the torus
+    of ``_unit_torus`` every class is then a cyclic correlation, and one
+    batched rfftn per dimension correlates all of them against the eta
+    and eta^2 spectra, which are built once per search.
+
+    Memory is O(d(n) phi(n)) for d(n) divisors: the spectra, and int32
+    indices into the point axis.
+    """
+
+    def __init__(self, n: int, etable: np.ndarray):
+        units = _unit_torus(n)
+        self.shape = units.shape
+        self.axes = tuple(range(-units.ndim, 0))
+        divs = [(1, 1)]  # (m, phi(m)) for every divisor m of n
+        for p, e in _prime_powers(n):
+            divs = [
+                (m * p**f, t * (p**f - p ** (f - 1) if f else 1))
+                for m, t in divs
+                for f in range(e + 1)
+            ]
+        phi = units.size
+        g = np.array([n // m for m, _ in divs], dtype=np.int64)
+        w = np.array([t / phi for _, t in divs])
+        flat = units.ravel()
+        self.idx = (g[:, None] * flat % n).astype(np.int32)
+        # Each class is correlated mean-free: sum_a f(a) h(a + b) is
+        # phi mean(f) mean(h) plus the correlation of f - mean(f) with
+        # h - mean(h).  The means of eta^2 and of B^2 are large against
+        # what varies with c, and would otherwise set the rounding of D.
+        e = etable[self.idx]
+        h = np.stack([e, e * e])
+        hmean = h.mean(axis=-1, keepdims=True)
+        h -= hmean
+        self.spectra = np.fft.rfftn(
+            h.reshape(h.shape[:2] + self.shape), axes=self.axes
+        )
+        self.spectra *= w.reshape((-1,) + (1,) * units.ndim)
+        self.hmean = phi * w[:, None] * hmean
+        order = np.argsort(flat)
+        # positions of the candidates c <= n/2, ascending
+        self.pos = order[flat[order] <= n // 2]
+        self.cands = flat[self.pos]
+
+    def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """D(c) for every candidate c <= n/2, in ascending order of c."""
+        x = np.empty((2,) + self.idx.shape)
+        np.take(u, self.idx, out=x[0])
+        np.take(v, self.idx, out=x[1])
+        xmean = x.mean(axis=-1, keepdims=True)
+        x -= xmean
+        f = np.fft.rfftn(x.reshape(x.shape[:2] + self.shape), axes=self.axes)
+        np.conjugate(f, out=f)
+        f *= self.spectra
+        corr = np.fft.irfftn(f.sum(axis=(0, 1)), s=self.shape, axes=self.axes)
+        return corr.ravel()[self.pos] + np.sum(xmean * self.hmean)
 
 
 def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
@@ -198,41 +307,50 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     Per-point kernel state is cached across dimensions.  At each dimension
     the kernel value at point k is affine in the new coordinate's factor,
     A_k + eta({k c / n}) B_k, for every weight family
-    (``BatchKernelState.affine_split``), so the candidates are scored by
-    one vectorised quadratic form sum_k (A_k + eta B_k)^2, in blocks, at
-    O(phi(n)/2 * n) cost per dimension: eta is even, so the unit n - c
-    scores the same bits as c, and only the units c <= n/2 are scored.
-    Ties go to the smaller candidate by the ascending rule of
-    ``_first_best``.
+    (``BatchKernelState.affine_split``), so the mean-square kernel of
+    candidate c is (sum_k A_k^2 + D(c)) / n, and candidates differ only by
+    D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2.  ``_UnitScorer`` gives D for
+    all of them by FFT over the unit group, at O(d(n) phi(n) log n) cost per
+    dimension for every family.  eta is even, so the unit n - c scores as
+    c does, and only the units c <= n/2 are ranked.
+
+    z_1 = 1 unscored: every unit gives the same one-dimensional point set.
+    Later ties go to the smallest candidate by ``_first_within``.  The
+    chosen candidate is scored directly, in O(n), and S_d is formed from
+    its mean-square kernel minus Q_d (``squared_weight_prefixes``).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if s < 1 or s > spec.scheme.dimension:
         raise ValueError("target dimension outside the weight sequence")
-    cands, etable = _candidates(spec.alpha, n)
+    etable = _eta_table(spec.alpha, n)
+    scorer = _UnitScorer(n, etable) if s > 1 else None
     karr = np.arange(n, dtype=np.int64)
     state = BatchKernelState(spec, n, s)
-    two_zeta = 2.0 * zeta(2 * spec.alpha)
+    subs = squared_weight_prefixes(spec.scheme, s, 2.0 * zeta(2 * spec.alpha))
     nfac = ExtendedReal.from_float(float(n))
     z: list[int] = []
     crit_trace: list[float] = []
     bound_trace: list[float] = []
     lost_trace: list[float] = []
-    for d in range(1, s + 1):
+    for sub in subs:
         (sa, fa), (sb, fb) = state.affine_split()
         live = np.concatenate([fa[sa != 0.0], fb[sb != 0.0]])
         top = int(np.max(live)) if len(live) else 0
-        scores = _candidate_scores(
-            _folded(sa, fa, top), _folded(sb, fb, top), etable, cands
-        )
-        i = _first_best(scores)
-        z.append(int(cands[i]))
-        state.commit(etable[karr * z[-1] % n])
-        mean_sq = ExtendedReal.from_float(float(scores[i])) * ExtendedReal(
+        a, b = _folded(sa, fa, top), _folded(sb, fb, top)
+        c = 1
+        if z:
+            c = int(scorer.cands[_first_within(scorer(2.0 * a * b, b * b))])
+        z.append(c)
+        row = etable[karr * c % n]
+        vals = row * b
+        vals += a
+        score = float(np.einsum("k,k->", vals, vals))
+        mean_sq = ExtendedReal.from_float(score) * ExtendedReal(
             1.0, 2 * top, 1
         ) / nfac
-        sub = squared_weight_sum(spec.scheme, d, two_zeta)
         sd, lost = _criterion_from_parts(mean_sq, sub)
+        state.commit(row)
         crit_trace.append(sd)
         bound_trace.append(math.sqrt(2.0) * sd**0.25)
         lost_trace.append(lost)

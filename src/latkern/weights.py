@@ -26,6 +26,7 @@ __all__ = [
     "derive_product",
     "weight_of",
     "theory_error_constant",
+    "squared_weight_prefixes",
     "squared_weight_sum",
 ]
 
@@ -302,53 +303,76 @@ def theory_error_constant(params: DerivedParams, s: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# factored sum of squared weights (subtracted term of the CBC criterion)
+# factored sums of squared weights (subtracted term of the CBC criterion)
 
 
-def squared_weight_sum(scheme: WeightScheme, s: int, x: float) -> ExtendedReal:
-    """sum over u subseteq {1..s} of gamma_u^2 * x^{|u|}, in factored form.
+def _scaled_total(T: np.ndarray, F: np.ndarray) -> ExtendedReal:
+    """sum T * 2^F of nonnegative terms as an ExtendedReal, shift-stable.
 
-    x is typically 2*zeta(2*alpha).  Cost is polynomial in s for every
-    family (no subset enumeration).
+    Every live term is scaled (exactly, by a power of two) to the top
+    exponent and the terms are summed in one array step.
+    """
+    live = T != 0.0
+    if not np.any(live):
+        return ExtendedReal.zero()
+    F = F[live]
+    top = int(np.max(F))
+    t = float(np.sum(np.ldexp(T[live], np.clip(F - top, -2200, 0))))
+    return ExtendedReal.from_float(t) * ExtendedReal(1.0, top, 1)
+
+
+def squared_weight_prefixes(
+    scheme: WeightScheme, s: int, x: float
+) -> list[ExtendedReal]:
+    """[Q_1, ..., Q_s], Q_d = sum over u subseteq {1..d} of gamma_u^2 x^{|u|}.
+
+    x is typically 2*zeta(2*alpha).  One pass of the factored recursion
+    adds a coordinate per step, so all s prefixes cost what Q_s does: no
+    subset enumeration.  For POD and SPOD each prefix contracts the order
+    sums with Gamma's (mantissa, exponent) arrays in one array step.
     """
     if scheme.kind == "product":
-        acc = ExtendedReal.one()
+        acc, out = ExtendedReal.one(), []
         for g in scheme.gamma_j[:s]:
             acc = acc * ExtendedReal.from_float(1.0 + g * g * x)
-        return acc
+            out.append(acc)
+        return out
+    span = scheme.order_span(s)
+    gm = np.array([g.mantissa for g in scheme.Gamma[: span + 1]])
+    ge = np.array([g.exponent for g in scheme.Gamma[: span + 1]], np.int64)
+    out = []
     if scheme.kind == "pod":
-        # Q_ell = sum over |u|=ell of prod_{j in u} gamma_j^2 x.
+        # q_ell = sum over |u|=ell of prod_{j in u} gamma_j^2 x.
         q = np.zeros(s + 1)
         q[0] = 1.0
+        gm2, ge2 = gm * gm, 2 * ge
         for j in range(s):
-            gx = scheme.gamma_j[j] ** 2 * x
-            for ell in range(min(j + 1, s), 0, -1):
-                q[ell] += gx * q[ell - 1]
-        total = ExtendedReal.zero()
-        for ell in range(s + 1):
-            if q[ell] == 0.0:
-                continue
-            total = total + scheme.Gamma[ell] * scheme.Gamma[ell] * \
-                ExtendedReal.from_float(q[ell])
-        return total
+            q[1 : j + 2] += scheme.gamma_j[j] ** 2 * x * q[: j + 1]
+            out.append(_scaled_total(gm2 * q, ge2))
+        return out
     # SPOD: gamma_u^2 couples two order indices; track both.
     sigma = scheme.sigma
-    span = s * sigma
     r = np.zeros((span + 1, span + 1))
     r[0, 0] = 1.0
+    gmm = gm[:, None] * gm[None, :]
+    gee = ge[:, None] + ge[None, :]
     for j in range(s):
         g = scheme.gamma_jnu[j]
+        top = (j + 1) * sigma + 1  # orders above (j + 1) sigma are still 0
         new = r.copy()
         for nu in range(1, sigma + 1):
             for nup in range(1, sigma + 1):
                 c = x * g[nu - 1] * g[nup - 1]
-                new[nu:, nup:] += c * r[: span + 1 - nu, : span + 1 - nup]
+                new[nu:top, nup:top] += c * r[: top - nu, : top - nup]
         r = new
-    total = ExtendedReal.zero()
-    for ell in range(span + 1):
-        for ellp in range(span + 1):
-            if r[ell, ellp] == 0.0:
-                continue
-            total = total + scheme.Gamma[ell] * scheme.Gamma[ellp] * \
-                ExtendedReal.from_float(r[ell, ellp])
-    return total
+        out.append(_scaled_total(gmm[:top, :top] * r[:top, :top],
+                                 gee[:top, :top]))
+    return out
+
+
+def squared_weight_sum(scheme: WeightScheme, s: int, x: float) -> ExtendedReal:
+    """Q_s = sum over u subseteq {1..s} of gamma_u^2 * x^{|u|}, s >= 1.
+
+    The last of ``squared_weight_prefixes``.
+    """
+    return squared_weight_prefixes(scheme, s, x)[-1]

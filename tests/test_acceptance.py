@@ -353,6 +353,19 @@ def test_criterion_6_pde_interpolation_rate(interp_study):
     )
 
 
+def test_criterion_6_error_falls_to_the_last_n(interp_study):
+    # Companion to criterion 6, whose slope bound also passes a curve that
+    # stops falling: CBC picks decided by round-off in the full score left
+    # the error at 5.94e-8 for n = 512 and 6.81e-8 for n = 1024.
+    _, rows, _, _ = interp_study
+    errs = dict((int(n), float(e)) for n, e in (r.split(",")[:2] for r in rows))
+    assert errs[1024] < errs[512]
+    print(
+        f"\n[criterion 6, companion] PASS error {errs[512]:.3e} at n = 512, "
+        f"{errs[1024]:.3e} at n = 1024"
+    )
+
+
 def test_criterion_9_thread_count_determinism(interp_study, tmp_path):
     # The same configuration and seed give a byte-identical CSV: criterion
     # 6's configuration again, through a config file and the CLI, against

@@ -12,6 +12,7 @@ from latkern.weights import (
     derive_pod,
     derive_product,
     derive_spod,
+    squared_weight_prefixes,
     squared_weight_sum,
     theory_error_constant,
     weight_of,
@@ -167,6 +168,48 @@ class TestTheoryErrorConstant:
             theory_error_constant(params, 13, 16)
 
 
+def _squared_weight_sum_loop(scheme, s, x):
+    """Q_s by the factored recursion for s coordinates, summed term by term
+    in ExtendedReal: the oracle for the one-pass prefixes."""
+    if scheme.kind == "product":
+        acc = ExtendedReal.one()
+        for g in scheme.gamma_j[:s]:
+            acc = acc * ExtendedReal.from_float(1.0 + g * g * x)
+        return acc
+    if scheme.kind == "pod":
+        q = np.zeros(s + 1)
+        q[0] = 1.0
+        for j in range(s):
+            gx = scheme.gamma_j[j] ** 2 * x
+            for ell in range(j + 1, 0, -1):
+                q[ell] += gx * q[ell - 1]
+        pairs = [(ell, ell, q[ell]) for ell in range(s + 1)]
+    else:
+        sigma = scheme.sigma
+        span = s * sigma
+        r = np.zeros((span + 1, span + 1))
+        r[0, 0] = 1.0
+        for j in range(s):
+            g = scheme.gamma_jnu[j]
+            new = r.copy()
+            for nu in range(1, sigma + 1):
+                for nup in range(1, sigma + 1):
+                    c = x * g[nu - 1] * g[nup - 1]
+                    new[nu:, nup:] += c * r[: span + 1 - nu, : span + 1 - nup]
+            r = new
+        pairs = [
+            (ell, ellp, r[ell, ellp])
+            for ell in range(span + 1)
+            for ellp in range(span + 1)
+        ]
+    total = ExtendedReal.zero()
+    for ell, ellp, v in pairs:
+        if v != 0.0:
+            total = total + scheme.Gamma[ell] * scheme.Gamma[ellp] * \
+                ExtendedReal.from_float(v)
+    return total
+
+
 class TestSquaredWeightSum:
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_matches_subset_enumeration(self, family):
@@ -186,3 +229,26 @@ class TestSquaredWeightSum:
                 gu = weight_of(d.scheme, u).to_float()
                 want += gu * gu * x**r
         assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    @pytest.mark.parametrize("p", [1 / 2.2, 0.3])
+    def test_prefixes_match_termwise_loop(self, family, p):
+        # one pass gives every prefix: product prefixes bit for bit, POD
+        # and SPOD ones to 1e-15 relative (the sums run in another order)
+        s = 12
+        d = {
+            "product": derive_product,
+            "pod": derive_pod,
+            "spod": derive_spod,
+        }[family](_input(p, s=s), s)
+        x = 2.0 * zeta(2 * d.alpha)
+        got = squared_weight_prefixes(d.scheme, s, x)
+        assert len(got) == s
+        assert squared_weight_sum(d.scheme, s, x) == got[-1]
+        for q, got_q in enumerate(got, start=1):
+            want = _squared_weight_sum_loop(d.scheme, q, x)
+            if family == "product":
+                assert got_q == want
+            else:
+                rel = (got_q - want) / want
+                assert abs(rel.to_float()) <= 1e-15
