@@ -23,20 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extended import ExtendedReal
-from .kernel import KernelSpec, frac, kernel_values_batch, rnorm
+from .kernel import KernelSpec, frac, kernel_values_batch
 from .lattice import Lattice
 
 __all__ = [
     "Interpolant",
     "InterpolantBatch",
     "SingularSpectrumError",
-    "TrigPolynomial",
     "build",
     "build_many",
     "circulant_spectrum",
     "evaluate",
-    "h_norm",
     "l2_error_estimate",
 ]
 
@@ -128,37 +125,6 @@ def evaluate(itp: Interpolant, y):
     return itp.coeffs @ _kernel_column(
         itp.spec, itp.lat, frac(np.asarray(y, dtype=float))
     )
-
-
-# ---------------------------------------------------------------------------
-# trigonometric polynomials and the H norm
-
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Finite Fourier sum: terms maps frequency tuples to coefficients."""
-
-    terms: dict
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        Y = np.atleast_2d(y)
-        out = np.zeros(Y.shape[0], dtype=complex)
-        for h, c in self.terms.items():
-            out += c * np.exp(2j * math.pi * (Y @ np.asarray(h, float)))
-        return out[0] if single else out
-
-
-def h_norm(spec: KernelSpec, f: TrigPolynomial) -> float:
-    total = ExtendedReal.zero()
-    for h, c in f.terms.items():
-        a = abs(c)
-        if a == 0.0:
-            continue
-        total = total + rnorm(spec.alpha, spec.scheme, h) * \
-            ExtendedReal.from_float(a * a)
-    return math.sqrt(total.to_float())
 
 
 def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:

@@ -1,15 +1,13 @@
 """Reproducing kernel of the weighted periodic space and its evaluators.
 
 The kernel is K(y, y') = sum_u gamma_u prod_{j in u} eta(y_j - y'_j) with
-eta a scaled even-degree Bernoulli polynomial of the fractional part.  Three
-evaluation routes exist:
+eta a scaled even-degree Bernoulli polynomial of the fractional part.
+``BatchKernelState`` and ``kernel_values_batch`` evaluate it for a batch of
+points as float rows with per-sample binary exponents, so the factorial
+order factors of POD and SPOD weights stay finite; the lattice search and
+the interpolant both use this one route.
 
-* ``kernel_eval``       — scalar, slow, ExtendedReal throughout (oracle grade)
-* ``kernel_eval_bruteforce`` — subset enumeration, tiny dimensions only
-* ``BatchKernelState`` / ``kernel_values_batch`` — vectorized float rows with
-  per-sample binary exponents, used by the lattice search and interpolation
-
-The batch route makes one array pass per block: ``kernel_values_batch``
+It makes one array pass per block: ``kernel_values_batch``
 evaluates eta once on the whole (s, m) block of differences, and for POD
 and SPOD one contraction scales every live order row to each sample's top
 exponent and sums the rows in row order.  Power-of-two scaling is exact,
@@ -26,29 +24,23 @@ O(d(n) phi(n) log n) cost per dimension, whatever the family.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .extended import ExtendedReal, RangeError
 from .special import bernoulli_poly
-from .weights import WeightScheme, weight_of
+from .weights import RangeError, WeightScheme
 
 __all__ = [
     "KernelSpec",
     "eta",
     "frac",
-    "rnorm",
-    "kernel_eval",
-    "kernel_eval_bruteforce",
     "kernel_values_batch",
     "BatchKernelState",
     "scaled_to_float",
 ]
 
-_ENUM_LIMIT = 12
 # Renormalize batch rows once magnitudes leave [2^-200, 2^200].
 _RENORM_BITS = 200
 # Exponent of a zero term: below every live one, and safe to subtract from.
@@ -87,88 +79,6 @@ def eta(alpha: int, delta):
     val = bernoulli_poly(alpha, frac(delta))
     val *= coef
     return val
-
-
-def rnorm(alpha: int, scheme: WeightScheme, h) -> ExtendedReal:
-    """Weighted norm factor r(h) = gamma_supp(h)^{-1} prod |h_j|^alpha."""
-    h = np.asarray(h, dtype=np.int64)
-    supp = [j + 1 for j in range(len(h)) if h[j] != 0]
-    prod = ExtendedReal.one()
-    for j in supp:
-        prod = prod * ExtendedReal.from_float(float(abs(h[j - 1]))).powf(
-            float(alpha)
-        )
-    return prod / weight_of(scheme, supp)
-
-
-# ---------------------------------------------------------------------------
-# scalar oracle paths
-
-
-def kernel_eval(spec: KernelSpec, y, yp) -> float:
-    """K(y, y') by the factored per-family recursion, in ExtendedReal.
-
-    The oracle for the batch path: every family accumulates in
-    ExtendedReal, since POD and SPOD order factors overflow doubles.  The
-    per-coordinate difference is canonicalized through abs() so swapping
-    the arguments performs bit-identical arithmetic.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    yp = np.atleast_1d(np.asarray(yp, dtype=float))
-    if y.shape != yp.shape:
-        raise ValueError("y and y' must have equal length")
-    s = len(y)
-    sch = spec.scheme
-    if s > sch.dimension:
-        raise ValueError("point dimension exceeds the weight sequence")
-    etas = [float(eta(spec.alpha, abs(y[j] - yp[j]))) for j in range(s)]
-    if sch.kind == "product":
-        acc = ExtendedReal.one()
-        for j in range(s):
-            acc = acc * ExtendedReal.from_float(
-                1.0 + sch.gamma_j[j] * etas[j]
-            )
-        return acc.to_float()
-    span = sch.order_span(s)
-    rows = [ExtendedReal.zero() for _ in range(span + 1)]
-    rows[0] = ExtendedReal.one()
-    if sch.kind == "pod":
-        for j in range(s):
-            ge = ExtendedReal.from_float(sch.gamma_j[j] * etas[j])
-            for ell in range(min(j + 1, span), 0, -1):
-                rows[ell] = rows[ell] + ge * rows[ell - 1]
-    else:  # spod
-        for j in range(s):
-            e = ExtendedReal.from_float(etas[j])
-            for ell in range(min((j + 1) * sch.sigma, span), 0, -1):
-                acc = ExtendedReal.zero()
-                for nu in range(1, min(sch.sigma, ell) + 1):
-                    g = ExtendedReal.from_float(sch.gamma_jnu[j, nu - 1])
-                    acc = acc + g * rows[ell - nu]
-                rows[ell] = rows[ell] + e * acc
-    total = ExtendedReal.zero()
-    for ell in range(span + 1):
-        total = total + sch.Gamma[ell] * rows[ell]
-    return total.to_float()
-
-
-def kernel_eval_bruteforce(spec: KernelSpec, y, yp) -> float:
-    """K(y, y') by explicit subset sum; test oracle for s <= 12."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    yp = np.atleast_1d(np.asarray(yp, dtype=float))
-    s = len(y)
-    if s > _ENUM_LIMIT:
-        raise ValueError(f"s={s} too large for subset enumeration")
-    etas = [float(eta(spec.alpha, abs(y[j] - yp[j]))) for j in range(s)]
-    total = ExtendedReal.zero()
-    for r in range(s + 1):
-        for u in itertools.combinations(range(1, s + 1), r):
-            prod = 1.0
-            for j in u:
-                prod *= etas[j - 1]
-            total = total + weight_of(spec.scheme, u) * \
-                ExtendedReal.from_float(prod)
-    return total.to_float()
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +122,7 @@ class BatchKernelState:
         self.P[0] = 1.0
         self.E = np.zeros(m, dtype=np.int64)
         if sch.kind != "product":
-            self._gm = np.array([g.mantissa for g in sch.Gamma[: span + 1]])
-            self._ge = np.array(
-                [g.exponent for g in sch.Gamma[: span + 1]], dtype=np.int64
-            )
+            self._gm, self._ge = (a[: span + 1] for a in sch.Gamma)
 
     def _renorm(self):
         mx = np.max(np.abs(self.P), axis=0)
@@ -253,9 +160,12 @@ class BatchKernelState:
     def _contract(self, P):
         """Sum_ell Gamma_ell P[ell] * 2^E as scaled pairs (S, F).
 
-        F is each sample's top exponent over its live terms.  Every term is
-        scaled to it (exactly, by a power of two) and the rows are summed
-        in row order, all in one array step.
+        Every term is scaled (exactly, by a power of two) to each sample's
+        top exponent over its live terms, and the rows are summed in row
+        order, all in one array step.  For POD and SPOD the sum is then
+        normalized, S in [0.5, 1) and F its own exponent: the top factor
+        Gamma_ell can exceed the sum by far more than double range, so
+        squaring an unnormalized S could underflow.
         """
         if self.spec.scheme.kind == "product":
             return P[0].copy(), self.E.copy()
@@ -273,7 +183,8 @@ class BatchKernelState:
         np.ldexp(T, sh, out=T)
         # accumulate adds in row order (sum may pair terms up); + 0.0 turns
         # a sum of -0.0 terms into the +0.0 of an empty sum
-        S = np.add.accumulate(T, out=T)[-1] + 0.0
+        S, ex = np.frexp(np.add.accumulate(T, out=T)[-1] + 0.0)
+        F += ex
         F[S == 0.0] = 0
         return S, F
 

@@ -6,7 +6,9 @@ The search criterion S_s(z) is evaluated through the computable identity
 
 whose subtracted term is computed in factored form per weight family; the
 equality with the aliasing double sum over the dual lattice is exercised
-against a brute-force oracle in the tests.
+against a brute-force oracle in the tests.  Both terms can lie far outside
+double range for POD and SPOD weights, so each is a ``Scaled`` pair
+(mantissa, exponent), and S_s is their difference rounded once.
 
 The CBC search ranks the candidates of a dimension by the part of the
 mean-square kernel that depends on the candidate, D(c), not by the full
@@ -26,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .extended import ExtendedReal
 from .kernel import BatchKernelState, KernelSpec, _committed, eta
 from .special import zeta
 from .weights import (
+    Scaled,
     _scaled_total,
     squared_weight_prefixes,
     squared_weight_sum,
@@ -40,7 +42,6 @@ __all__ = [
     "CbcReport",
     "criterion_S",
     "cbc_construct",
-    "fooling_vector",
     "read_genvec",
     "write_genvec",
 ]
@@ -107,28 +108,34 @@ class CbcReport:
         return buf.getvalue()
 
 
-def _scaled_sumsq(S: np.ndarray, F: np.ndarray) -> ExtendedReal:
-    """sum_k (S_k 2^{F_k})^2 as an ExtendedReal, shift-stable."""
+def _scaled_sumsq(S: np.ndarray, F: np.ndarray) -> Scaled:
+    """sum_k (S_k 2^{F_k})^2 as a pair, shift-stable."""
     return _scaled_total(S * S, 2 * F)
 
 
-def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> ExtendedReal:
-    total = _scaled_sumsq(*_committed(spec, lat.points()).values())
-    return total / ExtendedReal.from_float(float(lat.n))
+def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> Scaled:
+    t, top = _scaled_sumsq(*_committed(spec, lat.points()).values())
+    return Scaled(t / lat.n, top)
 
 
 def _criterion_from_parts(
-    minuend: ExtendedReal, subtrahend: ExtendedReal
+    minuend: Scaled, subtrahend: Scaled
 ) -> tuple[float, float]:
     """(minuend - subtrahend clamped at 0, decimal digits it cancels).
 
-    The digits lost are log10(minuend / value): inf when nothing is left.
+    Both positive pairs are normalized, aligned to the larger exponent and
+    subtracted once, so the difference is the exact one rounded.  The
+    digits lost are log10(minuend / value): inf when nothing is left.
     """
-    value = minuend - subtrahend
+    ma, xa = math.frexp(minuend.mantissa)
+    mb, xb = math.frexp(subtrahend.mantissa)
+    ea, eb = minuend.exponent + xa, subtrahend.exponent + xb
+    top = max(ea, eb)
+    value = Scaled(math.ldexp(ma, ea - top) - math.ldexp(mb, eb - top), top)
     ref = minuend.to_float()
     val = value.to_float()
     if val < -1e-10 * ref:
-        raise AssertionError(
+        raise ArithmeticError(
             f"criterion cancellation beyond tolerance: {val} vs minuend {ref}"
         )
     if 0.0 < abs(val) < 1e-13 * ref:
@@ -317,7 +324,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     z_1 = 1 unscored: every unit gives the same one-dimensional point set.
     Later ties go to the smallest candidate by ``_first_within``.  The
     chosen candidate is scored directly, in O(n), and S_d is formed from
-    its mean-square kernel minus Q_d (``squared_weight_prefixes``).
+    its mean-square kernel minus Q_d (``squared_weight_prefixes``), both
+    as scaled pairs.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -328,7 +336,6 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     karr = np.arange(n, dtype=np.int64)
     state = BatchKernelState(spec, n, s)
     subs = squared_weight_prefixes(spec.scheme, s, 2.0 * zeta(2 * spec.alpha))
-    nfac = ExtendedReal.from_float(float(n))
     z: list[int] = []
     crit_trace: list[float] = []
     bound_trace: list[float] = []
@@ -346,10 +353,7 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
         vals = row * b
         vals += a
         score = float(np.einsum("k,k->", vals, vals))
-        mean_sq = ExtendedReal.from_float(score) * ExtendedReal(
-            1.0, 2 * top, 1
-        ) / nfac
-        sd, lost = _criterion_from_parts(mean_sq, sub)
+        sd, lost = _criterion_from_parts(Scaled(score / n, 2 * top), sub)
         state.commit(row)
         crit_trace.append(sd)
         bound_trace.append(math.sqrt(2.0) * sd**0.25)
@@ -361,32 +365,6 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
         wce_bound_trace=bound_trace,
         digits_lost=lost_trace,
     )
-
-
-def fooling_vector(n: int, z) -> np.ndarray:
-    """Nonzero h* supported on the first two coordinates with h*.z = 0 mod n.
-
-    Pigeonhole over the positive-quadrant grid {0..floor(sqrt(n))}^2: two
-    grid vectors share a residue of h.z mod n, and their difference is the
-    sought dual-lattice vector with entries bounded by floor(sqrt(n)).
-    """
-    z = np.asarray(z, dtype=np.int64)
-    if len(z) < 2:
-        raise ValueError("fooling vector needs dimension >= 2")
-    r = math.isqrt(n)
-    seen: dict[int, tuple[int, int]] = {}
-    for h1 in range(r + 1):
-        for h2 in range(r + 1):
-            res = (h1 * int(z[0]) + h2 * int(z[1])) % n
-            if res in seen:
-                p1, p2 = seen[res]
-                h = np.zeros(len(z), dtype=np.int64)
-                h[0], h[1] = h1 - p1, h2 - p2
-                if int(h @ z) % n != 0 or (h[0] == 0 and h[1] == 0):
-                    raise AssertionError("pigeonhole postcondition violated")
-                return h
-            seen[res] = (h1, h2)
-    raise AssertionError("pigeonhole search failed; cannot happen for n >= 1")
 
 
 def write_genvec(path: str | Path, z, n: int) -> None:

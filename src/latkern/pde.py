@@ -20,9 +20,7 @@ __all__ = [
     "DiffusionModel",
     "FemMesh",
     "FemSolution",
-    "diffusion_at",
     "fem_solve",
-    "truncated_solve",
     "l2_norm",
     "h1_seminorm",
     "decay_sequence",
@@ -73,26 +71,6 @@ def _parameters(model: DiffusionModel, y) -> np.ndarray:
             f"y has {y.shape[-1]} components, the model needs s = {model.s}"
         )
     return y[..., : model.s]
-
-
-def diffusion_at(model: DiffusionModel, x, y) -> float | np.ndarray:
-    """a(x, y) at points x (..., 2), for one parameter point y (s,) or for
-    each row of y (B, s), shaped y.shape[:-1] + x.shape[:-1]."""
-    x = np.asarray(x, dtype=float)
-    y = _parameters(model, y)
-    j = np.arange(1, model.s + 1, dtype=float)
-    psi = (
-        model.c
-        * j**-model.theta
-        * np.sin(j * math.pi * x[..., 0, None])
-        * np.sin(j * math.pi * x[..., 1, None])
-    )
-    sines = np.sin(2.0 * math.pi * y)
-    a = model.a0 + np.tensordot(sines, psi, (-1, -1)) / _SQRT6
-    eps = 1e-12 * max(1.0, model.a_max)
-    if np.any(a < model.a_min - eps) or np.any(a > model.a_max + eps):
-        raise AssertionError("coefficient left [a_min, a_max]")
-    return a
 
 
 class FemMesh:
@@ -232,23 +210,6 @@ def fem_solve(
             f"mesh level {mesh.m}: {bad} of {len(Y)} solutions not finite"
         )
     return FemSolution(mesh, u[0] if np.ndim(y) == 1 else u)
-
-
-def truncated_solve(
-    mesh: FemMesh, model: DiffusionModel, y, s: int
-) -> FemSolution:
-    y = np.asarray(y, dtype=float)
-    if s > model.s:
-        raise ValueError("truncation dimension exceeds the model dimension")
-    if y.ndim != 1:
-        raise ValueError(f"y has shape {y.shape}, one point (s,) is needed")
-    if len(y) < s:
-        raise ValueError(
-            f"y has {len(y)} components, the truncation needs s = {s}"
-        )
-    yt = np.zeros(model.s)
-    yt[:s] = y[:s]
-    return fem_solve(mesh, model, yt)
 
 
 def _norm_by_squares(mesh: FemMesh, v, form):

@@ -1,36 +1,65 @@
 """Product / POD / SPOD weight families and their PDE-driven derivations.
 
-Weight families are kept in factored (sequence) form throughout; the
-subset-enumerating ``weight_of`` exists only as a brute-force oracle for
-tests and diagnostics.  Order factors Gamma_ell carry factorial growth
-and are therefore stored as ExtendedReal.
+Weight families are kept in factored (sequence) form throughout.  Order
+factors Gamma_ell carry factorial growth, so they are stored as scaled
+pairs: an array of mantissas in [1, 2) next to an array of unbounded
+integer exponents.  Scalars out of double range, such as the subtracted
+term of the CBC criterion, are ``Scaled`` pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
-from .extended import ExtendedReal, xfactorial
 from .special import E_POW_INV_E, bell_touchard, stirling2, zeta
 
 __all__ = [
+    "RangeError",
+    "Scaled",
     "WeightScheme",
     "PdeWeightInput",
     "DerivedParams",
     "derive_spod",
     "derive_pod",
     "derive_product",
-    "weight_of",
-    "theory_error_constant",
     "squared_weight_prefixes",
     "squared_weight_sum",
 ]
 
-_ENUM_LIMIT = 12
+
+class RangeError(OverflowError):
+    """Conversion to a plain float would overflow or underflow.
+
+    Carries the base-2 magnitude of the offending value so callers can
+    report how far out of range the result was.
+    """
+
+    def __init__(self, log2_magnitude: float):
+        self.log2_magnitude = log2_magnitude
+        super().__init__(
+            f"value with log2 magnitude {log2_magnitude:.1f} is outside the "
+            "plain float range"
+        )
+
+
+class Scaled(NamedTuple):
+    """The real number mantissa * 2**exponent, for magnitudes past doubles."""
+
+    mantissa: float
+    exponent: int
+
+    def to_float(self) -> float:
+        """The value as a float; RangeError outside 2^-1074 .. 2^1024."""
+        if self.mantissa == 0.0:
+            return 0.0
+        e = math.frexp(self.mantissa)[1] + self.exponent
+        if not -1074 < e <= 1024:
+            raise RangeError(self.exponent + math.log2(abs(self.mantissa)))
+        return math.ldexp(self.mantissa, self.exponent)
 
 
 @dataclass(frozen=True)
@@ -42,13 +71,14 @@ class WeightScheme:
     kind = "spod":    gamma_u = sum over nu in {1..sigma}^{|u|} of
                       Gamma_{|nu|} prod_j gamma_jnu[j, nu_j - 1]
 
-    gamma_empty is always 1 and is not stored.
+    gamma_empty is always 1 and is not stored.  Gamma is the pair of
+    arrays (mantissas in [1, 2), int64 exponents) of Gamma_0, Gamma_1, ...
     """
 
     kind: str
     sigma: int = 1
     gamma_j: np.ndarray | None = None
-    Gamma: tuple[ExtendedReal, ...] | None = None
+    Gamma: tuple[np.ndarray, np.ndarray] | None = None
     gamma_jnu: np.ndarray | None = None
 
     def __post_init__(self):
@@ -60,7 +90,7 @@ class WeightScheme:
         if self.kind in ("pod", "spod"):
             if self.Gamma is None:
                 raise ValueError(f"{self.kind} weights need order factors")
-            if any(g.sign <= 0 for g in self.Gamma):
+            if np.any(self.Gamma[0] <= 0):
                 raise ValueError("Gamma entries must be positive")
         if self.kind == "spod":
             if self.gamma_jnu is None or np.any(np.asarray(self.gamma_jnu) <= 0):
@@ -123,27 +153,53 @@ class DerivedParams:
 # derivations
 
 
-def _spod_order_factors(lam: float, span: int) -> tuple[ExtendedReal, ...]:
+def _unit(x: float) -> tuple[float, int]:
+    """x > 0 as (m, e) with x = m 2^e and m in [1, 2)."""
+    m, e = math.frexp(x)
+    return 2.0 * m, e - 1
+
+
+def _factorials(top: int) -> list[tuple[float, int]]:
+    """ell! as (m, e), m in [1, 2), for ell = 0..top: one rounding each."""
+    out = [(1.0, 0)]
+    for ell in range(1, top + 1):
+        m, x = _unit(out[-1][0] * ell)
+        out.append((m, out[-1][1] + x))
+    return out
+
+
+def _order_factors(bases, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma arrays of b^t for each base b = m 2^e (m in [1, 2)): with
+    lg = t (e + log2 m), mantissa 2^(lg - floor(lg)), exponent floor(lg)."""
+    gm, ge = [], []
+    for m, e in bases:
+        lg = t * (e + math.log2(m))
+        k = math.floor(lg)
+        gm.append(2.0 ** (lg - k))
+        ge.append(k)
+    return np.array(gm), np.array(ge, dtype=np.int64)
+
+
+def _spod_order_factors(lam: float, span: int):
     """Gamma_ell = (ell!)^(2/(1+lam)) for ell = 0..span."""
-    expo = 2.0 / (1.0 + lam)
-    return tuple(xfactorial(ell).powf(expo) for ell in range(span + 1))
+    return _order_factors(_factorials(span), 2.0 / (1.0 + lam))
 
 
-def _pod_order_factors(
-    alpha: int, sigma: int, lam: float, s: int
-) -> tuple[ExtendedReal, ...]:
+def _pod_order_factors(alpha: int, sigma: int, lam: float, s: int):
     """Gamma_ell = ((sigma ell)!^2 / (max(ell, 1) z2^ell))^(1/(1+lam)).
 
     z2 = 2 zeta(alpha lam), for ell = 0..s.
     """
     z2 = 2.0 * zeta(alpha * lam)
-    inv = 1.0 / (1.0 + lam)
-    Gamma = []
+    facts = _factorials(sigma * s)
+    bases = []
     for ell in range(s + 1):
-        num = xfactorial(sigma * ell)
-        base = (num * num) / ExtendedReal.from_float(max(ell, 1) * z2**ell)
-        Gamma.append(base.powf(inv))
-    return tuple(Gamma)
+        fm, fe = facts[sigma * ell]
+        sq, x = _unit(fm * fm)
+        dm, de = _unit(max(ell, 1) * z2**ell)
+        m, y = _unit(sq / dm)
+        bases.append((m, 2 * fe + x - de + y))
+    return _order_factors(bases, 1.0 / (1.0 + lam))
 
 
 def derive_spod(inp: PdeWeightInput, s: int) -> DerivedParams:
@@ -245,102 +301,47 @@ def derive_product(inp: PdeWeightInput, s: int) -> DerivedParams:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle and diagnostics
-
-
-def weight_of(scheme: WeightScheme, u: Iterable[int]) -> ExtendedReal:
-    """gamma_u by direct enumeration; test-oracle use only (|u| <= 12)."""
-    u = sorted(set(u))
-    if len(u) > _ENUM_LIMIT:
-        raise ValueError(
-            f"|u|={len(u)} too large to enumerate; use the recursive kernel "
-            "paths instead"
-        )
-    if any(j < 1 or j > scheme.dimension for j in u):
-        raise ValueError("u must be a subset of {1..s}")
-    if not u:
-        return ExtendedReal.one()
-    if scheme.kind == "product":
-        return ExtendedReal.from_float(
-            float(np.prod([scheme.gamma_j[j - 1] for j in u]))
-        )
-    if scheme.kind == "pod":
-        prod = float(np.prod([scheme.gamma_j[j - 1] for j in u]))
-        return scheme.Gamma[len(u)] * ExtendedReal.from_float(prod)
-    # SPOD: enumerate smoothness multi-indices over u.
-    total = ExtendedReal.zero()
-    import itertools
-
-    for nu in itertools.product(range(1, scheme.sigma + 1), repeat=len(u)):
-        prod = float(
-            np.prod([scheme.gamma_jnu[j - 1, v - 1] for j, v in zip(u, nu)])
-        )
-        total = total + scheme.Gamma[sum(nu)] * ExtendedReal.from_float(prod)
-    return total
-
-
-def theory_error_constant(params: DerivedParams, s: int, n: int) -> float:
-    """Worst-case L2 bound kappa * n^{-1/(4 lam)} * (weighted sum)^{1/(2 lam)}.
-
-    Enumerates all subsets of {1..s}; diagnostic use only.
-    """
-    if s > _ENUM_LIMIT:
-        raise ValueError(f"s={s} too large for subset enumeration")
-    alpha, lam = params.alpha, params.lam
-    kappa = math.sqrt(2.0) * max(6.0, 2.5 + 2.0 ** (2 * alpha * lam + 1)) ** (
-        1.0 / (4 * lam)
-    )
-    z2 = 2.0 * zeta(alpha * lam)
-    import itertools
-
-    total = ExtendedReal.zero()
-    for r in range(s + 1):
-        for u in itertools.combinations(range(1, s + 1), r):
-            gu = weight_of(params.scheme, u)
-            term = gu.powf(lam) * ExtendedReal.from_float(max(r, 1) * z2**r)
-            total = total + term
-    return kappa * n ** (-1.0 / (4 * lam)) * total.powf(1.0 / (2 * lam)).to_float()
-
-
-# ---------------------------------------------------------------------------
 # factored sums of squared weights (subtracted term of the CBC criterion)
 
 
-def _scaled_total(T: np.ndarray, F: np.ndarray) -> ExtendedReal:
-    """sum T * 2^F of nonnegative terms as an ExtendedReal, shift-stable.
+def _scaled_total(T: np.ndarray, F: np.ndarray) -> Scaled:
+    """sum T * 2^F of nonnegative terms as a pair, shift-stable.
 
     Every live term is scaled (exactly, by a power of two) to the top
-    exponent and the terms are summed in one array step.
+    exponent and the terms are summed in one array step.  The mantissa is
+    in [0.5, 1), or the pair is (0.0, 0).
     """
     live = T != 0.0
     if not np.any(live):
-        return ExtendedReal.zero()
+        return Scaled(0.0, 0)
     F = F[live]
     top = int(np.max(F))
     t = float(np.sum(np.ldexp(T[live], np.clip(F - top, -2200, 0))))
-    return ExtendedReal.from_float(t) * ExtendedReal(1.0, top, 1)
+    m, e = math.frexp(t)
+    return Scaled(m, top + e)
 
 
 def squared_weight_prefixes(
     scheme: WeightScheme, s: int, x: float
-) -> list[ExtendedReal]:
+) -> list[Scaled]:
     """[Q_1, ..., Q_s], Q_d = sum over u subseteq {1..d} of gamma_u^2 x^{|u|}.
 
     x is typically 2*zeta(2*alpha).  One pass of the factored recursion
     adds a coordinate per step, so all s prefixes cost what Q_s does: no
     subset enumeration.  For POD and SPOD each prefix contracts the order
     sums with Gamma's (mantissa, exponent) arrays in one array step.
+    Each Q_d is a pair with its mantissa in [0.5, 1).
     """
+    out = []
     if scheme.kind == "product":
-        acc, out = ExtendedReal.one(), []
+        m, e = 1.0, 0
         for g in scheme.gamma_j[:s]:
-            acc = acc * ExtendedReal.from_float(1.0 + g * g * x)
-            out.append(acc)
+            m, k = math.frexp(m * (1.0 + g * g * x))
+            e += k
+            out.append(Scaled(m, e))
         return out
     span = scheme.order_span(s)
-    gm = np.array([g.mantissa for g in scheme.Gamma[: span + 1]])
-    ge = np.array([g.exponent for g in scheme.Gamma[: span + 1]], np.int64)
-    out = []
+    gm, ge = (a[: span + 1] for a in scheme.Gamma)
     if scheme.kind == "pod":
         # q_ell = sum over |u|=ell of prod_{j in u} gamma_j^2 x.
         q = np.zeros(s + 1)
@@ -370,7 +371,7 @@ def squared_weight_prefixes(
     return out
 
 
-def squared_weight_sum(scheme: WeightScheme, s: int, x: float) -> ExtendedReal:
+def squared_weight_sum(scheme: WeightScheme, s: int, x: float) -> Scaled:
     """Q_s = sum over u subseteq {1..s} of gamma_u^2 * x^{|u|}, s >= 1.
 
     The last of ``squared_weight_prefixes``.

@@ -18,23 +18,20 @@ from latkern.experiments import (
     run_dim_truncation,
     run_interp_convergence,
 )
-from latkern.interpolant import (
-    TrigPolynomial,
-    build,
-    evaluate,
-    h_norm,
-)
-from latkern.kernel import (
-    KernelSpec,
-    kernel_eval,
-    kernel_eval_bruteforce,
-    kernel_values_batch,
-    rnorm,
-)
-from latkern.lattice import Lattice, cbc_construct, criterion_S, fooling_vector
+from latkern.interpolant import build, evaluate
+from latkern.kernel import KernelSpec, kernel_values_batch
+from latkern.lattice import Lattice, cbc_construct, criterion_S
 from latkern.pde import DiffusionModel, FemMesh, decay_sequence, fem_solve, l2_norm
 from latkern.weights import PdeWeightInput, WeightScheme
 from latkern.experiments import derive_for_family
+from reference import (
+    TrigPolynomial,
+    fooling_vector,
+    h_norm,
+    kernel_eval,
+    kernel_eval_bruteforce,
+    rnorm,
+)
 
 
 def _korobov(n: int, s: int, a: int = 3) -> Lattice:

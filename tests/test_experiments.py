@@ -16,7 +16,7 @@ from latkern.experiments import (
     sobol_points,
 )
 from latkern.interpolant import build
-from latkern.kernel import KernelSpec, kernel_eval
+from latkern.kernel import KernelSpec
 from latkern.lattice import Lattice, cbc_construct, read_genvec, write_genvec
 from latkern.pde import (
     DiffusionModel,
@@ -25,9 +25,14 @@ from latkern.pde import (
     fem_solve,
     h1_seminorm,
     l2_norm,
-    truncated_solve,
 )
-from latkern.weights import PdeWeightInput, WeightScheme
+from latkern.weights import (
+    PdeWeightInput,
+    Scaled,
+    WeightScheme,
+    squared_weight_prefixes,
+)
+from reference import kernel_eval, truncated_solve
 
 
 class TestSobol:
@@ -254,6 +259,35 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "dimension,z_d,S_d,bound_d"
         assert len(out) == 3
+
+    def test_pod_search_with_fast_growing_order_factors(self, capsys):
+        # Gamma_ell of these POD weights passes 2^800, far above the
+        # kernel values; the search used to die on an uncaught error
+        rc = cli(["cbc", "--weights", "pod", "--theta", "3.6", "--p", "0.3",
+                  "--s", "40", "--n-list", "64"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 40
+        for row in rows:
+            sd = float(row.split(",")[2])
+            assert math.isfinite(sd) and sd >= 0.0
+
+    def test_criterion_cancellation_exits_2(self, monkeypatch, capsys):
+        # a subtracted term twice too large leaves S_d far below zero
+        def doubled(*args):
+            return [Scaled(q.mantissa, q.exponent + 1)
+                    for q in squared_weight_prefixes(*args)]
+
+        monkeypatch.setattr(
+            "latkern.lattice.squared_weight_prefixes", doubled
+        )
+        rc = cli(["cbc", "--weights", "product", "--s", "2", "--n-list", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: criterion cancellation beyond tolerance"
+        )
+        assert "Traceback" not in err
 
     def test_selftest_passes(self, capsys):
         assert cli(["selftest"]) == 0

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from latkern.extended import ExtendedReal, RangeError, xfactorial
+from latkern.weights import RangeError
+from reference import ExtendedReal, xfactorial
 
 finite = st.floats(
     allow_nan=False,

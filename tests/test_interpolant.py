@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from latkern.experiments import derive_for_family
-from latkern.interpolant import (
-    TrigPolynomial,
-    build,
-    evaluate,
-    h_norm,
-    l2_error_estimate,
-)
-from latkern.kernel import KernelSpec, kernel_eval, rnorm
-from latkern.lattice import Lattice, cbc_construct, fooling_vector
+from latkern.interpolant import build, evaluate, l2_error_estimate
+from latkern.kernel import KernelSpec
+from latkern.lattice import Lattice, cbc_construct
 from latkern.pde import DiffusionModel, decay_sequence
 from latkern.weights import PdeWeightInput, WeightScheme
+from reference import (
+    TrigPolynomial,
+    fooling_vector,
+    h_norm,
+    kernel_eval,
+    rnorm,
+)
 from test_fourier import naive_dft
 
 

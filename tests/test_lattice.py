@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from latkern.experiments import derive_for_family
-from latkern.kernel import (
-    BatchKernelState,
-    KernelSpec,
-    eta,
-    kernel_eval,
-    rnorm,
-)
+from latkern.kernel import BatchKernelState, KernelSpec, eta
 from latkern.lattice import (
     _TIE,
     Lattice,
@@ -28,9 +22,10 @@ from latkern.lattice import (
     _scaled_sumsq,
     _unit_torus,
     _UnitScorer,
+    _criterion_from_parts,
+    _mean_square_kernel,
     cbc_construct,
     criterion_S,
-    fooling_vector,
     read_genvec,
     write_genvec,
 )
@@ -38,8 +33,15 @@ from latkern.pde import DiffusionModel, decay_sequence
 from latkern.special import zeta
 from latkern.weights import (
     PdeWeightInput,
+    Scaled,
     WeightScheme,
     squared_weight_sum,
+)
+from reference import (
+    ExtendedReal,
+    fooling_vector,
+    kernel_eval,
+    rnorm,
     weight_of,
 )
 
@@ -101,7 +103,7 @@ def _cbc_oracle(spec, n, z):
             near = D[:last] <= edge + 2.0 * R[:last]
             allowed.append(cands[:last][near].tolist())
         state.commit(etable[(k * int(zd)) % n])
-        mean_sq.append((_scaled_sumsq(*state.values()) / float(n)).to_float())
+        mean_sq.append(_scaled_sumsq(*state.values()).to_float() / n)
     return allowed, mean_sq
 
 
@@ -247,6 +249,63 @@ class TestCriterion:
         bound = 2.0 * (k00 - box) * k00
         assert abs(got - oracle) <= bound
         assert got == pytest.approx(oracle, rel=5e-3)
+
+
+    def test_difference_rounds_once_as_extended_real_did(self):
+        # S_d = minuend - subtrahend from two pairs, aligned to the larger
+        # exponent: the bits of the ExtendedReal subtraction, also past
+        # its 64-bit shift cut-off and far outside double range
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            ma, mb = rng.uniform(0.5, 1.0, 2)
+            eb = int(rng.integers(-3000, 3000))
+            ea = eb + int(rng.choice([0, 1, 2, 30, 52, 53, 54, 64, 65, 70]))
+            if (ma, ea) <= (mb, eb):
+                continue
+            old = ExtendedReal(2 * ma, ea - 1, 1) - \
+                ExtendedReal(2 * mb, eb - 1, 1)
+            shift = 1000 - ea  # bring the minuend into double range
+            got, lost = _criterion_from_parts(
+                Scaled(ma, ea + shift), Scaled(mb, eb + shift)
+            )
+            want = (old * ExtendedReal(1.0, shift, 1)).to_float()
+            assert got == want
+            assert lost == pytest.approx(
+                math.log10(math.ldexp(ma, 1000) / want), abs=1e-12
+            )
+        # unnormalized pairs give the same bits
+        a, b = Scaled(0.75, 3), Scaled(0.625, 3)
+        assert _criterion_from_parts(Scaled(6.0, 0), Scaled(5.0, 0)) == \
+            _criterion_from_parts(a, b) == (1.0, math.log10(6.0))
+
+    def test_cancellation_beyond_tolerance_is_arithmetic(self):
+        with pytest.raises(ArithmeticError, match="cancellation beyond"):
+            _criterion_from_parts(Scaled(0.5, 1), Scaled(0.5000001, 1))
+        # within the tolerance the value clamps to 0, with every digit lost
+        assert _criterion_from_parts(
+            Scaled(0.5, 1), Scaled(0.5 + 1e-12, 1)
+        ) == (0.0, math.inf)
+
+    def test_mean_square_with_fast_growing_order_factors(self):
+        # POD with theta = 3.6, p = 0.3 at s = 40: Gamma_ell reaches 2^800
+        # while the kernel values stay near 1.  The contraction's sum must
+        # carry its own exponent, or squaring it underflows to 0.
+        spec = _study_spec("pod", 40, theta=3.6, p=0.3)
+        assert int(np.max(spec.scheme.Gamma[1])) > 800
+        x = 2.0 * zeta(2 * spec.alpha)
+        sub = squared_weight_sum(spec.scheme, 40, x).to_float()
+        rng = np.random.default_rng(11)
+        for n in (7, 16):
+            units = [c for c in range(1, n) if math.gcd(c, n) == 1]
+            lat = Lattice(n, rng.choice(units, 40))
+            want = np.mean([
+                kernel_eval(spec, t, np.zeros(40)) ** 2 for t in lat.points()
+            ])
+            got = _mean_square_kernel(spec, lat).to_float()
+            assert got == pytest.approx(want, rel=1e-13)
+            assert criterion_S(spec, lat) + sub == pytest.approx(
+                want, rel=1e-13
+            )
 
 
 class TestCbc:

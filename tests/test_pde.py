@@ -15,13 +15,12 @@ from latkern.pde import (
     _load_vector,
     _stencil,
     decay_sequence,
-    diffusion_at,
     fem_solve,
     h1_seminorm,
     l2_norm,
-    truncated_solve,
 )
 from latkern.special import zeta
+from reference import diffusion_at, truncated_solve
 
 
 def _model(c=0.2, theta=2.4, s=4):

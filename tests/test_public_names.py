@@ -1,11 +1,14 @@
-"""Every public name of latkern has a caller, or is a declared oracle.
+"""Every public name of latkern has a caller; every reference a test.
 
 A name in a module's ``__all__`` is reached when the code outside its own
 definition refers to it: a Name, an Attribute or an import in ``src/``
 (leaving out ``latkern/__init__.py``, which only re-exports), ``scripts/``
 or ``perfbench/``, a string naming a function that ``perfbench/`` traces,
-or the console-script entry point in ``pyproject.toml``.  An oracle exists
-to check production code, so it needs a caller in ``tests/`` instead.
+or the console-script entry point in ``pyproject.toml``.  The reference
+implementations in ``tests/reference.py`` exist to check production code,
+so each of its public functions and classes needs a caller in another test
+file.  No module raises AssertionError, which a caller cannot tell from a
+failed test: numerical failures raise ArithmeticError.
 """
 
 import ast
@@ -17,20 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latkern"
 PYPROJECT = ROOT / "pyproject.toml"
-
-# Independent references the tests compare production code against, and
-# the paper's worst-case bound.
-ORACLES = (
-    "kernel_eval",
-    "kernel_eval_bruteforce",
-    "weight_of",
-    "rnorm",
-    "h_norm",
-    "TrigPolynomial",
-    "truncated_solve",
-    "diffusion_at",
-    "theory_error_constant",
-)
+REFERENCE = ROOT / "tests" / "reference.py"
 
 
 def _public_names(path: Path) -> list[str]:
@@ -78,6 +68,11 @@ def _entry_points() -> set[str]:
 
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PUBLIC = [(p.stem, name) for p in MODULES for name in _public_names(p)]
+REFERENCE_NAMES = [
+    stmt.name for stmt in ast.parse(REFERENCE.read_text()).body
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    and not stmt.name.startswith("_")
+]
 
 
 @pytest.fixture(scope="module")
@@ -97,26 +92,25 @@ def reached():
 
 @pytest.fixture(scope="module")
 def tested():
+    """Names referenced by the test files, leaving out this file and the
+    reference module itself."""
     names = set()
     for path in sorted((ROOT / "tests").glob("*.py")):
-        if path != Path(__file__).resolve():
+        if path not in (Path(__file__).resolve(), REFERENCE):
             names |= {name for name, _ in _references(path)}
     return names
 
 
 class TestEveryPublicNameIsReached:
     def test_modules_found(self):
-        assert len(MODULES) >= 9 and len(PUBLIC) >= 50
-
-    def test_oracles_are_public(self):
-        public = {name for _, name in PUBLIC}
-        assert not set(ORACLES) - public
+        assert {p.stem for p in MODULES} == {
+            "cli", "experiments", "interpolant", "kernel", "lattice", "pde",
+            "special", "weights",
+        }
+        assert all(_public_names(p) for p in MODULES)
 
     @pytest.mark.parametrize("module, name", PUBLIC)
-    def test_public_name_has_a_caller(self, module, name, reached, tested):
-        if name in ORACLES:
-            assert name in tested, f"oracle {module}.{name} checks nothing"
-            return
+    def test_public_name_has_a_caller(self, module, name, reached):
         own = PACKAGE / f"{module}.py"
         callers = {
             (where, owner) for where, owner in reached.get(name, ())
@@ -124,5 +118,26 @@ class TestEveryPublicNameIsReached:
         }
         assert callers, (
             f"{module}.{name} is public but nothing outside its definition "
-            "reaches it; delete it or declare it an oracle"
+            "reaches it; delete it, or move it to tests/reference.py if it "
+            "is a reference the tests check against"
         )
+
+
+class TestEveryReferenceIsUsed:
+    def test_reference_names_found(self):
+        assert len(REFERENCE_NAMES) >= 10
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_reference_name_has_a_caller(self, name, tested):
+        assert name in tested, f"reference.{name} checks nothing"
+
+
+def test_no_module_raises_assertion_error():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else \
+                    node.exc
+                assert getattr(exc, "id", None) != "AssertionError", (
+                    f"{path.name}:{node.lineno} raises AssertionError"
+                )

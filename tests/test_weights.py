@@ -3,19 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from latkern.extended import ExtendedReal, xfactorial
 from latkern.special import zeta
 from latkern.weights import (
     DerivedParams,
     PdeWeightInput,
+    Scaled,
     WeightScheme,
+    _pod_order_factors,
+    _spod_order_factors,
     derive_pod,
     derive_product,
     derive_spod,
     squared_weight_prefixes,
     squared_weight_sum,
+)
+from reference import (
+    ExtendedReal,
+    gamma_arrays,
+    order_factor,
+    pod_order_factors,
+    spod_order_factors,
     theory_error_constant,
     weight_of,
+    xfactorial,
 )
 
 
@@ -53,14 +63,14 @@ class TestDerivePod:
 
     def test_gamma0_is_one(self):
         d = derive_pod(_input(1 / 2.2), 6)
-        assert d.scheme.Gamma[0].to_float() == pytest.approx(1.0)
+        assert order_factor(d.scheme, 0).to_float() == pytest.approx(1.0)
         assert weight_of(d.scheme, ()).to_float() == 1.0
 
     def test_gamma_100_matches_stirling(self):
-        # POD order factor at ell=100, sigma=2: finite in ExtendedReal and
+        # POD order factor at ell=100, sigma=2: finite as a scaled pair and
         # log2 within 1% of the Stirling approximation of the formula
         d = derive_pod(_input(1 / 2.2, s=100), 100)
-        got = d.scheme.Gamma[100].log2
+        got = order_factor(d.scheme, 100).log2
         ell, sigma, lam = 100, 2, 5 / 17
         n = sigma * ell
         log_fact = n * math.log(n) - n + 0.5 * math.log(2 * math.pi * n)
@@ -70,7 +80,7 @@ class TestDerivePod:
             - ell * math.log(2 * zeta(d.alpha * lam))
         ) / (1 + lam) / math.log(2)
         assert got == pytest.approx(want, rel=0.01)
-        assert d.scheme.Gamma[100].sign == 1
+        assert d.scheme.Gamma[0][100] > 0
 
 
 class TestDeriveProduct:
@@ -106,7 +116,7 @@ class TestWeightOf:
 
     def test_spod_single_coordinate(self):
         g1, g2 = 0.3, 0.07
-        G = tuple(ExtendedReal.from_float(v) for v in (1.0, 2.0, 5.0))
+        G = gamma_arrays(ExtendedReal.from_float(v) for v in (1.0, 2.0, 5.0))
         sch = WeightScheme(
             "spod", sigma=2, Gamma=G, gamma_jnu=np.array([[g1, g2]])
         )
@@ -132,7 +142,7 @@ class TestSpodPodCrossCheck:
         lam = 0.5
         expo = 2.0 / (1.0 + lam)
         gj = np.array([0.8, 0.5, 0.3, 0.2, 0.15, 0.1])
-        G = tuple(xfactorial(ell).powf(expo) for ell in range(7))
+        G = gamma_arrays(xfactorial(ell).powf(expo) for ell in range(7))
         spod = WeightScheme(
             "spod", sigma=1, Gamma=G, gamma_jnu=gj[:, None]
         )
@@ -141,6 +151,40 @@ class TestSpodPodCrossCheck:
             a = weight_of(spod, u).to_float()
             b = weight_of(pod, u).to_float()
             assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestOrderFactors:
+    # the Gamma arrays against their defining formulas evaluated in
+    # ExtendedReal, bit for bit, far past double range
+
+    @pytest.mark.parametrize("lam", [0.15, 5 / 17, 0.5, 5 / 6, 1.0])
+    def test_spod_matches_extended_real(self, lam):
+        got = _spod_order_factors(lam, 3000)
+        want = gamma_arrays(spod_order_factors(lam, 3000))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1][-1] > 4000
+
+    @pytest.mark.parametrize(
+        "alpha,sigma,lam", [(2, 1, 9 / 11), (4, 2, 5 / 17), (6, 3, 0.5),
+                            (8, 4, 0.3)]
+    )
+    def test_pod_matches_extended_real(self, alpha, sigma, lam):
+        got = _pod_order_factors(alpha, sigma, lam, 250)
+        want = gamma_arrays(pod_order_factors(alpha, sigma, lam, 250))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1][-1] > 1100
+
+    def test_derived_schemes_carry_them(self):
+        inp = _input(1 / 2.2, s=12)
+        spod, pod = derive_spod(inp, 12), derive_pod(inp, 12)
+        for got, want in [
+            (spod.scheme.Gamma, _spod_order_factors(spod.lam, 24)),
+            (pod.scheme.Gamma, _pod_order_factors(4, 2, pod.lam, 12)),
+        ]:
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestTheoryErrorConstant:
@@ -168,14 +212,26 @@ class TestTheoryErrorConstant:
             theory_error_constant(params, 13, 16)
 
 
+def _pair(x):
+    """An ExtendedReal as the package's pair, mantissa in [0.5, 1)."""
+    return Scaled(x.sign * x.mantissa / 2.0, x.exponent + 1)
+
+
 def _squared_weight_sum_loop(scheme, s, x):
-    """Q_s by the factored recursion for s coordinates, summed term by term
-    in ExtendedReal: the oracle for the one-pass prefixes."""
+    """Q_s by the factored recursion for s coordinates, each term formed in
+    ExtendedReal: the oracle for the one-pass prefixes.
+
+    Product weights multiply the factors in ExtendedReal.  POD and SPOD
+    terms Gamma_ell Gamma_ell' v are each formed in ExtendedReal, then
+    summed as the package sums them, scaled to the top exponent in one
+    numpy sum in (ell, ell') order: power-of-two scaling is exact, so this
+    is the package's sum bit for bit, whatever numpy's summation order.
+    """
     if scheme.kind == "product":
         acc = ExtendedReal.one()
         for g in scheme.gamma_j[:s]:
             acc = acc * ExtendedReal.from_float(1.0 + g * g * x)
-        return acc
+        return _pair(acc)
     if scheme.kind == "pod":
         q = np.zeros(s + 1)
         q[0] = 1.0
@@ -202,12 +258,16 @@ def _squared_weight_sum_loop(scheme, s, x):
             for ell in range(span + 1)
             for ellp in range(span + 1)
         ]
-    total = ExtendedReal.zero()
-    for ell, ellp, v in pairs:
-        if v != 0.0:
-            total = total + scheme.Gamma[ell] * scheme.Gamma[ellp] * \
-                ExtendedReal.from_float(v)
-    return total
+    terms = [
+        order_factor(scheme, ell) * order_factor(scheme, ellp)
+        * ExtendedReal.from_float(v)
+        for ell, ellp, v in pairs
+        if v != 0.0
+    ]
+    top = max(t.exponent for t in terms)
+    total = np.sum([math.ldexp(t.mantissa, t.exponent - top) for t in terms])
+    total = ExtendedReal.from_float(float(total)) * ExtendedReal(1.0, top, 1)
+    return _pair(total)
 
 
 class TestSquaredWeightSum:
@@ -233,8 +293,7 @@ class TestSquaredWeightSum:
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     @pytest.mark.parametrize("p", [1 / 2.2, 0.3])
     def test_prefixes_match_termwise_loop(self, family, p):
-        # one pass gives every prefix: product prefixes bit for bit, POD
-        # and SPOD ones to 1e-15 relative (the sums run in another order)
+        # one pass gives every prefix, bit for bit
         s = 12
         d = {
             "product": derive_product,
@@ -246,9 +305,4 @@ class TestSquaredWeightSum:
         assert len(got) == s
         assert squared_weight_sum(d.scheme, s, x) == got[-1]
         for q, got_q in enumerate(got, start=1):
-            want = _squared_weight_sum_loop(d.scheme, q, x)
-            if family == "product":
-                assert got_q == want
-            else:
-                rel = (got_q - want) / want
-                assert abs(rel.to_float()) <= 1e-15
+            assert got_q == _squared_weight_sum_loop(d.scheme, q, x)
