@@ -5,7 +5,10 @@ eta a scaled even-degree Bernoulli polynomial of the fractional part.
 ``BatchKernelState`` and ``kernel_values_batch`` evaluate it for a batch of
 points as float rows with per-sample binary exponents, so the factorial
 order factors of POD and SPOD weights stay finite; the lattice search and
-the interpolant both use this one route.
+the interpolant both use this one route.  POD weights are SPOD weights with
+one column (sigma = 1), so both run one order-row recursion: coordinate j
+adds gamma_{j,nu} eta times row ell - nu to row ell, for nu = 1..sigma.
+Product weights keep one row and multiply it by 1 + gamma_j eta.
 
 It makes one array pass per block: ``kernel_values_batch``
 evaluates eta once on the whole (s, m) block of differences, and for POD
@@ -143,18 +146,11 @@ class BatchKernelState:
         """
         sch = self.spec.scheme
         j = self.dims_done  # 0-based index of the coordinate being added
-        span = self.P.shape[0] - 1
-        if sch.kind == "pod":
-            top = min(self.dims_done + 1, span)
-            out[1 : top + 1] += sch.gamma_j[j] * w * self.P[0:top]
-        else:
-            top = min((self.dims_done + 1) * sch.sigma, span)
-            for nu in range(1, sch.sigma + 1):
-                if nu > top:
-                    break
-                out[nu : top + 1] += (
-                    sch.gamma_jnu[j, nu - 1] * w * self.P[0 : top + 1 - nu]
-                )
+        top = (j + 1) * sch.sigma  # highest order reachable after it
+        for nu in range(1, sch.sigma + 1):
+            out[nu : top + 1] += (
+                sch.gamma_jnu[j, nu - 1] * w * self.P[0 : top + 1 - nu]
+            )
         return out
 
     def _contract(self, P):

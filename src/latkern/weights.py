@@ -67,16 +67,19 @@ class WeightScheme:
     """One of the three structured weight families.
 
     kind = "product": gamma_u = prod_{j in u} gamma_j
-    kind = "pod":     gamma_u = Gamma_{|u|} prod_{j in u} gamma_j
     kind = "spod":    gamma_u = sum over nu in {1..sigma}^{|u|} of
                       Gamma_{|nu|} prod_j gamma_jnu[j, nu_j - 1]
+    kind = "pod":     gamma_u = Gamma_{|u|} prod_{j in u} gamma_j, SPOD's
+                      sum with sigma = 1
 
-    gamma_empty is always 1 and is not stored.  Gamma is the pair of
-    arrays (mantissas in [1, 2), int64 exponents) of Gamma_0, Gamma_1, ...
+    Product and POD schemes take gamma_j and store it as the one-column
+    table gamma_jnu too, so POD weights run the SPOD recursions.  sigma is
+    the table's column count.  gamma_empty is always 1 and is not stored.
+    Gamma is the pair of arrays (mantissas in [1, 2), int64 exponents) of
+    Gamma_0, Gamma_1, ...
     """
 
     kind: str
-    sigma: int = 1
     gamma_j: np.ndarray | None = None
     Gamma: tuple[np.ndarray, np.ndarray] | None = None
     gamma_jnu: np.ndarray | None = None
@@ -84,33 +87,30 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in ("product", "pod", "spod"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in ("product", "pod"):
-            if self.gamma_j is None or np.any(np.asarray(self.gamma_j) <= 0):
-                raise ValueError("gamma_j must be a positive sequence")
-        if self.kind in ("pod", "spod"):
+        if self.kind != "spod":
+            if self.gamma_j is None or self.gamma_jnu is not None:
+                raise ValueError(f"{self.kind} weights take gamma_j only")
+            col = np.asarray(self.gamma_j, dtype=float)[:, None]
+            object.__setattr__(self, "gamma_jnu", col)
+        if self.gamma_jnu is None or np.any(np.asarray(self.gamma_jnu) <= 0):
+            raise ValueError("gamma_j / gamma_jnu must be positive")
+        if self.kind != "product":
             if self.Gamma is None:
                 raise ValueError(f"{self.kind} weights need order factors")
             if np.any(self.Gamma[0] <= 0):
                 raise ValueError("Gamma entries must be positive")
-        if self.kind == "spod":
-            if self.gamma_jnu is None or np.any(np.asarray(self.gamma_jnu) <= 0):
-                raise ValueError("gamma_jnu must be a positive table")
-            if self.gamma_jnu.shape[1] != self.sigma:
-                raise ValueError("gamma_jnu must have sigma columns")
+
+    @property
+    def sigma(self) -> int:
+        return self.gamma_jnu.shape[1]
 
     @property
     def dimension(self) -> int:
-        if self.kind == "spod":
-            return self.gamma_jnu.shape[0]
-        return len(self.gamma_j)
+        return self.gamma_jnu.shape[0]
 
     def order_span(self, s: int) -> int:
         """Largest reachable order |nu| at dimension s (0 for product)."""
-        if self.kind == "product":
-            return 0
-        if self.kind == "pod":
-            return s
-        return s * self.sigma
+        return 0 if self.kind == "product" else s * self.sigma
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,17 @@ def _factorials(top: int) -> list[tuple[float, int]]:
     return out
 
 
+def _power(x: float, ell: int) -> tuple[float, int]:
+    """x^ell as (m, e), m in [1, 2), for x > 0: pow raises x's mantissa,
+    in [1, 2), to at most 1023 per step, so no step leaves double range."""
+    xm, e = _unit(x)
+    m, e = 1.0, e * ell
+    for k in [ell % 1023] + [1023] * (ell // 1023):
+        m, y = _unit(m * xm**k)
+        e += y
+    return m, e
+
+
 def _order_factors(bases, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Gamma arrays of b^t for each base b = m 2^e (m in [1, 2)): with
     lg = t (e + log2 m), mantissa 2^(lg - floor(lg)), exponent floor(lg)."""
@@ -196,9 +207,10 @@ def _pod_order_factors(alpha: int, sigma: int, lam: float, s: int):
     for ell in range(s + 1):
         fm, fe = facts[sigma * ell]
         sq, x = _unit(fm * fm)
-        dm, de = _unit(max(ell, 1) * z2**ell)
+        pm, pe = _power(z2, ell)
+        dm, de = _unit(max(ell, 1) * pm)
         m, y = _unit(sq / dm)
-        bases.append((m, 2 * fe + x - de + y))
+        bases.append((m, 2 * fe + x - pe - de + y))
     return _order_factors(bases, 1.0 / (1.0 + lam))
 
 
@@ -216,8 +228,7 @@ def derive_spod(inp: PdeWeightInput, s: int) -> DerivedParams:
     for nu in range(1, sigma + 1):
         table[:, nu - 1] = (b**nu * stirling2(sigma, nu) / denom) ** expo
     scheme = WeightScheme(
-        "spod", sigma=sigma, Gamma=_spod_order_factors(lam, s * sigma),
-        gamma_jnu=table,
+        "spod", Gamma=_spod_order_factors(lam, s * sigma), gamma_jnu=table
     )
     return DerivedParams(alpha, sigma, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
@@ -250,8 +261,7 @@ def derive_pod(inp: PdeWeightInput, s: int) -> DerivedParams:
     b = np.asarray(inp.b, dtype=float)[:s]
     gamma_j = np.array([bell_touchard(sigma, bj) ** (2.0 * inv) for bj in b])
     scheme = WeightScheme(
-        "pod", sigma=sigma, gamma_j=gamma_j,
-        Gamma=_pod_order_factors(alpha, sigma, lam, s),
+        "pod", gamma_j=gamma_j, Gamma=_pod_order_factors(alpha, sigma, lam, s)
     )
     return DerivedParams(alpha, sigma, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
@@ -296,7 +306,7 @@ def derive_product(inp: PdeWeightInput, s: int) -> DerivedParams:
     j = np.arange(1, s + 1, dtype=float)
     bell = np.array([bell_touchard(sigma, bj) for bj in b])
     gamma_j = (((j * sigma) ** sigma * bell) ** 2 / (2.0 * E_POW_INV_E * z)) ** inv
-    scheme = WeightScheme("product", sigma=sigma, gamma_j=gamma_j)
+    scheme = WeightScheme("product", gamma_j=gamma_j)
     return DerivedParams(alpha, sigma, lam, scheme, scenario=scenario, rate=rate)
 
 
@@ -328,8 +338,9 @@ def squared_weight_prefixes(
 
     x is typically 2*zeta(2*alpha).  One pass of the factored recursion
     adds a coordinate per step, so all s prefixes cost what Q_s does: no
-    subset enumeration.  For POD and SPOD each prefix contracts the order
-    sums with Gamma's (mantissa, exponent) arrays in one array step.
+    subset enumeration.  For POD and SPOD (POD is the sigma = 1 case)
+    each prefix contracts the order-pair sums r[ell, ell'] with Gamma's
+    (mantissa, exponent) arrays in one array step.
     Each Q_d is a pair with its mantissa in [0.5, 1).
     """
     out = []
@@ -340,32 +351,24 @@ def squared_weight_prefixes(
             e += k
             out.append(Scaled(m, e))
         return out
+    # gamma_u^2 couples two order indices; track both.  Orders above
+    # (j + 1) sigma are still 0 after j + 1 steps, so each step copies and
+    # updates only the live block r[:top, :top].
+    sigma = scheme.sigma
     span = scheme.order_span(s)
     gm, ge = (a[: span + 1] for a in scheme.Gamma)
-    if scheme.kind == "pod":
-        # q_ell = sum over |u|=ell of prod_{j in u} gamma_j^2 x.
-        q = np.zeros(s + 1)
-        q[0] = 1.0
-        gm2, ge2 = gm * gm, 2 * ge
-        for j in range(s):
-            q[1 : j + 2] += scheme.gamma_j[j] ** 2 * x * q[: j + 1]
-            out.append(_scaled_total(gm2 * q, ge2))
-        return out
-    # SPOD: gamma_u^2 couples two order indices; track both.
-    sigma = scheme.sigma
     r = np.zeros((span + 1, span + 1))
     r[0, 0] = 1.0
     gmm = gm[:, None] * gm[None, :]
     gee = ge[:, None] + ge[None, :]
     for j in range(s):
         g = scheme.gamma_jnu[j]
-        top = (j + 1) * sigma + 1  # orders above (j + 1) sigma are still 0
-        new = r.copy()
+        top = (j + 1) * sigma + 1
+        old = r[:top, :top].copy()
         for nu in range(1, sigma + 1):
             for nup in range(1, sigma + 1):
                 c = x * g[nu - 1] * g[nup - 1]
-                new[nu:top, nup:top] += c * r[: top - nu, : top - nup]
-        r = new
+                r[nu:top, nup:top] += c * old[: top - nu, : top - nup]
         out.append(_scaled_total(gmm[:top, :top] * r[:top, :top],
                                  gee[:top, :top]))
     return out

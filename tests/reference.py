@@ -242,17 +242,26 @@ def spod_order_factors(lam: float, span: int) -> list[ExtendedReal]:
     return [xfactorial(ell).powf(expo) for ell in range(span + 1)]
 
 
+def _xpower(x: ExtendedReal, ell: int) -> ExtendedReal:
+    """x^ell for positive x: 2^(ell exponent) times the mantissa's power,
+    taken by pow to at most 1023 per factor (each below 2^1023)."""
+    out = ExtendedReal(1.0, x.exponent * ell, 1)
+    for k in [ell % 1023] + [1023] * (ell // 1023):
+        out = out * ExtendedReal.from_float(x.mantissa**k)
+    return out
+
+
 def pod_order_factors(
     alpha: int, sigma: int, lam: float, s: int
 ) -> list[ExtendedReal]:
     """Gamma_ell = ((sigma ell)!^2 / (max(ell, 1) z2^ell))^(1/(1+lam)),
     z2 = 2 zeta(alpha lam), for ell = 0..s."""
-    z2 = 2.0 * zeta(alpha * lam)
+    z2 = ExtendedReal.from_float(2.0 * zeta(alpha * lam))
     inv = 1.0 / (1.0 + lam)
     out = []
     for ell in range(s + 1):
         num = xfactorial(sigma * ell)
-        base = (num * num) / ExtendedReal.from_float(max(ell, 1) * z2**ell)
+        base = (num * num) / (_xpower(z2, ell) * max(ell, 1))
         out.append(base.powf(inv))
     return out
 

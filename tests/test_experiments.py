@@ -272,6 +272,19 @@ class TestCli:
             sd = float(row.split(",")[2])
             assert math.isfinite(sd) and sd >= 0.0
 
+    def test_pod_search_past_double_range_of_the_order_factor_input(
+        self, capsys
+    ):
+        # ell z2^ell overflows a double from ell = 279 with these weights;
+        # the search used to exit 1 or 2 on it
+        rc = cli(["cbc", "--weights", "pod", "--s", "300", "--n-list", "16"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 300
+        for row in rows:
+            sd = float(row.split(",")[2])
+            assert math.isfinite(sd) and sd >= 0.0
+
     def test_criterion_cancellation_exits_2(self, monkeypatch, capsys):
         # a subtracted term twice too large leaves S_d far below zero
         def doubled(*args):

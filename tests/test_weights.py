@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from latkern.weights import (
     Scaled,
     WeightScheme,
     _pod_order_factors,
+    _power,
     _spod_order_factors,
     derive_pod,
     derive_product,
@@ -117,9 +119,7 @@ class TestWeightOf:
     def test_spod_single_coordinate(self):
         g1, g2 = 0.3, 0.07
         G = gamma_arrays(ExtendedReal.from_float(v) for v in (1.0, 2.0, 5.0))
-        sch = WeightScheme(
-            "spod", sigma=2, Gamma=G, gamma_jnu=np.array([[g1, g2]])
-        )
+        sch = WeightScheme("spod", Gamma=G, gamma_jnu=np.array([[g1, g2]]))
         want = 2.0 * g1 + 5.0 * g2
         assert weight_of(sch, (1,)).to_float() == pytest.approx(want)
 
@@ -143,10 +143,8 @@ class TestSpodPodCrossCheck:
         expo = 2.0 / (1.0 + lam)
         gj = np.array([0.8, 0.5, 0.3, 0.2, 0.15, 0.1])
         G = gamma_arrays(xfactorial(ell).powf(expo) for ell in range(7))
-        spod = WeightScheme(
-            "spod", sigma=1, Gamma=G, gamma_jnu=gj[:, None]
-        )
-        pod = WeightScheme("pod", sigma=1, gamma_j=gj, Gamma=G)
+        spod = WeightScheme("spod", Gamma=G, gamma_jnu=gj[:, None])
+        pod = WeightScheme("pod", gamma_j=gj, Gamma=G)
         for u in [(1,), (2, 4), (1, 3, 5), (1, 2, 3, 4, 5, 6)]:
             a = weight_of(spod, u).to_float()
             b = weight_of(pod, u).to_float()
@@ -169,12 +167,31 @@ class TestOrderFactors:
         "alpha,sigma,lam", [(2, 1, 9 / 11), (4, 2, 5 / 17), (6, 3, 0.5),
                             (8, 4, 0.3)]
     )
-    def test_pod_matches_extended_real(self, alpha, sigma, lam):
-        got = _pod_order_factors(alpha, sigma, lam, 250)
-        want = gamma_arrays(pod_order_factors(alpha, sigma, lam, 250))
+    def test_pod_matches_extended_real(self, alpha, sigma, lam, s=250):
+        got = _pod_order_factors(alpha, sigma, lam, s)
+        want = gamma_arrays(pod_order_factors(alpha, sigma, lam, s))
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[1][-1] > 1100
+
+    @pytest.mark.parametrize(
+        "alpha,sigma,lam", [(2, 1, 9 / 11), (4, 2, 5 / 17), (6, 3, 0.5),
+                            (8, 4, 0.3), (6, 3, 0.3 / 1.7)]
+    )
+    def test_pod_matches_extended_real_at_s_300(self, alpha, sigma, lam):
+        # ell z2^ell leaves double range from ell = 279 at lambda = 5/17
+        # (z2 = 12.5) and from ell = 198 at 0.3/1.7 (z2 = 35.2)
+        self.test_pod_matches_extended_real(alpha, sigma, lam, s=300)
+
+    @pytest.mark.parametrize(
+        "x,ell", [(12.4, 300), (35.1, 1023), (1.999, 2500), (35.1, 2047)]
+    )
+    def test_power_matches_exact_rational(self, x, ell):
+        # past 2^1024, and past the mantissa's 1023-factor steps
+        m, e = _power(x, ell)
+        assert 1.0 <= m < 2.0
+        ratio = Fraction(m) * 2**e / Fraction(x) ** ell
+        assert abs(float(ratio) - 1.0) < 1e-15
 
     def test_derived_schemes_carry_them(self):
         inp = _input(1 / 2.2, s=12)
@@ -221,11 +238,14 @@ def _squared_weight_sum_loop(scheme, s, x):
     """Q_s by the factored recursion for s coordinates, each term formed in
     ExtendedReal: the oracle for the one-pass prefixes.
 
-    Product weights multiply the factors in ExtendedReal.  POD and SPOD
-    terms Gamma_ell Gamma_ell' v are each formed in ExtendedReal, then
-    summed as the package sums them, scaled to the top exponent in one
-    numpy sum in (ell, ell') order: power-of-two scaling is exact, so this
-    is the package's sum bit for bit, whatever numpy's summation order.
+    Product weights multiply the factors in ExtendedReal.  POD runs its
+    own one-index recursion on the diagonal, with the coefficient formed
+    as (x gamma_j) gamma_j, as the package's sigma = 1 pair recursion
+    forms it.  POD and SPOD terms Gamma_ell Gamma_ell' v are each formed
+    in ExtendedReal, then summed as the package sums them, scaled to the
+    top exponent in one numpy sum in (ell, ell') order: power-of-two
+    scaling is exact, so this is the package's sum bit for bit, whatever
+    numpy's summation order.
     """
     if scheme.kind == "product":
         acc = ExtendedReal.one()
@@ -236,7 +256,7 @@ def _squared_weight_sum_loop(scheme, s, x):
         q = np.zeros(s + 1)
         q[0] = 1.0
         for j in range(s):
-            gx = scheme.gamma_j[j] ** 2 * x
+            gx = x * scheme.gamma_j[j] * scheme.gamma_j[j]
             for ell in range(j + 1, 0, -1):
                 q[ell] += gx * q[ell - 1]
         pairs = [(ell, ell, q[ell]) for ell in range(s + 1)]
