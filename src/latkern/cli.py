@@ -10,16 +10,14 @@ import numpy as np
 
 from .experiments import (
     StudyConfig,
-    derive_for_family,
-    fit_rate,
     run_dim_truncation,
     run_interp_convergence,
     sobol_points,
+    study_kernel,
 )
 from .kernel import KernelSpec
 from .lattice import cbc_construct, write_genvec
-from .pde import DiffusionModel, decay_sequence
-from .weights import PdeWeightInput, RangeError
+from .weights import RangeError
 
 __all__ = ["cli", "main"]
 
@@ -113,11 +111,7 @@ def _cmd_cbc(cfg: StudyConfig) -> int:
         ns = ",".join(map(str, cfg.n_schedule))
         raise ValueError(f"cbc builds one n, not the n list {ns}")
     (n,) = cfg.n_schedule
-    model = DiffusionModel(cfg.c, cfg.theta, cfg.s)
-    inp = PdeWeightInput(cfg.p, decay_sequence(model, cfg.s), cfg.delta)
-    params = derive_for_family(cfg.weights, inp, cfg.s)
-    spec = KernelSpec(params.alpha, params.scheme)
-    report = cbc_construct(spec, n, cfg.s)
+    report = cbc_construct(study_kernel(cfg), n, cfg.s)
     if cfg.out:
         write_genvec(cfg.out, report.z, n)
     else:
@@ -191,3 +185,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

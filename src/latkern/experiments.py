@@ -13,7 +13,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -45,6 +45,7 @@ __all__ = [
     "run_interp_convergence",
     "run_dim_truncation",
     "derive_for_family",
+    "study_kernel",
 ]
 
 _SOBOL_MAX_DIM = 21201  # scipy's Joe-Kuo direction-number table
@@ -89,7 +90,6 @@ class RateFit:
     slope: float
     intercept: float
     residual: float
-    table: list = field(default_factory=list)
 
 
 def fit_rate(ns, errors) -> RateFit:
@@ -101,12 +101,8 @@ def fit_rate(ns, errors) -> RateFit:
         raise ValueError("rate fit needs positive sizes and errors")
     slope, intercept = np.polyfit(np.log(ns), np.log(errors), 1)
     resid = np.log(errors) - (slope * np.log(ns) + intercept)
-    return RateFit(
-        float(slope),
-        float(intercept),
-        float(np.sqrt(np.mean(resid**2))),
-        table=list(zip(ns.tolist(), errors.tolist())),
-    )
+    rms = float(np.sqrt(np.mean(resid**2)))
+    return RateFit(float(slope), float(intercept), rms)
 
 
 def sobol_points(s: int, L: int, seed_offset: int = 0) -> np.ndarray:
@@ -133,13 +129,21 @@ def derive_for_family(family: str, inp: PdeWeightInput, s: int):
     return derive_product(inp, s)
 
 
+def study_kernel(cfg: StudyConfig) -> KernelSpec:
+    """The kernel of cfg's weight family for its diffusion model."""
+    model = DiffusionModel(cfg.c, cfg.theta, cfg.s)
+    inp = PdeWeightInput(cfg.p, decay_sequence(model, cfg.s), cfg.delta)
+    params = derive_for_family(cfg.weights, inp, cfg.s)
+    return KernelSpec(params.alpha, params.scheme)
+
+
 def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
     if path is None:
         return
     Path(path).write_text(header + "\n" + "".join(rows))
 
 
-def _genvec_prefix(path: str, n: int, s: int) -> Lattice:
+def _genvec_prefix(path: str | Path, n: int, s: int) -> Lattice:
     """The first s components of the generating vector in path."""
     lat = read_genvec(path, n)
     if lat.s < s:
@@ -158,9 +162,7 @@ def run_interp_convergence(cfg: StudyConfig):
     form, `l2_norm`) of the interpolation error.
     """
     model = DiffusionModel(cfg.c, cfg.theta, cfg.s)
-    inp = PdeWeightInput(cfg.p, decay_sequence(model, cfg.s), cfg.delta)
-    params = derive_for_family(cfg.weights, inp, cfg.s)
-    spec = KernelSpec(params.alpha, params.scheme)
+    spec = study_kernel(cfg)
     mesh = FemMesh(cfg.mesh_level)
     sob = sobol_points(cfg.s, cfg.L, cfg.seed)
 
@@ -214,13 +216,7 @@ def _quadrature_lattice(cfg: StudyConfig) -> Lattice:
         return _genvec_prefix(cfg.genvec, cfg.quad_n, cfg.s_ref)
     ref = resources.files("latkern").joinpath("data", "genvec-default.txt")
     with resources.as_file(ref) as path:
-        lat = read_genvec(path)
-    if lat.n != cfg.quad_n or lat.s < cfg.s_ref:
-        raise ValueError(
-            "bundled quadrature vector does not cover the requested "
-            f"(n={cfg.quad_n}, s'={cfg.s_ref}); supply --genvec"
-        )
-    return Lattice(lat.n, lat.z[: cfg.s_ref])
+        return _genvec_prefix(path, cfg.quad_n, cfg.s_ref)
 
 
 def run_dim_truncation(cfg: StudyConfig):

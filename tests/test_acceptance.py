@@ -71,6 +71,37 @@ def test_criterion_1_interpolation_exactness():
     )
 
 
+def test_criterion_1_nodes_through_evaluate():
+    # Companion to criterion 1, whose residual re-applies the spectrum that
+    # build divided by and so reads round-off whatever the spectrum is.
+    # evaluate and shifted_union(0) form the kernel column afresh; a solve
+    # with a wrong spectrum misses the nodes by more than eps * cond(lambda).
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for family, s, n in itertools.product(
+        ("product", "pod", "spod"), (3, 10), (16, 64, 257)
+    ):
+        spec = _family_spec(family, s)
+        lat = _korobov(n, s)
+        vals = rng.standard_normal(n)
+        itp = build(spec, lat, vals)
+        lam = np.abs(itp.spectrum)
+        bound = np.finfo(float).eps * lam.max() / lam.min() * np.max(
+            np.abs(vals)
+        )
+        at_nodes = np.array([evaluate(itp, t) for t in lat.points()])
+        err = max(
+            np.max(np.abs(at_nodes - vals)),
+            np.max(np.abs(itp.shifted_union(np.zeros(s)) - vals)),
+        )
+        assert err <= bound, (family, s, n)
+        worst = max(worst, err / bound)
+    print(
+        f"\n[criterion 1, companion] PASS max node error through evaluate "
+        f"{worst:.2f} of eps * cond(lambda) * max|v|"
+    )
+
+
 # -- criterion 2 -------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +254,18 @@ class TestCli:
         assert rc == 0
         lat = read_genvec(out)
         assert lat.n == 16 and lat.s == 3 and lat.z[0] == 1
+
+    def test_module_run_writes_what_cli_writes(self, tmp_path):
+        # `python -m latkern.cli` runs the CLI from a checkout, uninstalled
+        argv = ["cbc", "--weights", "product", "--s", "4", "--n-list", "64"]
+        assert cli([*argv, "--out", str(tmp_path / "lib.txt")]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "latkern.cli", *argv,
+             "--out", str(tmp_path / "module.txt")],
+            check=True,
+        )
+        got = (tmp_path / "module.txt").read_bytes()
+        assert got == (tmp_path / "lib.txt").read_bytes()
 
     def test_cbc_stdout_csv(self, capsys):
         rc = cli(["cbc", "--weights", "product", "--s", "2", "--n-list", "8"])

@@ -1,5 +1,4 @@
 import copy
-import importlib.util
 import itertools
 import math
 import warnings
@@ -9,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from latkern.cli import cli
 from latkern.experiments import derive_for_family
 from latkern.kernel import BatchKernelState, KernelSpec, eta
 from latkern.lattice import (
@@ -457,20 +457,18 @@ class TestCbc:
             assert other == pytest.approx(mine, rel=1e-12)
             prefix.append(int(zd))
 
-    def test_reproduces_bundled_vector(self):
-        # the weights scripts/make_default_genvec.py builds the vector with
-        path = ROOT / "scripts" / "make_default_genvec.py"
-        mod_spec = importlib.util.spec_from_file_location("make_genvec", path)
-        script = importlib.util.module_from_spec(mod_spec)
-        mod_spec.loader.exec_module(script)
-        rep = cbc_construct(script.default_spec(), script.N, script.S)
-        bundled = read_genvec(
-            ROOT / "src" / "latkern" / "data" / "genvec-default.txt"
+    def test_reproduces_bundled_vector(self, tmp_path):
+        # the command that regenerates the bundled vector
+        out = tmp_path / "genvec.txt"
+        rc = cli(
+            ["cbc", "--weights", "product", "--c", "0.4", "--theta", "2.4",
+             "--s", "512", "--n-list", "8192", "--out", str(out)]
         )
-        assert bundled.n == script.N
-        assert rep.z.tolist() == bundled.z.tolist()
+        assert rc == 0
+        bundled = ROOT / "src" / "latkern" / "data" / "genvec-default.txt"
+        assert out.read_bytes() == bundled.read_bytes()
         # the components the benchmark's surrogate workload reads
-        assert rep.z[:16].tolist() == [
+        assert read_genvec(bundled).z[:16].tolist() == [
             1, 2431, 3739, 985, 3175, 3827, 1473, 2823,
             1045, 2673, 435, 189, 2105, 3703, 2289, 1761,
         ]

@@ -2,8 +2,8 @@
 
 A name in a module's ``__all__`` is reached when the code outside its own
 definition refers to it: a Name, an Attribute or an import in ``src/``
-(leaving out ``latkern/__init__.py``, which only re-exports), ``scripts/``
-or ``perfbench/``, a string naming a function that ``perfbench/`` traces,
+(leaving out ``latkern/__init__.py``, which only re-exports) or
+``perfbench/``, a string naming a function that ``perfbench/`` traces,
 or the console-script entry point in ``pyproject.toml``.  The reference
 implementations in ``tests/reference.py`` exist to check production code,
 so each of its public functions and classes needs a caller in another test
@@ -80,7 +80,6 @@ def reached():
     """name -> {(path, owner names)} for every reference outside tests."""
     found: dict[str, set] = {}
     sources = [(p, False) for p in MODULES]
-    sources += [(p, False) for p in sorted((ROOT / "scripts").glob("*.py"))]
     sources += [(p, True) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     for path, strings in sources:
         for name, owner in _references(path, strings):
