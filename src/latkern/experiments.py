@@ -105,6 +105,11 @@ def fit_rate(ns, errors) -> RateFit:
     return RateFit(float(slope), float(intercept), rms)
 
 
+def _fit_so_far(ns, errs) -> RateFit | None:
+    """The rate fit, once there are 3 points and every error is positive."""
+    return fit_rate(ns, errs) if len(ns) >= 3 and min(errs) > 0 else None
+
+
 def sobol_points(s: int, L: int, seed_offset: int = 0) -> np.ndarray:
     """First L Sobol' points after skipping the all-zeros point."""
     if s > _SOBOL_MAX_DIM:
@@ -196,19 +201,15 @@ def run_interp_convergence(cfg: StudyConfig):
         err = l2_error_estimate(build(spec, lat, data), solves, sob, sq_norm)
         ns.append(n)
         errs.append(err)
-        slope = (
-            fit_rate(ns, errs).slope
-            if len(ns) >= 3 and min(errs) > 0
-            else float("nan")
-        )
+        fit = _fit_so_far(ns, errs)
+        slope = float("nan") if fit is None else fit.slope
         secs = time.perf_counter() - t0
         # timing goes to stderr, not the CSV: identical config + seed must
         # yield byte-identical output
         print(f"n={n}: {secs:.1f}s", file=sys.stderr)
         rows.append(f"{n},{err!r},{slope!r}\n")
         _write_rows(cfg.out, header, rows)  # flush partial results
-    fit = fit_rate(ns, errs) if len(ns) >= 3 and min(errs) > 0 else None
-    return rows, fit
+    return rows, _fit_so_far(ns, errs)
 
 
 def _quadrature_lattice(cfg: StudyConfig) -> Lattice:
@@ -253,5 +254,4 @@ def run_dim_truncation(cfg: StudyConfig):
         rows.append(f"{s},{err!r}\n")
         _write_rows(cfg.out, header, rows)
         s *= 2
-    fit = fit_rate(svals, errs) if len(svals) >= 3 and min(errs) > 0 else None
-    return rows, fit
+    return rows, _fit_so_far(svals, errs)

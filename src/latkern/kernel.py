@@ -10,18 +10,18 @@ one column (sigma = 1), so both run one order-row recursion: coordinate j
 adds gamma_{j,nu} eta times row ell - nu to row ell, for nu = 1..sigma.
 Product weights keep one row and multiply it by 1 + gamma_j eta.
 
-It makes one array pass per block: ``kernel_values_batch``
-evaluates eta once on the whole (s, m) block of differences, and for POD
-and SPOD one contraction scales every live order row to each sample's top
-exponent and sums the rows in row order.  Power-of-two scaling is exact,
-so the sums round as adding the rows one at a time does.
+It makes one array pass per block: ``kernel_values_batch`` evaluates eta
+once on the whole (s, m) block of differences, and for POD and SPOD one
+contraction sums the live order rows, aligned exactly per sample, in row
+order, so it rounds as adding them one at a time does.  It returns
+normalized pairs for every family; ``weights`` aligns and collapses them.
 
 For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
 the current contraction and B the contraction of the order-shifted rows.
-``BatchKernelState.affine_split`` returns the pair, so the CBC search
-ranks the candidates c <= n/2 of a dimension by sum_k 2 A_k B_k eta +
-B_k^2 eta^2, all of them by one FFT over the unit group mod n, at
+``BatchKernelState.affine_split`` returns A and B on one scale, so the CBC
+search ranks the candidates c <= n/2 of a dimension by sum_k 2 A_k B_k eta
++ B_k^2 eta^2, all of them by one FFT over the unit group mod n, at
 O(d(n) phi(n) log n) cost per dimension, whatever the family.
 """
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import bernoulli_poly
-from .weights import RangeError, WeightScheme
+from .special import MAX_BERNOULLI_DEGREE, bernoulli_poly
+from .weights import WeightScheme, _aligned, _to_floats
 
 __all__ = [
     "KernelSpec",
@@ -41,13 +41,10 @@ __all__ = [
     "frac",
     "kernel_values_batch",
     "BatchKernelState",
-    "scaled_to_float",
 ]
 
 # Renormalize batch rows once magnitudes leave [2^-200, 2^200].
 _RENORM_BITS = 200
-# Exponent of a zero term: below every live one, and safe to subtract from.
-_NO_EXPONENT = -(2**62)
 
 
 @dataclass(frozen=True)
@@ -60,8 +57,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.alpha < 2 or self.alpha % 2 != 0:
             raise ValueError("alpha must be an even integer >= 2")
-        if self.alpha > 16:
-            raise ValueError("alpha above 16 exceeds the Bernoulli table")
+        if self.alpha > MAX_BERNOULLI_DEGREE:
+            raise ValueError(
+                f"alpha above {MAX_BERNOULLI_DEGREE}: past the Bernoulli table"
+            )
 
 
 def frac(x):
@@ -86,18 +85,6 @@ def eta(alpha: int, delta):
 
 # ---------------------------------------------------------------------------
 # vectorized batch path with per-sample binary exponents
-
-
-def scaled_to_float(S, F):
-    """Collapse value arrays S * 2^F to float64, raising on overflow."""
-    with np.errstate(over="ignore"):
-        out = np.ldexp(S, np.clip(F, -2100, 2100).astype(np.int64))
-    bad = ~np.isfinite(out) | ((S != 0.0) & (F > 1024))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        mag = math.log2(abs(S[i])) + F[i] if S[i] != 0.0 else float(F[i])
-        raise RangeError(mag)
-    return out
 
 
 class BatchKernelState:
@@ -154,39 +141,30 @@ class BatchKernelState:
         return out
 
     def _contract(self, P):
-        """Sum_ell Gamma_ell P[ell] * 2^E as scaled pairs (S, F).
-
-        Every term is scaled (exactly, by a power of two) to each sample's
-        top exponent over its live terms, and the rows are summed in row
-        order, all in one array step.  For POD and SPOD the sum is then
-        normalized, S in [0.5, 1) and F its own exponent: the top factor
-        Gamma_ell can exceed the sum by far more than double range, so
-        squaring an unnormalized S could underflow.
+        """Sum_ell Gamma_ell P[ell] * 2^E as normalized pairs (S, F): S in
+        [0.5, 1), or 0, and F its own exponent, since Gamma_ell can exceed
+        the sum far past double range, and E can pass 1024 for a value
+        that fits a double.  POD and SPOD terms are aligned per sample
+        (``weights._aligned``) and summed in row order in one array step.
         """
         if self.spec.scheme.kind == "product":
-            return P[0].copy(), self.E.copy()
+            S, ex = np.frexp(P[0])
+            return S, self.E + ex
         rows = np.flatnonzero(P.any(axis=1))
         if not len(rows):
             return np.zeros(P.shape[1]), np.zeros(P.shape[1], dtype=np.int64)
         T = P[rows]
         T *= self._gm[rows, None]
-        sh = self.E + self._ge[rows, None]
-        sh[T == 0.0] = _NO_EXPONENT
-        F = sh.max(axis=0)
-        sh -= F
-        # any double times 2^-2200 is 0, so the clip alters no term
-        np.clip(sh, -2200, 0, out=sh)
-        np.ldexp(T, sh, out=T)
+        T, F = _aligned(T, self.E + self._ge[rows, None])
         # accumulate adds in row order (sum may pair terms up); + 0.0 turns
         # a sum of -0.0 terms into the +0.0 of an empty sum
         S, ex = np.frexp(np.add.accumulate(T, out=T)[-1] + 0.0)
         F += ex
-        F[S == 0.0] = 0
         return S, F
 
     def affine_split(self):
-        """Scaled pairs (A, B): A + eta * B are the kernel values if eta
-        were the next coordinate's factor values.
+        """(a, b, top): A + eta * B are the kernel values if eta were the
+        next coordinate's factor values, with A = a 2^top and B = b 2^top.
 
         A is the current contraction, B the contraction of the coefficient
         of eta in the next rows: gamma_j P for product weights, the order
@@ -199,7 +177,10 @@ class BatchKernelState:
             shift = sch.gamma_j[self.dims_done] * self.P
         else:
             shift = self._add_shift(np.zeros_like(self.P), 1.0)
-        return self._contract(self.P), self._contract(shift)
+        (sa, fa), (sb, fb) = self._contract(self.P), self._contract(shift)
+        ab, top = _aligned(np.concatenate([sa, sb]), np.concatenate([fa, fb]))
+        a, b = np.split(ab, 2)
+        return a, b, int(top)
 
     def commit(self, eta_vec: np.ndarray) -> None:
         if self.dims_done >= self.s:
@@ -215,7 +196,7 @@ class BatchKernelState:
         self._renorm()
 
     def values(self):
-        """Current kernel values as scaled (S, F) pairs."""
+        """Current kernel values as normalized (S, F) pairs."""
         return self._contract(self.P)
 
 
@@ -236,4 +217,4 @@ def _committed(spec: KernelSpec, dy) -> BatchKernelState:
 
 def kernel_values_batch(spec: KernelSpec, dy: np.ndarray) -> np.ndarray:
     """K evaluated at a batch of difference vectors dy of shape (m, s)."""
-    return scaled_to_float(*_committed(spec, dy).values())
+    return _to_floats(*_committed(spec, dy).values())

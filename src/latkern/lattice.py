@@ -8,7 +8,9 @@ whose subtracted term is computed in factored form per weight family; the
 equality with the aliasing double sum over the dual lattice is exercised
 against a brute-force oracle in the tests.  Both terms can lie far outside
 double range for POD and SPOD weights, so each is a ``Scaled`` pair
-(mantissa, exponent), and S_s is their difference rounded once.
+(mantissa, exponent), and S_s is their difference rounded once.  The
+pair arithmetic is ``weights``'s; only the difference's tolerance,
+warning and digits lost are decided here.
 
 The CBC search ranks the candidates of a dimension by the part of the
 mean-square kernel that depends on the candidate, D(c), not by the full
@@ -32,6 +34,7 @@ from .kernel import BatchKernelState, KernelSpec, _committed, eta
 from .special import zeta
 from .weights import (
     Scaled,
+    _difference,
     _scaled_total,
     squared_weight_prefixes,
     squared_weight_sum,
@@ -108,13 +111,9 @@ class CbcReport:
         return buf.getvalue()
 
 
-def _scaled_sumsq(S: np.ndarray, F: np.ndarray) -> Scaled:
-    """sum_k (S_k 2^{F_k})^2 as a pair, shift-stable."""
-    return _scaled_total(S * S, 2 * F)
-
-
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> Scaled:
-    t, top = _scaled_sumsq(*_committed(spec, lat.points()).values())
+    S, F = _committed(spec, lat.points()).values()
+    t, top = _scaled_total(S * S, 2 * F)
     return Scaled(t / lat.n, top)
 
 
@@ -123,17 +122,12 @@ def _criterion_from_parts(
 ) -> tuple[float, float]:
     """(minuend - subtrahend clamped at 0, decimal digits it cancels).
 
-    Both positive pairs are normalized, aligned to the larger exponent and
-    subtracted once, so the difference is the exact one rounded.  The
-    digits lost are log10(minuend / value): inf when nothing is left.
+    The difference of the positive pairs is the exact one rounded
+    (``weights._difference``).  The digits lost are log10(minuend /
+    value): inf when nothing is left.
     """
-    ma, xa = math.frexp(minuend.mantissa)
-    mb, xb = math.frexp(subtrahend.mantissa)
-    ea, eb = minuend.exponent + xa, subtrahend.exponent + xb
-    top = max(ea, eb)
-    value = Scaled(math.ldexp(ma, ea - top) - math.ldexp(mb, eb - top), top)
     ref = minuend.to_float()
-    val = value.to_float()
+    val = _difference(minuend, subtrahend).to_float()
     if val < -1e-10 * ref:
         raise ArithmeticError(
             f"criterion cancellation beyond tolerance: {val} vs minuend {ref}"
@@ -160,11 +154,6 @@ def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
 # spread of their exact values (test_tie_margin_above_fft_noise asserts
 # _TIE / 100), so rounding neither makes nor breaks a tie.
 _TIE = 1e-13
-
-
-def _folded(S: np.ndarray, F: np.ndarray, top: int) -> np.ndarray:
-    """Values S * 2^F as floats in units of 2^top (top >= every live F)."""
-    return np.ldexp(S, np.clip(F - top, -1100, 0))
 
 
 def _eta_table(alpha: int, n: int) -> np.ndarray:
@@ -341,10 +330,7 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     bound_trace: list[float] = []
     lost_trace: list[float] = []
     for sub in subs:
-        (sa, fa), (sb, fb) = state.affine_split()
-        live = np.concatenate([fa[sa != 0.0], fb[sb != 0.0]])
-        top = int(np.max(live)) if len(live) else 0
-        a, b = _folded(sa, fa, top), _folded(sb, fb, top)
+        a, b, top = state.affine_split()
         c = 1
         if z:
             c = int(scorer.cands[_first_within(scorer(2.0 * a * b, b * b))])

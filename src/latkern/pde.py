@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class DiffusionModel:
     c: float
     theta: float
     s: int
-    a0: float = 1.0
+    a0: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.c < 0 or self.theta <= 1.0 or self.s < 0:

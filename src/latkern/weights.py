@@ -4,7 +4,8 @@ Weight families are kept in factored (sequence) form throughout.  Order
 factors Gamma_ell carry factorial growth, so they are stored as scaled
 pairs: an array of mantissas in [1, 2) next to an array of unbounded
 integer exponents.  Scalars out of double range, such as the subtracted
-term of the CBC criterion, are ``Scaled`` pairs.
+term of the CBC criterion, are ``Scaled`` pairs.  Only this module aligns
+(``_aligned``), sums, subtracts and collapses scaled pairs.
 """
 
 from __future__ import annotations
@@ -60,6 +61,43 @@ class Scaled(NamedTuple):
         if not -1074 < e <= 1024:
             raise RangeError(self.exponent + math.log2(abs(self.mantissa)))
         return math.ldexp(self.mantissa, self.exponent)
+
+
+_NO_TERM = np.iinfo(np.int64).min  # top of an all-zero column, until set 0
+
+
+def _aligned(T: np.ndarray, F: np.ndarray):
+    """Terms T * 2^F on one scale per column: (T * 2^(F - top), top).
+
+    Axis 0 runs over the terms.  top is each column's largest F over its
+    nonzero terms, and 0 for an all-zero column.  T is scaled in place,
+    exactly, by powers of two, and returned; F is left as it is.  Shifts
+    stop at -2200: any double times 2^-2200 is 0, so no term changes.
+    """
+    top = np.where(T != 0.0, F, _NO_TERM).max(axis=0, initial=_NO_TERM)
+    top = np.where(top == _NO_TERM, 0, top)
+    # int32 shifts take numpy's vectorized ldexp loop, int64 ones do not
+    sh = np.clip(F - top, -2200, 0).astype(np.int32)
+    return np.ldexp(T, sh, out=T), top
+
+
+def _difference(a: Scaled, b: Scaled) -> Scaled:
+    """a - b: both pairs normalized, aligned to the larger exponent and
+    subtracted once, so the result is the exact difference rounded."""
+    (ma, xa), (mb, xb) = math.frexp(a.mantissa), math.frexp(b.mantissa)
+    ea, eb = a.exponent + xa, b.exponent + xb
+    top = max(ea, eb)
+    return Scaled(math.ldexp(ma, ea - top) - math.ldexp(mb, eb - top), top)
+
+
+def _to_floats(S: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Normalized pair arrays S * 2^F as floats; RangeError when one
+    overflows, that is when its exponent F exceeds 1024."""
+    over = (F > 1024) & (S != 0.0)
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise RangeError(math.log2(abs(S[i])) + F[i])
+    return np.ldexp(S, F)
 
 
 @dataclass(frozen=True)
@@ -315,20 +353,13 @@ def derive_product(inp: PdeWeightInput, s: int) -> DerivedParams:
 
 
 def _scaled_total(T: np.ndarray, F: np.ndarray) -> Scaled:
-    """sum T * 2^F of nonnegative terms as a pair, shift-stable.
-
-    Every live term is scaled (exactly, by a power of two) to the top
-    exponent and the terms are summed in one array step.  The mantissa is
-    in [0.5, 1), or the pair is (0.0, 0).
-    """
+    """sum T * 2^F of nonnegative terms as a pair, shift-stable: the
+    nonzero terms aligned (``_aligned``) and summed in one array step.
+    The mantissa is in [0.5, 1), or the pair is (0.0, 0)."""
     live = T != 0.0
-    if not np.any(live):
-        return Scaled(0.0, 0)
-    F = F[live]
-    top = int(np.max(F))
-    t = float(np.sum(np.ldexp(T[live], np.clip(F - top, -2200, 0))))
-    m, e = math.frexp(t)
-    return Scaled(m, top + e)
+    t, top = _aligned(T[live], F[live])
+    m, e = math.frexp(float(np.sum(t)))
+    return Scaled(m, int(top) + e)
 
 
 def squared_weight_prefixes(

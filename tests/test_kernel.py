@@ -8,16 +8,17 @@ import pytest
 from latkern.kernel import (
     BatchKernelState,
     KernelSpec,
+    _committed,
     eta,
     frac,
     kernel_values_batch,
-    scaled_to_float,
 )
 from latkern.special import zeta
 from latkern.weights import (
     PdeWeightInput,
     RangeError,
     WeightScheme,
+    _to_floats,
     derive_pod,
     derive_product,
     derive_spod,
@@ -227,6 +228,31 @@ class TestBatchPath:
         with pytest.raises(RangeError):
             kernel_values_batch(spec, np.zeros((3, s)))
 
+    def test_product_value_with_exponent_past_1024_fits(self):
+        # 18 factors 1 + 1e20 eta(0), about 2^68 each, and 34 factors
+        # 1 + 0.6 eta(1/2), about 2^-6.3 each: the running exponent passes
+        # 1024 while the row itself is renormalized small, and the value,
+        # 1.69e305, fits a double
+        g = np.array([1e20] * 18 + [0.6] * 34)
+        spec = KernelSpec(2, WeightScheme("product", gamma_j=g))
+        dy = np.array([[0.0] * 18 + [0.5] * 34])
+        got = kernel_values_batch(spec, dy)[0]
+        exact = math.prod(
+            1 + Fraction(gj) * Fraction(e) for gj, e in zip(g, eta(2, dy[0]))
+        )
+        assert got == pytest.approx(1.6910e305, rel=1e-4)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_values_are_normalized_pairs(self, family):
+        d = _derived(family)
+        spec = KernelSpec(d.alpha, d.scheme)
+        dy = np.random.default_rng(3).random((32, 6))
+        S, F = _committed(spec, dy).values()
+        assert np.all((0.5 <= np.abs(S)) & (np.abs(S) < 1.0))
+        np.testing.assert_array_equal(
+            np.ldexp(S, F), kernel_values_batch(spec, dy)
+        )
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_affine_split_matches_commit(self, family):
@@ -238,10 +264,10 @@ class TestBatchPath:
         state = BatchKernelState(spec, 16, 6)
         for j in range(6):
             ev = eta(spec.alpha, dy[:, j])
-            (sa, fa), (sb, fb) = state.affine_split()
-            got = scaled_to_float(sa, fa) + ev * scaled_to_float(sb, fb)
+            a, b, top = state.affine_split()
+            got = np.ldexp(a + ev * b, top)
             state.commit(ev)
-            want = scaled_to_float(*state.values())
+            want = _to_floats(*state.values())
             np.testing.assert_allclose(got, want, rtol=1e-13)
         with pytest.raises(ValueError, match="committed"):
             state.affine_split()

@@ -16,10 +16,8 @@ from latkern.lattice import (
     Lattice,
     _eta_table,
     _first_within,
-    _folded,
     _prime_powers,
     _primitive_root,
-    _scaled_sumsq,
     _unit_torus,
     _UnitScorer,
     _criterion_from_parts,
@@ -60,10 +58,16 @@ def _study_spec(family, s, c=0.2, theta=2.4, p=1.0 / 2.2):
     return KernelSpec(params.alpha, params.scheme)
 
 
+def _fold(pair, top):
+    """Kernel values given as pair arrays (S, F), in units of 2^top."""
+    S, F = pair
+    return np.ldexp(S, F - top)
+
+
 def _cbc_oracle(spec, n, z):
     """What the CBC tie rule may pick after each prefix of z, judged from
     each candidate's own committed kernel values; and each prefix's
-    mean-square kernel, from `_scaled_sumsq`.
+    mean-square kernel, from its kernel values as floats.
 
     z_1 must be 1.  After the prefix z[:d-1], every unit c is committed on a
     copy of the kernel state, with eta tabulated at k/n as given, and
@@ -90,11 +94,11 @@ def _cbc_oracle(spec, n, z):
                 trial.commit(etable[(k * c) % n])
                 trials.append(trial.values())
             top = max(int(np.max(F)) for _, F in [A, *trials])
-            a = _folded(*A, top)
+            a = _fold(A, top)
             D, R = np.array([
                 (np.sum((K - a) * (K + a)),
                  2.0**-51 * np.sum((np.abs(K) + np.abs(a)) ** 2))
-                for K in (_folded(*KF, top) for KF in trials)
+                for K in (_fold(KF, top) for KF in trials)
             ]).T
             edge = D.min() + 1e-13 * (D.max() - D.min())
             # no unit after the first one surely inside can be the pick
@@ -103,7 +107,8 @@ def _cbc_oracle(spec, n, z):
             near = D[:last] <= edge + 2.0 * R[:last]
             allowed.append(cands[:last][near].tolist())
         state.commit(etable[(k * int(zd)) % n])
-        mean_sq.append(_scaled_sumsq(*state.values()).to_float() / n)
+        K = _fold(state.values(), 0)
+        mean_sq.append(float(np.sum(K * K)) / n)
     return allowed, mean_sq
 
 
@@ -118,15 +123,14 @@ def _direct_D(u, v, etable, cands):
 
 
 def _affine_inputs(spec, n, z):
-    """(u, v) = (2AB, B^2), folded, for the dimension after the prefix z."""
+    """(u, v) = (2AB, B^2), on the affine split's scale, for the dimension
+    after the prefix z."""
     state = BatchKernelState(spec, n, len(z) + 1)
     k = np.arange(n, dtype=np.int64)
     etable = _eta_table(spec.alpha, n)
     for c in z:
         state.commit(etable[k * c % n])
-    (sa, fa), (sb, fb) = state.affine_split()
-    top = int(max(np.max(fa[sa != 0.0]), np.max(fb[sb != 0.0])))
-    a, b = _folded(sa, fa, top), _folded(sb, fb, top)
+    a, b, _ = state.affine_split()
     return 2.0 * a * b, b * b
 
 

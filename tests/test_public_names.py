@@ -8,7 +8,9 @@ or the console-script entry point in ``pyproject.toml``.  The reference
 implementations in ``tests/reference.py`` exist to check production code,
 so each of its public functions and classes needs a caller in another test
 file.  No module raises AssertionError, which a caller cannot tell from a
-failed test: numerical failures raise ArithmeticError.
+failed test: numerical failures raise ArithmeticError.  Scaled-pair
+arithmetic has one home, ``weights.py``, the only module that clips
+exponent shifts.
 """
 
 import ast
@@ -139,4 +141,19 @@ def test_no_module_raises_assertion_error():
                     node.exc
                 assert getattr(exc, "id", None) != "AssertionError", (
                     f"{path.name}:{node.lineno} raises AssertionError"
+                )
+
+
+def test_only_weights_clips_exponents():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "clip"
+                and getattr(node.func.value, "id", None) == "np"
+            ):
+                assert path.name == "weights.py", (
+                    f"{path.name}:{node.lineno} calls np.clip; scaled-pair "
+                    "arithmetic belongs in weights.py"
                 )

@@ -10,6 +10,7 @@ from latkern.weights import (
     PdeWeightInput,
     Scaled,
     WeightScheme,
+    _aligned,
     _pod_order_factors,
     _power,
     _spod_order_factors,
@@ -326,3 +327,35 @@ class TestSquaredWeightSum:
         assert squared_weight_sum(d.scheme, s, x) == got[-1]
         for q, got_q in enumerate(got, start=1):
             assert got_q == _squared_weight_sum_loop(d.scheme, q, x)
+
+
+class TestAligned:
+    def test_all_zero_column_has_top_0(self):
+        T = np.array([[0.0, 1.5], [0.0, -0.75], [-0.0, 0.0]])
+        F = np.array([[5, 3], [900, 4], [-7, 2000]])
+        t, top = _aligned(T.copy(), F)
+        assert top.tolist() == [0, 4]
+        np.testing.assert_array_equal(
+            t, [[0.0, 0.75], [0.0, -0.75], [0.0, 0.0]]
+        )
+        t, top = _aligned(np.zeros(0), np.zeros(0, dtype=np.int64))
+        assert t.shape == (0,) and top == 0
+
+    def test_every_term_is_its_exact_value_rounded(self):
+        # exponents spread over 6000 bits and mantissas up to 2^+-1000: each
+        # aligned term is T 2^(F - top) rounded once, so the terms whose
+        # shift lies below the floor of -2200 come out 0, as their exact
+        # values round, and large terms shifted by more than 1100 survive
+        rng = np.random.default_rng(4)
+        T = rng.uniform(0.5, 1.0, (40, 3))
+        T *= np.ldexp(1.0, rng.integers(-1000, 1001, T.shape))
+        T[rng.random(T.shape) < 0.2] = 0.0
+        F = rng.integers(-3000, 3001, T.shape)
+        t, top = _aligned(T.copy(), F)
+        for i, j in np.ndindex(T.shape):
+            assert top[j] == max(F[k, j] for k in range(40) if T[k, j])
+            exact = Fraction(T[i, j]) * Fraction(2) ** int(F[i, j] - top[j])
+            assert t[i, j] == float(exact)
+        sh = F - top
+        assert np.any(sh < -2200) and not np.any(t[sh < -2200])
+        assert np.any(t[(sh < -1100) & (sh >= -2200)])
