@@ -108,10 +108,15 @@ class FemMesh:
         self._inv_laplace = 1.0 / (lam[:, None] + lam[None, :])
 
     def psi_at_centroids(self, model: DiffusionModel) -> np.ndarray:
-        """(T, s) table of psi_j sampled at element centroids, cached."""
-        key = (model.c, model.theta, model.s)
+        """(T, s) table of psi_j sampled at element centroids, cached.
+
+        One table per (c, theta), the widest asked for; a model with fewer
+        terms gets its first s columns, a view.  Each column is computed
+        on its own, so a prefix has the bits of a table built narrow.
+        """
+        key = (model.c, model.theta)
         tab = self._psi_cache.get(key)
-        if tab is None:
+        if tab is None or tab.shape[1] < model.s:
             j = np.arange(1, model.s + 1, dtype=float)
             tab = (
                 model.c
@@ -120,7 +125,7 @@ class FemMesh:
                 * np.sin(j * math.pi * self.centroids[:, 1:2])
             )
             self._psi_cache[key] = tab
-        return tab
+        return tab[:, : model.s]
 
 
 @dataclass
@@ -163,11 +168,23 @@ def _edge_weights(mesh: FemMesh, a_T: np.ndarray):
 
 
 def _stencil(w, u: np.ndarray) -> np.ndarray:
-    """K u for interior node values u (B, N-1, N-1), K from edge weights w."""
-    U = np.pad(u, ((0, 0), (1, 1), (1, 1)))  # zero Dirichlet values
-    fx = w[0] * np.diff(U[:, :, 1:-1], axis=1)
-    fy = w[1] * np.diff(U[:, 1:-1], axis=2)
-    return fx[:, :-1] - fx[:, 1:] + fy[:, :, :-1] - fy[:, :, 1:]
+    """K u for interior node values u (B, N-1, N-1), K from edge weights w.
+
+    Each direction's edge differences go straight into one flux array, no
+    padded copy: the boundary edges take u and 0.0 - u, what differences
+    against zero Dirichlet values give, signed zeros included.
+    """
+    fx, fy = np.empty(w[0].shape), np.empty(w[1].shape)
+    for f, v in ((fx, u), (fy.swapaxes(1, 2), u.swapaxes(1, 2))):
+        np.subtract(v[:, 1:], v[:, :-1], out=f[:, 1:-1])
+        f[:, 0] = v[:, 0]
+        np.subtract(0.0, v[:, -1], out=f[:, -1])
+    fx *= w[0]
+    fy *= w[1]
+    Ku = fx[:, :-1] - fx[:, 1:]
+    Ku += fy[:, :, :-1]
+    Ku -= fy[:, :, 1:]
+    return Ku
 
 
 def fem_solve(
@@ -181,7 +198,9 @@ def fem_solve(
     Chebyshev iteration on L^-1 K, L the unit 5-point Laplacian (Saad, Alg.
     12.1): edge weights in [a_min, a_max] put its spectrum there, which fixes
     the steps for an energy-norm error bound 1/T_k(mid/half) <= 1e-12.  No
-    inner products: a point's iterates use only its own data.
+    inner products: a point's iterates use only its own data.  The first
+    step L^-1 b / mid is formed once per call; the later steps update the
+    residual, direction and solution in place.
     """
     psi = mesh.psi_at_centroids(model)
     S, inv_l = mesh._sine, mesh._inv_laplace  # L is diagonal in the sine basis
@@ -191,19 +210,23 @@ def fem_solve(
     steps = math.ceil(math.acosh(1e12) / math.acosh(mid / half)) if half else 1
     Y = _parameters(model, np.atleast_2d(y))
     b = _load_vector(mesh, source).reshape(1, mesh.N - 1, mesh.N - 1)
+    d0 = S @ ((S @ b @ S) * inv_l) @ S / mid  # the first step, L^-1 b / mid
     u = np.empty((len(Y),) + b.shape[1:])
     block = max(1, _SOLVE_BLOCK // mesh.nodes.shape[0])
     for i in range(0, len(Y), block):
         sines = np.sin(2.0 * math.pi * Y[i : i + block])
         w = _edge_weights(mesh, model.a0 + sines @ psi.T / _SQRT6)
-        r, rho, d = b, half / mid, S @ ((S @ b @ S) * inv_l) @ S / mid
-        u[i : i + block] = d
+        ub = u[i : i + block]
+        ub[...] = d0
+        r, rho, d = np.repeat(b, len(ub), axis=0), half / mid, ub.copy()
         for _ in range(steps - 1):
-            r = r - _stencil(w, d)
+            r -= _stencil(w, d)
             rho_next = 1.0 / (2.0 * mid / half - rho)
             z = S @ ((S @ r @ S) * inv_l) @ S  # L^-1 r
-            d = rho_next * rho * d + 2.0 * rho_next / half * z
-            u[i : i + block] += d
+            d *= rho_next * rho
+            z *= 2.0 * rho_next / half
+            d += z
+            ub += d
             rho = rho_next
     u = u.reshape(len(Y), mesh.n_unknowns)
     if bad := np.count_nonzero(~np.isfinite(u).all(axis=1)):

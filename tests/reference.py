@@ -8,8 +8,8 @@ operation at a time in ``ExtendedReal``: the factored kernel recursion,
 subset enumeration, the norm factor r(h), single weights gamma_u and the
 paper's worst-case bound.  Alongside them are the order factors in their
 defining formulas, trigonometric polynomials and their H norm, the
-coefficient a(x, y) at arbitrary points, the truncated solve and the
-pigeonhole fooling vector.
+coefficient a(x, y) at arbitrary points, the 5-point operator on a
+zero-padded copy, the truncated solve and the pigeonhole fooling vector.
 """
 
 from __future__ import annotations
@@ -456,6 +456,16 @@ def diffusion_at(model: DiffusionModel, x, y) -> float | np.ndarray:
     if np.any(a < model.a_min - eps) or np.any(a > model.a_max + eps):
         raise AssertionError("coefficient left [a_min, a_max]")
     return a
+
+
+def padded_stencil(w, u: np.ndarray) -> np.ndarray:
+    """K u from edge differences of a copy of u (B, N-1, N-1) padded with the
+    zero Dirichlet values, times the edge weights w; u may be (1, N-1, N-1)
+    against B weight blocks.  ``pde._stencil`` must match it bit for bit."""
+    U = np.pad(u, ((0, 0), (1, 1), (1, 1)))
+    fx = w[0] * np.diff(U[:, :, 1:-1], axis=1)
+    fy = w[1] * np.diff(U[:, 1:-1], axis=2)
+    return fx[:, :-1] - fx[:, 1:] + fy[:, :, :-1] - fy[:, :, 1:]
 
 
 def truncated_solve(

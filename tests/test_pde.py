@@ -20,7 +20,7 @@ from latkern.pde import (
     l2_norm,
 )
 from latkern.special import zeta
-from reference import diffusion_at, truncated_solve
+from reference import diffusion_at, padded_stencil, truncated_solve
 
 
 def _model(c=0.2, theta=2.4, s=4):
@@ -192,6 +192,46 @@ class TestMesh:
         assert abs(M - M.T).max() == 0.0
 
 
+class TestPsiTable:
+    def test_narrower_model_gets_a_prefix_view(self):
+        mesh = FemMesh(3)
+        wide = mesh.psi_at_centroids(_model(s=16))
+        narrow = mesh.psi_at_centroids(_model(s=5))
+        assert np.shares_memory(narrow, wide)
+        fresh = FemMesh(3).psi_at_centroids(_model(s=5))
+        assert narrow.shape == fresh.shape == (mesh.triangles.shape[0], 5)
+        assert np.array_equal(narrow, fresh)
+
+    def test_wider_model_rebuilds(self):
+        mesh = FemMesh(3)
+        narrow = mesh.psi_at_centroids(_model(s=5))
+        wide = mesh.psi_at_centroids(_model(s=16))
+        assert wide.shape == (mesh.triangles.shape[0], 16)
+        assert not np.shares_memory(narrow, wide)
+        assert np.array_equal(wide[:, :5], narrow)
+        assert np.shares_memory(mesh.psi_at_centroids(_model(s=5)), wide)
+
+    def test_other_c_or_theta_gets_its_own_table(self):
+        mesh = FemMesh(3)
+        base = mesh.psi_at_centroids(_model(c=0.2, theta=2.4, s=8))
+        for m in (_model(c=0.4, theta=2.4, s=4), _model(c=0.2, theta=3.0, s=4)):
+            tab = mesh.psi_at_centroids(m)
+            assert not np.shares_memory(tab, base)
+            assert np.array_equal(tab, FemMesh(3).psi_at_centroids(m))
+        again = mesh.psi_at_centroids(_model(c=0.2, theta=2.4, s=8))
+        assert np.shares_memory(again, base)
+
+    def test_solve_with_a_prefix_view_keeps_the_bits(self):
+        # the view is strided, so BLAS sees another leading dimension
+        m = _model(c=0.4, s=5)
+        Y = np.random.default_rng(43).random((7, 5))
+        shared = FemMesh(4)
+        shared.psi_at_centroids(_model(c=0.4, s=64))
+        for y in (Y, Y[0]):
+            want = fem_solve(FemMesh(4), m, y).interior_values
+            assert np.array_equal(fem_solve(shared, m, y).interior_values, want)
+
+
 class TestStiffness:
     def test_five_point_stencil_for_unit_coefficient(self):
         # a == 1: the P1 stiffness matrix on this mesh is the standard
@@ -233,6 +273,24 @@ class TestStiffness:
             want = _assemble_stiffness(mesh, a_T[k]) @ u[k]
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[k].ravel() - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_stencil_bits_match_padded_oracle(self, level):
+        # level 1 has one unknown, so the interior differences are empty
+        mesh = FemMesh(level)
+        n = mesh.N - 1
+        rng = np.random.default_rng(40 + level)
+        a_T = 1.0 + 0.3 * rng.random((4, mesh.triangles.shape[0]))
+        w = _edge_weights(mesh, a_T)
+        zero = np.zeros((4, n, n))
+        for u in (rng.standard_normal((4, n, n)), zero, -zero):
+            got, want = _stencil(w, u), padded_stencil(w, u)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the first Chebyshev step: one iterate for all B weight blocks
+        u = rng.standard_normal((1, n, n))
+        got = _stencil(w, np.repeat(u, 4, axis=0))
+        assert np.array_equal(got, padded_stencil(w, u))
 
 
     @pytest.mark.parametrize("level", [2, 3, 4])
@@ -302,12 +360,17 @@ class TestSolve:
         e = got - want
         assert math.sqrt(e @ A @ e) <= 1e-12 * math.sqrt(want @ A @ want)
 
-    def test_constant_coefficient(self):
+    def test_constant_coefficient(self, monkeypatch):
         # c = 0: a_min = a_max, and one preconditioned step is exact
         mesh = FemMesh(4)
         m = DiffusionModel(0.0, 2.4, 4)
         y = np.array([0.3, 0.8, 0.1, 0.6])
         want, _ = _dense_solve(mesh, m, y)
+
+        def no_operator(w, u):
+            pytest.fail("c = 0 applied the operator")
+
+        monkeypatch.setattr(latkern.pde, "_stencil", no_operator)
         got = fem_solve(mesh, m, y).interior_values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -319,6 +382,21 @@ class TestSolve:
         assert batch.shape == (300, mesh.n_unknowns)
         single = np.array([fem_solve(mesh, m, y).interior_values for y in Y])
         assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(np.abs(single))
+
+    def test_two_blocks_match_separate_calls(self):
+        mesh = FemMesh(3)
+        m = _model(c=0.4, s=6)
+        block = latkern.pde._SOLVE_BLOCK // mesh.nodes.shape[0]
+        Y = np.random.default_rng(24).random((2 * block, 6))
+        both = fem_solve(mesh, m, Y).interior_values
+        first = fem_solve(mesh, m, Y[:block]).interior_values
+        second = fem_solve(mesh, m, Y[block:]).interior_values
+        assert np.array_equal(both, np.concatenate([first, second]))
+
+    def test_empty_batch(self):
+        mesh = FemMesh(3)
+        sol = fem_solve(mesh, _model(), np.empty((0, 4)))
+        assert sol.interior_values.shape == (0, mesh.n_unknowns)
 
     @pytest.mark.parametrize("shape", [(3,), (2,), (5, 3)])
     def test_short_parameter_vector_rejected(self, shape):
