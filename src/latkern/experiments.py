@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _SOBOL_MAX_DIM = 21201  # scipy's Joe-Kuo direction-number table
+_SOBOL_MAX_POINTS = 2**30  # points in scipy's unscrambled 30-bit sequence
 # Truncated solves per block of points: only the reference is held in full.
 _POINT_BLOCK = 512
 
@@ -117,6 +118,11 @@ def sobol_points(s: int, L: int, seed_offset: int = 0) -> np.ndarray:
             f"Sobol' points have at most {_SOBOL_MAX_DIM} dimensions,"
             f" got s = {s}"
         )
+    if 1 + seed_offset + L > _SOBOL_MAX_POINTS:
+        raise ValueError(
+            f"seed = {seed_offset} and L = {L} reach past the"
+            f" {_SOBOL_MAX_POINTS - 1} Sobol' points after the origin"
+        )
     from scipy.stats import qmc  # only Sobol' shifts need scipy.stats
 
     eng = qmc.Sobol(d=s, scramble=False)
@@ -131,7 +137,9 @@ def derive_for_family(family: str, inp: PdeWeightInput, s: int):
         return derive_spod(inp, s)
     if family == "pod":
         return derive_pod(inp, s)
-    return derive_product(inp, s)
+    if family == "product":
+        return derive_product(inp, s)
+    raise ValueError(f"unknown weight family {family!r}")
 
 
 def study_kernel(cfg: StudyConfig) -> KernelSpec:

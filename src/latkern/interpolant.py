@@ -55,25 +55,23 @@ def _check_spectrum(spectrum: np.ndarray) -> None:
         )
 
 
-def _kernel_column(spec: KernelSpec, lat: Lattice, y=None) -> np.ndarray:
-    """[K(t_j, y)]_j for j = 0..n-1 (y = 0 gives the circulant column)."""
-    pts = lat.points()
-    if y is not None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (lat.s,):
-            raise ValueError(
-                f"y has {y.size} components, the lattice has s = {lat.s}"
-            )
-        pts = pts - y
-    return kernel_values_batch(spec, pts)
+def _kernel_column(spec: KernelSpec, lat: Lattice, y) -> np.ndarray:
+    """[K(t_j, y)]_j for j = 0..n-1, with y wrapped into [0, 1)^s."""
+    y = frac(np.asarray(y, dtype=float))
+    if y.shape != (lat.s,):
+        raise ValueError(
+            f"y has {y.size} components, the lattice has s = {lat.s}"
+        )
+    return kernel_values_batch(spec, lat.points() - y)
 
 
 def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
     """The Gram matrix's eigenvalues, rfft of its symmetric first column.
 
-    Raises SingularSpectrumError when min/max |lambda| is below 1e-13.
+    The column is K(t_j, 0).  Raises SingularSpectrumError when
+    min/max |lambda| is below 1e-13.
     """
-    spectrum = np.fft.rfft(_kernel_column(spec, lat)).real
+    spectrum = np.fft.rfft(kernel_values_batch(spec, lat.points())).real
     _check_spectrum(spectrum)
     return spectrum
 
@@ -96,7 +94,7 @@ class Interpolant:
 
     def shifted_union(self, y) -> np.ndarray:
         """f_n(y + t_k) for k = 0..n-1 on the last axis, by one FFT product."""
-        col = _kernel_column(self.spec, self.lat, frac(np.asarray(y, float)))
+        col = _kernel_column(self.spec, self.lat, y)
         # f_n(y + t_k) = sum_j c_j a_{j-k}(y): a correlation, hence the conj
         chat = np.conj(np.fft.rfft(col))
         return np.fft.irfft(self.coeff_fft * chat, n=self.lat.n)
@@ -122,9 +120,7 @@ InterpolantBatch = Interpolant
 
 def evaluate(itp: Interpolant, y):
     """f_n(y): a float, or one value per function of a batch."""
-    return itp.coeffs @ _kernel_column(
-        itp.spec, itp.lat, frac(np.asarray(y, dtype=float))
-    )
+    return itp.coeffs @ _kernel_column(itp.spec, itp.lat, y)
 
 
 def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:

@@ -373,7 +373,12 @@ def read_genvec(path: str | Path, n: int | None = None) -> Lattice:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("n="):
-                header_n = int(body[2:])
+                try:
+                    header_n = int(body[2:])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: non-integer n in {raw!r}"
+                    ) from exc
                 if n is not None and n != header_n:
                     raise ValueError(
                         f"{path}: header says n={header_n}, but n={n} "

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latkern.cli import _cmd_cbc, _parser, cli
+from latkern.cli import _COMMANDS, _TYPES, _cmd_cbc, _parser, cli
 from latkern.experiments import (
     StudyConfig,
     derive_for_family,
@@ -64,6 +65,13 @@ class TestSobol:
         ):
             sobol_points(21202, 4)
 
+    def test_seed_past_the_sequence_named(self):
+        # 1 + seed + L points of the 2**30 in the sequence: the origin,
+        # the skipped seed points and the L shifts
+        assert sobol_points(2, 2, 2**30 - 3).shape == (2, 2)
+        with pytest.raises(ValueError, match=r"seed = 1073741822 and L = 2 "):
+            sobol_points(2, 2, 2**30 - 2)
+
 
 class TestFitRate:
     def test_exact_power_law(self):
@@ -109,6 +117,12 @@ class TestStudyConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             StudyConfig("interp-convergence", seed=-1)
+
+
+def test_unknown_family_named():
+    inp = PdeWeightInput(0.5, np.array([0.5, 0.25]), 0.1)
+    with pytest.raises(ValueError, match="'bogus'"):
+        derive_for_family("bogus", inp, 2)
 
 
 class TestSharedSpectrumPath:
@@ -316,10 +330,6 @@ class TestCli:
         )
         assert "Traceback" not in err
 
-    def test_selftest_passes(self, capsys):
-        assert cli(["selftest"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
-
     def test_bad_schedule_exits_1(self, capsys):
         rc = cli(
             ["interp-study", "--weights", "product", "--n-list", "16,8"]
@@ -348,10 +358,13 @@ class TestCli:
 
     @staticmethod
     def _no_solves(monkeypatch):
+        """Fail any FEM solve, and the search of `latkern cbc`."""
+
         def fail(*args, **kwargs):
-            raise AssertionError("fem_solve ran before the input checks")
+            raise AssertionError("the work ran before the input checks")
 
         monkeypatch.setattr("latkern.experiments.fem_solve", fail)
+        monkeypatch.setattr("latkern.cli.cbc_construct", fail)
 
     @pytest.mark.parametrize(
         "command,sizes",
@@ -433,7 +446,7 @@ class TestCli:
         self, argv, missing, tmp_path, monkeypatch, capsys
     ):
         # a missing --genvec or an --out in no directory is an input error
-        # and fails before the first solve
+        # and fails before the first solve or CBC search
         self._no_solves(monkeypatch)
         rc = cli([a.format(dir=tmp_path) for a in argv])
         assert rc == 1
@@ -447,6 +460,31 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("seed", [2**32, 2**30])
+    def test_seed_past_the_sobol_sequence_exits_1(
+        self, seed, monkeypatch, capsys
+    ):
+        # 2**32 used to exit 2 on numpy's OverflowError, 2**30 exit 1 on
+        # scipy's advice to increase `bits`
+        self._no_solves(monkeypatch)
+        rc = cli(["interp-study", "--seed", str(seed), "--L", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed = {seed} and L = 3 ")
+
+    def test_cbc_failed_search_keeps_the_out_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise ArithmeticError("search failed")
+
+        monkeypatch.setattr("latkern.cli.cbc_construct", fail)
+        out = tmp_path / "z.txt"
+        out.write_text("# n=8\n1 1\n")
+        rc = cli(["cbc", "--s", "2", "--n-list", "8", "--out", str(out)])
+        assert rc == 2
+        assert out.read_text() == "# n=8\n1 1\n"
 
     def test_cbc_several_n_exits_1(self, capsys):
         rc = cli(["cbc", "--weights", "product", "--s", "2",
@@ -462,7 +500,7 @@ class TestCli:
             (["dimtrunc-study", "--s", "64"], None, "--s"),
             (["dimtrunc-study", "--n-list", "2048"], None, "--n-list"),
             (["cbc", "--L", "5"], None, "--L"),
-            (["selftest", "--weights", "pod"], None, "--weights"),
+            (["dimtrunc-study", "--weights", "pod"], None, "--weights"),
             (["interp-study", "--threads", "4"], None, "--threads"),
             (["interp-study"], "threads = 4\n", "'threads'"),
             (["cbc"], "L = 5\n", "'L'"),
@@ -526,7 +564,7 @@ class _ReadRecorder(StudyConfig):
 
 
 class TestEveryOptionIsRead:
-    COMMANDS = ["cbc", "interp-study", "dimtrunc-study", "selftest"]
+    COMMANDS = ["cbc", "interp-study", "dimtrunc-study"]
 
     @staticmethod
     def _subparsers():
@@ -551,7 +589,7 @@ class TestEveryOptionIsRead:
                 n_schedule=(4, 8), mesh_level=2, L=1, out=out,
             )
             run_interp_convergence(cfg)
-        elif command == "dimtrunc-study":
+        else:
             # the CLI pins quad_n = 8192; call the study at a small one
             n, s_ref = 16, 8
             genvec = tmp_path / "z.txt"
@@ -561,8 +599,6 @@ class TestEveryOptionIsRead:
                 genvec=str(genvec), out=out,
             )
             run_dim_truncation(cfg)
-        else:
-            return set()  # selftest builds no StudyConfig
         return cfg.reads
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -574,3 +610,38 @@ class TestEveryOptionIsRead:
         }
         unread = accepted - self._fields_read(command, tmp_path)
         assert not unread, f"{command} accepts options it never reads"
+
+
+class TestReadmeOptionTable:
+    """README's option table under "Command-line interface" is the CLI's."""
+
+    @staticmethod
+    def _table():
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("\n## Command-line interface\n")[1]
+        section = section.split("\n## ", 1)[0]
+        block = re.search(r"^\|.*(?:\n\|.*)*", section, re.MULTILINE)
+        header, _, *body = (
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in block.group().splitlines()
+        )
+        return header, body
+
+    def test_command_columns_are_the_commands(self):
+        header, _ = self._table()
+        assert [h.strip("`") for h in header[2:]] == list(_COMMANDS)
+
+    def test_cells_mark_the_options_each_command_accepts(self):
+        header, body = self._table()
+        commands = [h.strip("`") for h in header[2:]]
+        listed = []
+        for option, _, *cells in body:
+            for name in re.findall(r"`--([\w-]+)`", option):
+                key = name.replace("-", "_")
+                listed.append(key)
+                marked = {cmd for cmd, cell in zip(commands, cells) if cell}
+                accepting = {
+                    cmd for cmd in commands if key in _COMMANDS[cmd][1]
+                }
+                assert marked == accepting, f"--{name}"
+        assert sorted(listed) == sorted(_TYPES)

@@ -672,3 +672,9 @@ class TestGenvecIO:
         path.write_text("# n=8\n1 x\n")
         with pytest.raises(ValueError, match="non-integer"):
             read_genvec(path)
+
+    def test_non_integer_header_reports_lineno(self, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_text("\n# n=abc\n1 1\n")
+        with pytest.raises(ValueError, match=r"z\.txt:2: non-integer n"):
+            read_genvec(path)
