@@ -140,7 +140,7 @@ def cli(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ArithmeticError, RuntimeError) as exc:
+    except ArithmeticError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,6 +39,7 @@ from .weights import (
 __all__ = [
     "StudyConfig",
     "RateFit",
+    "random_shifts",
     "sobol_points",
     "fit_rate",
     "run_interp_convergence",
@@ -48,8 +48,6 @@ __all__ = [
     "study_kernel",
 ]
 
-_SOBOL_MAX_DIM = 21201  # scipy's Joe-Kuo direction-number table
-_SOBOL_MAX_POINTS = 2**30  # points in scipy's unscrambled 30-bit sequence
 # Truncated solves per block of points: only the reference is held in full.
 _POINT_BLOCK = 512
 
@@ -111,25 +109,13 @@ def _fit_so_far(ns, errs) -> RateFit | None:
     return fit_rate(ns, errs) if len(ns) >= 3 and min(errs) > 0 else None
 
 
-def sobol_points(s: int, L: int, seed_offset: int = 0) -> np.ndarray:
-    """First L Sobol' points after skipping the all-zeros point."""
-    if s > _SOBOL_MAX_DIM:
-        raise ValueError(
-            f"Sobol' points have at most {_SOBOL_MAX_DIM} dimensions,"
-            f" got s = {s}"
-        )
-    if 1 + seed_offset + L > _SOBOL_MAX_POINTS:
-        raise ValueError(
-            f"seed = {seed_offset} and L = {L} reach past the"
-            f" {_SOBOL_MAX_POINTS - 1} Sobol' points after the origin"
-        )
-    from scipy.stats import qmc  # only Sobol' shifts need scipy.stats
+def random_shifts(s: int, L: int, seed: int) -> np.ndarray:
+    """L i.i.d. uniform shifts in [0, 1)^s, the same for the same seed."""
+    return np.random.default_rng(seed).random((L, s))
 
-    eng = qmc.Sobol(d=s, scramble=False)
-    eng.fast_forward(1 + seed_offset)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return eng.random(L)
+
+# The benchmark imports this name, so it stays as an alias.
+sobol_points = random_shifts
 
 
 def derive_for_family(family: str, inp: PdeWeightInput, s: int):
@@ -170,14 +156,14 @@ def _genvec_prefix(path: str | Path, n: int, s: int) -> Lattice:
 def run_interp_convergence(cfg: StudyConfig):
     """(n, error, slope_so_far) rows plus a final RateFit.
 
-    The error is `l2_error_estimate` over the L Sobol' shifts of the
+    The error is `l2_error_estimate` over L i.i.d. uniform shifts of the
     lattice: the RMS over the shifted points of the L2(D) norm (mass-matrix
     form, `l2_norm`) of the interpolation error.
     """
     model = DiffusionModel(cfg.c, cfg.theta, cfg.s)
     spec = study_kernel(cfg)
     mesh = FemMesh(cfg.mesh_level)
-    sob = sobol_points(cfg.s, cfg.L, cfg.seed)
+    shifts = random_shifts(cfg.s, cfg.L, cfg.seed)
 
     def solves(points):
         """(unknowns, len(points)) FEM solutions, one column per point."""
@@ -206,7 +192,7 @@ def run_interp_convergence(cfg: StudyConfig):
         # the spectrum needs no solve, so a singular one fails before any
         circulant_spectrum(spec, lat)
         data = solves(lat.points())
-        err = l2_error_estimate(build(spec, lat, data), solves, sob, sq_norm)
+        err = l2_error_estimate(build(spec, lat, data), solves, shifts, sq_norm)
         ns.append(n)
         errs.append(err)
         fit = _fit_so_far(ns, errs)

@@ -230,7 +230,7 @@ def fem_solve(
             rho = rho_next
     u = u.reshape(len(Y), mesh.n_unknowns)
     if bad := np.count_nonzero(~np.isfinite(u).all(axis=1)):
-        raise RuntimeError(
+        raise FloatingPointError(
             f"mesh level {mesh.m}: {bad} of {len(Y)} solutions not finite"
         )
     return FemSolution(mesh, u[0] if np.ndim(y) == 1 else u)

@@ -394,6 +394,30 @@ def test_criterion_6_error_falls_to_the_last_n(interp_study):
     )
 
 
+def test_criterion_6_single_shift_is_not_a_lattice_symmetry():
+    # Companion to criterion 6: with L = 1 the error comes from one shift.
+    # A shift of (1/2, ..., 1/2) maps an even-n lattice with odd z_j onto
+    # itself, where the interpolant is exact, so the errors fell to
+    # round-off (2.3e-18 ... 3.2e-18) and the slope was +0.115.
+    cfg = StudyConfig(
+        kind="interp-convergence",
+        weights="spod",
+        s=10,
+        n_schedule=(16, 32, 64, 128, 256),
+        mesh_level=3,
+        L=1,
+        seed=0,
+    )
+    rows, fit = run_interp_convergence(cfg)
+    errs = [float(r.split(",")[1]) for r in rows]
+    assert min(errs) > 1e-12
+    assert fit.slope < 0.0
+    print(
+        f"\n[criterion 6, one shift] PASS errors {max(errs):.3e} ... "
+        f"{min(errs):.3e} (> 1e-12), slope {fit.slope:.3f} (< 0)"
+    )
+
+
 def test_criterion_9_thread_count_determinism(interp_study, tmp_path):
     # The same configuration and seed give a byte-identical CSV: criterion
     # 6's configuration again, through a config file and the CLI, against

@@ -14,9 +14,9 @@ from latkern.experiments import (
     StudyConfig,
     derive_for_family,
     fit_rate,
+    random_shifts,
     run_dim_truncation,
     run_interp_convergence,
-    sobol_points,
 )
 from latkern.interpolant import build
 from latkern.kernel import KernelSpec
@@ -40,37 +40,29 @@ from reference import kernel_eval, truncated_solve
 
 class TestSobol:
     def test_frozen_first_points(self):
-        # unscrambled Sobol' sequence after skipping the origin
-        pts = sobol_points(2, 3)
-        np.testing.assert_allclose(pts[0], [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(pts[1], [0.75, 0.25], atol=1e-15)
-        np.testing.assert_allclose(pts[2], [0.25, 0.75], atol=1e-15)
+        # numpy's generator, seeded once: a longer draw extends a shorter
+        shifts = random_shifts(3, 8, 5)
+        want = np.random.default_rng(5).random((8, 3))
+        np.testing.assert_array_equal(shifts, want)
+        assert np.all(shifts >= 0.0) and np.all(shifts < 1.0)
+        np.testing.assert_array_equal(random_shifts(3, 20, 5)[:8], shifts)
 
     def test_range_and_shape(self):
-        pts = sobol_points(10, 64)
+        pts = random_shifts(10, 64, 0)
         assert pts.shape == (64, 10)
         assert np.all(pts >= 0.0) and np.all(pts < 1.0)
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(sobol_points(5, 16), sobol_points(5, 16))
+        np.testing.assert_array_equal(
+            random_shifts(5, 16, 3), random_shifts(5, 16, 3)
+        )
 
-    def test_seed_offset_shifts_sequence(self):
-        a = sobol_points(2, 4, seed_offset=0)
-        b = sobol_points(2, 3, seed_offset=1)
-        np.testing.assert_array_equal(a[1:], b)
+    def test_seeds_give_different_shifts(self):
+        a, b = random_shifts(2, 4, 0), random_shifts(2, 4, 1)
+        assert not np.any(a == b)
 
-    def test_too_many_dimensions_named(self):
-        with pytest.raises(
-            ValueError, match=r"at most 21201 dimensions, got s = 21202$"
-        ):
-            sobol_points(21202, 4)
-
-    def test_seed_past_the_sequence_named(self):
-        # 1 + seed + L points of the 2**30 in the sequence: the origin,
-        # the skipped seed points and the L shifts
-        assert sobol_points(2, 2, 2**30 - 3).shape == (2, 2)
-        with pytest.raises(ValueError, match=r"seed = 1073741822 and L = 2 "):
-            sobol_points(2, 2, 2**30 - 2)
+    def test_any_dimension(self):
+        assert random_shifts(21202, 4, 0).shape == (4, 21202)
 
 
 class TestFitRate:
@@ -194,7 +186,7 @@ class TestRunInterpConvergence:
         params = derive_for_family(cfg.weights, inp, cfg.s)
         spec = KernelSpec(params.alpha, params.scheme)
         mesh = FemMesh(cfg.mesh_level)
-        shifts = sobol_points(cfg.s, cfg.L, cfg.seed)
+        shifts = random_shifts(cfg.s, cfg.L, cfg.seed)
 
         def u(y):
             return fem_solve(mesh, model, y).interior_values
@@ -461,17 +453,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
 
-    @pytest.mark.parametrize("seed", [2**32, 2**30])
-    def test_seed_past_the_sobol_sequence_exits_1(
-        self, seed, monkeypatch, capsys
-    ):
-        # 2**32 used to exit 2 on numpy's OverflowError, 2**30 exit 1 on
-        # scipy's advice to increase `bits`
-        self._no_solves(monkeypatch)
-        rc = cli(["interp-study", "--seed", str(seed), "--L", "3"])
-        assert rc == 1
+    def test_large_seed_runs(self, capsys):
+        # default_rng takes any seed >= 0; past 2**32 numpy's
+        # OverflowError once exited 2
+        rc = cli(
+            ["interp-study", "--weights", "product", "--s", "2",
+             "--n-list", "8,16,32", "--mesh-level", "1", "--L", "1",
+             "--seed", str(2**32)]
+        )
+        assert rc == 0
+        assert "# fitted slope" in capsys.readouterr().out
+
+    def test_floating_point_error_exits_2(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise FloatingPointError("2 of 5 solutions not finite")
+
+        monkeypatch.setattr("latkern.cli.run_interp_convergence", fail)
+        assert cli(["interp-study"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: seed = {seed} and L = 3 ")
+        assert err == "numerical failure: 2 of 5 solutions not finite\n"
+
+    def test_runtime_error_is_not_a_numerical_failure(
+        self, monkeypatch, capsys
+    ):
+        # a RuntimeError (RecursionError, NotImplementedError, ...) is a
+        # defect in the program: it propagates with its traceback
+        def fail(cfg):
+            raise RuntimeError("no such path")
+
+        monkeypatch.setattr("latkern.cli.run_interp_convergence", fail)
+        with pytest.raises(RuntimeError, match="no such path"):
+            cli(["interp-study"])
+        assert "numerical failure" not in capsys.readouterr().err
 
     def test_cbc_failed_search_keeps_the_out_file(
         self, tmp_path, monkeypatch, capsys

@@ -406,7 +406,9 @@ class TestSolve:
     def test_non_finite_solution_raises(self):
         mesh = FemMesh(3)
         Y = np.random.default_rng(29).random((5, 4))
-        with pytest.raises(RuntimeError, match="mesh level 3: 5 of 5 solutions"):
+        with pytest.raises(
+            FloatingPointError, match="mesh level 3: 5 of 5 solutions"
+        ):
             fem_solve(mesh, _model(), Y, source=lambda x: np.full(len(x), np.nan))
 
     def test_a_priori_bound(self):
@@ -502,32 +504,25 @@ def test_import_leaves_out_scipy_sparse():
     assert out.stdout.strip() == "False"
 
 
-def test_cbc_cli_leaves_out_scipy_stats():
-    # scipy.stats (which pulls in scipy.sparse) is loaded by the first
-    # Sobol' draw only; a CBC run never makes one.
+def test_cli_leaves_out_scipy():
+    # the runtime needs numpy alone: neither a CBC search nor a study
+    # loads any scipy module
     code = """
-import json, sys, warnings
-import numpy as np
+import json, sys
 import latkern.cli
-cold = [m for m in ("scipy.stats", "scipy.sparse") if m in sys.modules]
-rc = latkern.cli.cli(["cbc", "--weights", "pod", "--s", "4", "--n-list", "32"])
-after_cbc = "scipy.stats" in sys.modules
-from latkern.experiments import sobol_points
-from scipy.stats import qmc
-eng = qmc.Sobol(d=5, scramble=False)
-eng.fast_forward(4)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", UserWarning)
-    want = eng.random(16)
-same = bool(np.array_equal(sobol_points(5, 16, 3), want))
-print(json.dumps([cold, rc, after_cbc, same]))
+rc = [
+    latkern.cli.cli(["cbc", "--weights", "pod", "--s", "4", "--n-list", "32"]),
+    latkern.cli.cli(["interp-study", "--weights", "product", "--s", "2",
+                     "--n-list", "8,16,32", "--mesh-level", "1", "--L", "2"]),
+]
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy"))]))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True,
     )
     last = out.stdout.strip().splitlines()[-1]
-    assert json.loads(last) == [[], 0, False, True]
+    assert json.loads(last) == [[0, 0], []]
 
 
 class TestH1Seminorm:

@@ -10,10 +10,12 @@ so each of its public functions and classes needs a caller in another test
 file.  No module raises AssertionError, which a caller cannot tell from a
 failed test: numerical failures raise ArithmeticError.  Scaled-pair
 arithmetic has one home, ``weights.py``, the only module that clips
-exponent shifts.
+exponent shifts.  The runtime needs numpy alone.
 """
 
 import ast
+import re
+import sys
 import tomllib
 from pathlib import Path
 
@@ -157,3 +159,21 @@ def test_only_weights_clips_exponents():
                     f"{path.name}:{node.lineno} calls np.clip; scaled-pair "
                     "arithmetic belongs in weights.py"
                 )
+
+
+def test_runtime_needs_numpy_alone():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top == "numpy" or top in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {top}; the runtime "
+                    "needs numpy alone"
+                )
+    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
