@@ -64,6 +64,14 @@ class TestSobol:
     def test_any_dimension(self):
         assert random_shifts(21202, 4, 0).shape == (4, 21202)
 
+    def test_large_seed(self):
+        # no bound on seed + L: any seed >= 0 gives L shifts
+        shifts = random_shifts(2, 2, 2**30 - 2)
+        np.testing.assert_array_equal(
+            shifts, np.random.default_rng(2**30 - 2).random((2, 2))
+        )
+        assert random_shifts(2, 2, 2**64).shape == (2, 2)
+
 
 class TestFitRate:
     def test_exact_power_law(self):
@@ -453,13 +461,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
 
-    def test_large_seed_runs(self, capsys):
+    @pytest.mark.parametrize("seed", [2**32, 2**30])
+    def test_large_seed_runs(self, seed, capsys):
         # default_rng takes any seed >= 0; past 2**32 numpy's
         # OverflowError once exited 2
         rc = cli(
             ["interp-study", "--weights", "product", "--s", "2",
              "--n-list", "8,16,32", "--mesh-level", "1", "--L", "1",
-             "--seed", str(2**32)]
+             "--seed", str(seed)]
         )
         assert rc == 0
         assert "# fitted slope" in capsys.readouterr().out
