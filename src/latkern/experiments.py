@@ -65,7 +65,7 @@ class StudyConfig:
     mesh_level: int = 5
     L: int = 100
     s_ref: int = 512
-    quad_n: int = 8192
+    quad_n: int | None = None  # None: the genvec file's '# n=' header
     seed: int = 0
     genvec: str | None = None
     out: str | None = None
@@ -207,6 +207,7 @@ def run_interp_convergence(cfg: StudyConfig):
 
 
 def _quadrature_lattice(cfg: StudyConfig) -> Lattice:
+    """The first s_ref components of cfg.genvec or the bundled vector."""
     if cfg.genvec is not None:
         return _genvec_prefix(cfg.genvec, cfg.quad_n, cfg.s_ref)
     ref = resources.files("latkern").joinpath("data", "genvec-default.txt")

@@ -8,7 +8,9 @@ order factors of POD and SPOD weights stay finite; the lattice search and
 the interpolant both use this one route.  POD weights are SPOD weights with
 one column (sigma = 1), so both run one order-row recursion: coordinate j
 adds gamma_{j,nu} eta times row ell - nu to row ell, for nu = 1..sigma.
-Product weights keep one row and multiply it by 1 + gamma_j eta.
+The state starts as one row of ones and each coordinate grows it by the
+sigma orders it can newly reach.  Product weights keep one row and
+multiply it by 1 + gamma_j eta.
 
 It makes one array pass per block: ``kernel_values_batch`` evaluates eta
 once on the whole (s, m) block of differences, and for POD and SPOD one
@@ -90,29 +92,27 @@ def eta(alpha: int, delta):
 class BatchKernelState:
     """Coordinate-by-coordinate kernel accumulation over a batch of points.
 
-    Holds order-resolved rows P[ell] (floats) and a shared per-sample binary
-    exponent E, so POD/SPOD factorial order factors never touch float range
-    until the final contraction.  ``affine_split`` gives the kernel values
-    as an affine function of a trial next coordinate without committing;
+    Built from a weight scheme and a batch size m.  Holds order-resolved
+    rows P[ell] (floats) and a shared per-sample binary exponent E, so
+    POD/SPOD factorial order factors never touch float range until the
+    final contraction.  After d coordinates POD/SPOD hold d sigma + 1 rows
+    and product weights one.  ``affine_split`` gives the kernel values as
+    an affine function of a trial next coordinate without committing;
     ``commit`` advances the state.
     """
 
-    def __init__(self, spec: KernelSpec, m: int, s: int):
-        sch = spec.scheme
-        if s > sch.dimension:
-            raise ValueError(
-                f"point dimension {s} exceeds the weight sequence "
-                f"({sch.dimension} coordinates)"
-            )
-        self.spec = spec
-        self.s = s
+    def __init__(self, scheme: WeightScheme, m: int):
+        self.scheme = scheme
         self.dims_done = 0
-        span = sch.order_span(s)
-        self.P = np.zeros((span + 1, m))
-        self.P[0] = 1.0
+        self.P = np.ones((1, m))
         self.E = np.zeros(m, dtype=np.int64)
-        if sch.kind != "product":
-            self._gm, self._ge = (a[: span + 1] for a in sch.Gamma)
+
+    def _gammas(self) -> np.ndarray:
+        """The next coordinate's row of gamma_jnu (gamma_j in column 0)."""
+        j = self.dims_done
+        if j >= self.scheme.dimension:
+            raise ValueError(f"coordinate {j + 1} is past the weight sequence")
+        return self.scheme.gamma_jnu[j]
 
     def _renorm(self):
         mx = np.max(np.abs(self.P), axis=0)
@@ -125,19 +125,21 @@ class BatchKernelState:
         self.P = np.ldexp(self.P, -sh)
         self.E += sh
 
-    def _add_shift(self, out: np.ndarray, w) -> np.ndarray:
-        """out += w times the order shift that coordinate dims_done adds.
-
-        POD and SPOD only.  w is the coordinate's factor values (commit)
-        or 1.0 (the coefficient of eta in ``affine_split``).
+    def _add_shift(self, w, base=None) -> np.ndarray:
+        """base (P, or zeros if None) grown by sigma rows, plus w times the
+        order shift that the next coordinate adds, for nu = 1..sigma in turn:
+        w is its factor values (commit) or 1.0 (the coefficient of eta, for
+        ``affine_split``).  POD and SPOD only.
         """
-        sch = self.spec.scheme
-        j = self.dims_done  # 0-based index of the coordinate being added
-        top = (j + 1) * sch.sigma  # highest order reachable after it
-        for nu in range(1, sch.sigma + 1):
-            out[nu : top + 1] += (
-                sch.gamma_jnu[j, nu - 1] * w * self.P[0 : top + 1 - nu]
-            )
+        g, P = self._gammas(), self.P
+        rows = len(P) + len(g)
+        # rows come in power-of-two blocks, so a growing state reuses freed
+        # memory rather than faulting in fresh pages at each new size
+        out = np.zeros((1 << (rows - 1).bit_length(), P.shape[1]))[:rows]
+        if base is not None:
+            out[: len(base)] = base
+        for nu in range(1, len(g) + 1):
+            out[nu : nu + len(P)] += g[nu - 1] * w * P
         return out
 
     def _contract(self, P):
@@ -147,15 +149,16 @@ class BatchKernelState:
         that fits a double.  POD and SPOD terms are aligned per sample
         (``weights._aligned``) and summed in row order in one array step.
         """
-        if self.spec.scheme.kind == "product":
+        if self.scheme.kind == "product":
             S, ex = np.frexp(P[0])
             return S, self.E + ex
         rows = np.flatnonzero(P.any(axis=1))
         if not len(rows):
             return np.zeros(P.shape[1]), np.zeros(P.shape[1], dtype=np.int64)
+        gm, ge = self.scheme.Gamma
         T = P[rows]
-        T *= self._gm[rows, None]
-        T, F = _aligned(T, self.E + self._ge[rows, None])
+        T *= gm[rows, None]
+        T, F = _aligned(T, self.E + ge[rows, None])
         # accumulate adds in row order (sum may pair terms up); + 0.0 turns
         # a sum of -0.0 terms into the +0.0 of an empty sum
         S, ex = np.frexp(np.add.accumulate(T, out=T)[-1] + 0.0)
@@ -170,28 +173,22 @@ class BatchKernelState:
         of eta in the next rows: gamma_j P for product weights, the order
         shift of P for POD and SPOD.
         """
-        if self.dims_done >= self.s:
-            raise ValueError("all coordinates already committed")
-        sch = self.spec.scheme
-        if sch.kind == "product":
-            shift = sch.gamma_j[self.dims_done] * self.P
+        if self.scheme.kind == "product":
+            shift = self._gammas()[0] * self.P
         else:
-            shift = self._add_shift(np.zeros_like(self.P), 1.0)
+            shift = self._add_shift(1.0)
         (sa, fa), (sb, fb) = self._contract(self.P), self._contract(shift)
         ab, top = _aligned(np.concatenate([sa, sb]), np.concatenate([fa, fb]))
         a, b = np.split(ab, 2)
         return a, b, int(top)
 
     def commit(self, eta_vec: np.ndarray) -> None:
-        if self.dims_done >= self.s:
-            raise ValueError("all coordinates already committed")
-        sch = self.spec.scheme
-        if sch.kind == "product":
-            factor = sch.gamma_j[self.dims_done] * eta_vec
+        if self.scheme.kind == "product":
+            factor = self._gammas()[0] * eta_vec
             factor += 1.0
             self.P *= factor
         else:
-            self.P = self._add_shift(self.P.copy(), eta_vec)
+            self.P = self._add_shift(eta_vec, self.P)
         self.dims_done += 1
         self._renorm()
 
@@ -208,8 +205,7 @@ def _committed(spec: KernelSpec, dy) -> BatchKernelState:
     dy = np.asarray(dy, dtype=float)
     if dy.ndim != 2:
         raise ValueError("dy must be a 2-D array of difference vectors")
-    m, s = dy.shape
-    state = BatchKernelState(spec, m, s)
+    state = BatchKernelState(spec.scheme, len(dy))
     for row in eta(spec.alpha, dy.T):
         state.commit(row)
     return state

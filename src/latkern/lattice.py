@@ -323,7 +323,7 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     etable = _eta_table(spec.alpha, n)
     scorer = _UnitScorer(n, etable) if s > 1 else None
     karr = np.arange(n, dtype=np.int64)
-    state = BatchKernelState(spec, n, s)
+    state = BatchKernelState(spec.scheme, n)
     subs = squared_weight_prefixes(spec.scheme, s, 2.0 * zeta(2 * spec.alpha))
     z: list[int] = []
     crit_trace: list[float] = []

@@ -114,7 +114,7 @@ class WeightScheme:
     table gamma_jnu too, so POD weights run the SPOD recursions.  sigma is
     the table's column count.  gamma_empty is always 1 and is not stored.
     Gamma is the pair of arrays (mantissas in [1, 2), int64 exponents) of
-    Gamma_0, Gamma_1, ...
+    Gamma_0, Gamma_1, ..., up to at least Gamma_{dimension * sigma}.
     """
 
     kind: str
@@ -135,7 +135,13 @@ class WeightScheme:
         if self.kind != "product":
             if self.Gamma is None:
                 raise ValueError(f"{self.kind} weights need order factors")
-            if np.any(self.Gamma[0] <= 0):
+            (gm, ge), need = self.Gamma, self.dimension * self.sigma + 1
+            if len(gm) != len(ge) or len(gm) < need:
+                raise ValueError(
+                    f"Gamma needs {need} mantissas and as many exponents "
+                    f"(orders 0..dimension * sigma), got {len(gm)}, {len(ge)}"
+                )
+            if np.any(gm <= 0):
                 raise ValueError("Gamma entries must be positive")
 
     @property
@@ -145,10 +151,6 @@ class WeightScheme:
     @property
     def dimension(self) -> int:
         return self.gamma_jnu.shape[0]
-
-    def order_span(self, s: int) -> int:
-        """Largest reachable order |nu| at dimension s (0 for product)."""
-        return 0 if self.kind == "product" else s * self.sigma
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,7 @@ def squared_weight_prefixes(
     # (j + 1) sigma are still 0 after j + 1 steps, so each step copies and
     # updates only the live block r[:top, :top].
     sigma = scheme.sigma
-    span = scheme.order_span(s)
+    span = s * sigma
     gm, ge = (a[: span + 1] for a in scheme.Gamma)
     r = np.zeros((span + 1, span + 1))
     r[0, 0] = 1.0

@@ -361,7 +361,7 @@ def kernel_eval(spec: KernelSpec, y, yp) -> float:
                 1.0 + sch.gamma_j[j] * etas[j]
             )
         return acc.to_float()
-    span = sch.order_span(s)
+    span = s * sch.sigma
     rows = [ExtendedReal.zero() for _ in range(span + 1)]
     rows[0] = ExtendedReal.one()
     if sch.kind == "pod":

@@ -380,10 +380,9 @@ class TestCli:
     def test_short_genvec_exits_1_before_solving(
         self, command, sizes, tmp_path, monkeypatch, capsys
     ):
-        # dimtrunc-study needs s_ref = 512 components at quad_n = 8192
+        # dimtrunc-study needs s_ref = 512 components
         genvec = tmp_path / "short.txt"
-        n = 16 if command == "interp-study" else 8192
-        write_genvec(genvec, [1, 3, 5], n)
+        write_genvec(genvec, [1, 3, 5], 16)
         self._no_solves(monkeypatch)
         rc = cli(
             [command, "--mesh-level", "1", "--genvec", str(genvec), *sizes]
@@ -392,6 +391,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "short.txt" in err and "3 components" in err
+
+    def test_dimtrunc_study_takes_n_from_the_genvec_header(
+        self, tmp_path, capsys
+    ):
+        # a 16-point file with the s_ref = 512 components the CLI needs;
+        # the study's quadrature n is the file's header, as for the
+        # bundled n = 8192 vector
+        n = 16
+        genvec = tmp_path / "z.txt"
+        write_genvec(genvec, [pow(3, j, n) for j in range(512)], n)
+        out = tmp_path / "dimtrunc.csv"
+        rc = cli(
+            ["dimtrunc-study", "--mesh-level", "2", "--genvec", str(genvec),
+             "--out", str(out)]
+        )
+        assert rc == 0, capsys.readouterr().err
+        want, _ = run_dim_truncation(
+            StudyConfig(
+                "dim-truncation", quad_n=n, mesh_level=2, genvec=str(genvec)
+            )
+        )
+        assert out.read_text() == "s,error\n" + "".join(want)
+        assert [r.split(",")[0] for r in want] == [
+            "4", "8", "16", "32", "64", "128", "256"
+        ]
+        # an n that is given must still match the header
+        with pytest.raises(ValueError, match="header says n=16"):
+            run_dim_truncation(
+                StudyConfig("dim-truncation", quad_n=32, genvec=str(genvec))
+            )
 
     def test_genvec_header_n_outside_schedule_exits_1(
         self, tmp_path, monkeypatch, capsys
@@ -612,12 +641,12 @@ class TestEveryOptionIsRead:
             )
             run_interp_convergence(cfg)
         else:
-            # the CLI pins quad_n = 8192; call the study at a small one
+            # the CLI pins s_ref = 512; call the study at a small one
             n, s_ref = 16, 8
             genvec = tmp_path / "z.txt"
             write_genvec(genvec, [pow(3, j, n) for j in range(s_ref)], n)
             cfg = _ReadRecorder(
-                "dim-truncation", s_ref=s_ref, quad_n=n, mesh_level=2,
+                "dim-truncation", s_ref=s_ref, mesh_level=2,
                 genvec=str(genvec), out=out,
             )
             run_dim_truncation(cfg)

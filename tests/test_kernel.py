@@ -51,9 +51,10 @@ def _contract_oracle(state, P):
     """Sum_ell Gamma_ell P[ell] 2^E by one _scaled_add per live row."""
     S = np.zeros(P.shape[1])
     F = np.zeros(P.shape[1], dtype=np.int64)
+    gm, ge = state.scheme.Gamma
     for ell in range(P.shape[0]):
         if np.any(P[ell]):
-            _scaled_add(S, F, P[ell] * state._gm[ell], state.E + state._ge[ell])
+            _scaled_add(S, F, P[ell] * gm[ell], state.E + ge[ell])
     return S, F
 
 
@@ -71,7 +72,7 @@ def _wide_state(rng, m=64, mag_bits=300, power=100.0):
     s = 16
     G = gamma_arrays(xfactorial(ell).powf(power) for ell in range(s + 1))
     sch = WeightScheme("pod", gamma_j=np.ones(s), Gamma=G)
-    state = BatchKernelState(KernelSpec(2, sch), m, s)
+    state = BatchKernelState(sch, m)
     P = rng.standard_normal((s + 1, m))
     P *= np.ldexp(1.0, rng.integers(-mag_bits, mag_bits + 1, P.shape))
     P[rng.random(P.shape) < 0.2] = 0.0
@@ -261,7 +262,7 @@ class TestBatchPath:
         spec = KernelSpec(d.alpha, d.scheme)
         rng = np.random.default_rng(5)
         dy = rng.random((16, 6))
-        state = BatchKernelState(spec, 16, 6)
+        state = BatchKernelState(spec.scheme, 16)
         for j in range(6):
             ev = eta(spec.alpha, dy[:, j])
             a, b, top = state.affine_split()
@@ -269,8 +270,6 @@ class TestBatchPath:
             state.commit(ev)
             want = _to_floats(*state.values())
             np.testing.assert_allclose(got, want, rtol=1e-13)
-        with pytest.raises(ValueError, match="committed"):
-            state.affine_split()
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_empty_batch(self, family):
@@ -296,7 +295,7 @@ class TestBatchPath:
         dy[2] = np.where(np.arange(s) % 2 == 0, 0.0, back)
         dy[3, :half], dy[3, half:] = 0.5, -back
         dy += 1e-4 * np.random.default_rng(7).standard_normal((4, s))
-        state = BatchKernelState(spec, 4, s)
+        state = BatchKernelState(spec.scheme, 4)
         for j in range(half):
             state.commit(eta(2, dy[:, j]))
         assert state.E[0] > 200 and state.E[1] < -200 and state.E[3] > 200
@@ -314,7 +313,7 @@ class TestBatchPath:
         # the one-step contraction against the row-by-row oracle: same
         # values S * 2^F, with order factors spreading past 1100 bits
         state, P = _wide_state(np.random.default_rng(seed), m)
-        assert np.ptp(state._ge) > 1100
+        assert np.ptp(state.scheme.Gamma[1]) > 1100
         got = _canonical(*state._contract(P))
         want = _canonical(*_contract_oracle(state, P))
         np.testing.assert_array_equal(got[0], want[0])
@@ -339,10 +338,11 @@ class TestBatchPath:
         # rounded, to the error bound of a 17-term float sum
         state, P = _wide_state(np.random.default_rng(99), mag_bits=1000)
         S, F = state._contract(P)
+        gm, ge = state.scheme.Gamma
         for i in range(P.shape[1]):
             terms = [
-                Fraction(float(P[ell, i] * state._gm[ell]))
-                * Fraction(2) ** int(state.E[i] + state._ge[ell])
+                Fraction(float(P[ell, i] * gm[ell]))
+                * Fraction(2) ** int(state.E[i] + ge[ell])
                 for ell in range(P.shape[0])
             ]
             got = Fraction(float(S[i])) * Fraction(2) ** int(F[i])
@@ -351,12 +351,34 @@ class TestBatchPath:
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_dimension_beyond_weights_rejected(self, family):
+        # the fifth coordinate of a four-coordinate weight sequence is
+        # named, whichever call reaches it
         d = _derived(family, s=4)
         spec = KernelSpec(d.alpha, d.scheme)
-        with pytest.raises(ValueError, match="exceeds the weight sequence"):
-            BatchKernelState(spec, 3, 5)
-        with pytest.raises(ValueError, match="exceeds the weight sequence"):
+        past = "coordinate 5 is past the weight sequence"
+        state = _committed(spec, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match=past):
+            state.affine_split()
+        with pytest.raises(ValueError, match=past):
+            state.commit(np.zeros(3))
+        assert state.dims_done == 4
+        with pytest.raises(ValueError, match=past):
             kernel_values_batch(spec, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_rows_grow_with_coordinates(self, family):
+        # one row of ones at the start; each POD/SPOD coordinate adds the
+        # sigma orders it can newly reach, and product weights keep one row
+        d = _derived(family, p=0.3)
+        state = BatchKernelState(d.scheme, 5)
+        np.testing.assert_array_equal(state.P, np.ones((1, 5)))
+        ev = eta(d.alpha, np.random.default_rng(11).random((6, 5)))
+        for j, row in enumerate(ev, start=1):
+            state.commit(row)
+            rows = 1 if family == "product" else j * d.scheme.sigma + 1
+            assert state.P.shape == (rows, 5)
+        if family == "spod":
+            assert d.scheme.sigma == 3
 
 
 class TestStructuralProperties:

@@ -83,7 +83,7 @@ def _cbc_oracle(spec, n, z):
     cands = np.array([c for c in range(1, n) if math.gcd(c, n) == 1])
     etable = eta(spec.alpha, np.arange(n, dtype=float) / n)
     k = np.arange(n, dtype=np.int64)
-    state = BatchKernelState(spec, n, len(z))
+    state = BatchKernelState(spec.scheme, n)
     allowed, mean_sq = [[1]], []
     for d, zd in enumerate(z):
         if d:
@@ -125,7 +125,7 @@ def _direct_D(u, v, etable, cands):
 def _affine_inputs(spec, n, z):
     """(u, v) = (2AB, B^2), on the affine split's scale, for the dimension
     after the prefix z."""
-    state = BatchKernelState(spec, n, len(z) + 1)
+    state = BatchKernelState(spec.scheme, n)
     k = np.arange(n, dtype=np.int64)
     etable = _eta_table(spec.alpha, n)
     for c in z:

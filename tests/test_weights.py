@@ -152,6 +152,29 @@ class TestSpodPodCrossCheck:
             assert a == pytest.approx(b, rel=1e-12)
 
 
+class TestWeightScheme:
+    @pytest.mark.parametrize("kind,sigma", [("pod", 1), ("spod", 1),
+                                            ("spod", 3)])
+    def test_order_factors_cover_every_order(self, kind, sigma):
+        # 4 coordinates of sigma orders each reach order 4 sigma, so Gamma
+        # needs 4 sigma + 1 entries; one fewer fails when the scheme is
+        # built, not partway through a search
+        table = np.full((4, sigma), 0.5)
+        col = {"gamma_j": table[:, 0]} if kind == "pod" else {
+            "gamma_jnu": table}
+
+        def scheme(G):
+            return WeightScheme(kind, Gamma=G, **col)
+
+        G = _spod_order_factors(0.5, 4 * sigma)
+        assert scheme(G).dimension == 4
+        need = f"needs {4 * sigma + 1} mantissas"
+        with pytest.raises(ValueError, match=need):
+            scheme((G[0][:-1], G[1][:-1]))
+        with pytest.raises(ValueError, match=need):
+            scheme((G[0], G[1][:-1]))
+
+
 class TestOrderFactors:
     # the Gamma arrays against their defining formulas evaluated in
     # ExtendedReal, bit for bit, far past double range
