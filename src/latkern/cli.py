@@ -39,6 +39,10 @@ _TYPES = {
 
 _WEIGHT_OPTIONS = ("weights", "theta", "c", "p", "delta", "s", "n_list")
 
+# Options that one weight family alone reads, refused for the others:
+# delta is the slack that product weights take off their rate.
+_FAMILY_ONLY = {"delta": "product"}
+
 # Each command's study kind and the options its code reads; a command
 # accepts no other flag or config key.
 _COMMANDS = {
@@ -95,6 +99,10 @@ def _settings(args: argparse.Namespace) -> dict:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
+    family = merged.get("weights", StudyConfig.weights)
+    for key, only in _FAMILY_ONLY.items():
+        if key in merged and family != only:
+            raise ValueError(f"--{key} is for {only} weights, not {family}")
     if "n_list" in merged:
         merged["n_schedule"] = merged.pop("n_list")
     return merged

@@ -59,7 +59,7 @@ class StudyConfig:
     theta: float = 2.4
     c: float = 0.2
     p: float = 1.0 / 2.2
-    delta: float = 0.1
+    delta: float = PdeWeightInput.delta
     s: int = 10
     n_schedule: tuple = (16, 32, 64, 128, 256, 512, 1024)
     mesh_level: int = 5
@@ -119,13 +119,10 @@ sobol_points = random_shifts
 
 
 def derive_for_family(family: str, inp: PdeWeightInput, s: int):
-    if family == "spod":
-        return derive_spod(inp, s)
-    if family == "pod":
-        return derive_pod(inp, s)
-    if family == "product":
-        return derive_product(inp, s)
-    raise ValueError(f"unknown weight family {family!r}")
+    derive = {"product": derive_product, "pod": derive_pod, "spod": derive_spod}
+    if family not in derive:
+        raise ValueError(f"unknown weight family {family!r}")
+    return derive[family](inp, s)
 
 
 def study_kernel(cfg: StudyConfig) -> KernelSpec:

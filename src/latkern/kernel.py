@@ -14,7 +14,7 @@ multiply it by 1 + gamma_j eta.
 
 It makes one array pass per block: ``kernel_values_batch`` evaluates eta
 once on the whole (s, m) block of differences, and for POD and SPOD one
-contraction sums the live order rows, aligned exactly per sample, in row
+contraction sums the order rows, aligned exactly per sample, in row
 order, so it rounds as adding them one at a time does.  It returns
 normalized pairs for every family; ``weights`` aligns and collapses them.
 
@@ -152,15 +152,10 @@ class BatchKernelState:
         if self.scheme.kind == "product":
             S, ex = np.frexp(P[0])
             return S, self.E + ex
-        rows = np.flatnonzero(P.any(axis=1))
-        if not len(rows):
-            return np.zeros(P.shape[1]), np.zeros(P.shape[1], dtype=np.int64)
-        gm, ge = self.scheme.Gamma
-        T = P[rows]
-        T *= gm[rows, None]
-        T, F = _aligned(T, self.E + ge[rows, None])
-        # accumulate adds in row order (sum may pair terms up); + 0.0 turns
-        # a sum of -0.0 terms into the +0.0 of an empty sum
+        gm, ge = (g[: len(P), None] for g in self.scheme.Gamma)
+        T, F = _aligned(P * gm, self.E + ge)
+        # accumulate adds in row order (sum may pair terms up); zero rows
+        # add exact zeros, and + 0.0 turns a sum of -0.0 terms into +0.0
         S, ex = np.frexp(np.add.accumulate(T, out=T)[-1] + 0.0)
         F += ex
         return S, F

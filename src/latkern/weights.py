@@ -174,7 +174,6 @@ class PdeWeightInput:
 @dataclass(frozen=True)
 class DerivedParams:
     alpha: int
-    sigma: int
     lam: float
     scheme: WeightScheme
     scenario: str | None = None
@@ -270,7 +269,7 @@ def derive_spod(inp: PdeWeightInput, s: int) -> DerivedParams:
     scheme = WeightScheme(
         "spod", Gamma=_spod_order_factors(lam, s * sigma), gamma_jnu=table
     )
-    return DerivedParams(alpha, sigma, lam, scheme, rate=1.0 / (2 * p) - 0.25)
+    return DerivedParams(alpha, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
 
 def _pod_admissible(p: float) -> bool:
@@ -281,10 +280,10 @@ def _pod_admissible(p: float) -> bool:
 def derive_pod(inp: PdeWeightInput, s: int) -> DerivedParams:
     """POD weights; p must lie in some (2/(2k+1), 1/k)."""
     p = inp.p
+    k = math.floor(1.0 / p)
     if not _pod_admissible(p):
         # Smallest admissible p~ > p is the lower endpoint of the next
         # interval up; substitution is the caller's decision.
-        k = math.floor(1.0 / p)
         while k >= 1 and 1.0 / k <= p:
             k -= 1
         lo = 2.0 / (2 * k + 1) if k >= 1 else float("nan")
@@ -293,17 +292,15 @@ def derive_pod(inp: PdeWeightInput, s: int) -> DerivedParams:
             f"({lo:.6f}, {1.0 / k if k >= 1 else 1.0:.6f}) — substitute some "
             f"p~ > {lo:.6f}"
         )
-    k = math.floor(1.0 / p)
     alpha = 2 * k
-    sigma = k
     lam = p / (2.0 - p)
     inv = 1.0 / (1.0 + lam)
     b = np.asarray(inp.b, dtype=float)[:s]
-    gamma_j = np.array([bell_touchard(sigma, bj) ** (2.0 * inv) for bj in b])
+    gamma_j = np.array([bell_touchard(k, bj) ** (2.0 * inv) for bj in b])
     scheme = WeightScheme(
-        "pod", gamma_j=gamma_j, Gamma=_pod_order_factors(alpha, sigma, lam, s)
+        "pod", gamma_j=gamma_j, Gamma=_pod_order_factors(alpha, k, lam, s)
     )
-    return DerivedParams(alpha, sigma, lam, scheme, rate=1.0 / (2 * p) - 0.25)
+    return DerivedParams(alpha, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
 
 def _product_scenario(p: float) -> str:
@@ -347,7 +344,7 @@ def derive_product(inp: PdeWeightInput, s: int) -> DerivedParams:
     bell = np.array([bell_touchard(sigma, bj) for bj in b])
     gamma_j = (((j * sigma) ** sigma * bell) ** 2 / (2.0 * E_POW_INV_E * z)) ** inv
     scheme = WeightScheme("product", gamma_j=gamma_j)
-    return DerivedParams(alpha, sigma, lam, scheme, scenario=scenario, rate=rate)
+    return DerivedParams(alpha, lam, scheme, scenario=scenario, rate=rate)
 
 
 # ---------------------------------------------------------------------------

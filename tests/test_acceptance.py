@@ -430,7 +430,7 @@ def test_criterion_9_thread_count_determinism(interp_study, tmp_path):
     conf = tmp_path / "interp.conf"
     conf.write_text(
         f"weights = {cfg.weights}\ntheta = {cfg.theta!r}\nc = {cfg.c!r}\n"
-        f"p = {cfg.p!r}\ndelta = {cfg.delta!r}\ns = {cfg.s}\n"
+        f"p = {cfg.p!r}\ns = {cfg.s}\n"
         f"n_list = {','.join(map(str, cfg.n_schedule))}\n"
         f"mesh_level = {cfg.mesh_level}\nL = {cfg.L}\nseed = {cfg.seed}\n"
     )

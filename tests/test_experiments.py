@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latkern.cli import _COMMANDS, _TYPES, _cmd_cbc, _parser, cli
+from latkern.cli import (
+    _COMMANDS,
+    _TYPES,
+    _cmd_cbc,
+    _parser,
+    _settings,
+    cli,
+)
 from latkern.experiments import (
     StudyConfig,
     derive_for_family,
@@ -569,6 +576,50 @@ class TestCli:
         assert cli(argv) == 1
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,sizes",
+        [
+            pytest.param("cbc", ["--s", "4", "--n-list", "32"], id="cbc"),
+            pytest.param(
+                "interp-study",
+                ["--s", "2", "--n-list", "8,16,32", "--mesh-level", "1",
+                 "--L", "1"],
+                id="interp-study",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "family", ["product", "pod", "spod", pytest.param(None, id="default")]
+    )
+    def test_delta_is_for_product_weights_only(
+        self, family, command, sizes, via, tmp_path, monkeypatch, capsys
+    ):
+        # derive_pod and derive_spod never read delta; with no --weights
+        # the family is StudyConfig's default, spod
+        if family != "product":
+            self._no_solves(monkeypatch)
+        settings = {"delta": "0.05"}
+        if family is not None:
+            settings = {"weights": family, **settings}
+        if via == "flag":
+            argv = [command, *(t for k, v in settings.items()
+                               for t in ("--" + k, v))]
+        else:
+            conf = tmp_path / "study.conf"
+            conf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            argv = ["--config", str(conf), command]
+        rc = cli([*argv, *sizes])
+        err = capsys.readouterr().err
+        if family == "product":
+            assert rc == 0, err
+        else:
+            assert rc == 1
+            assert err == (
+                f"error: --delta is for product weights, not "
+                f"{family or StudyConfig.weights}\n"
+            )
+
     @pytest.mark.parametrize("via", ["flags", "config"])
     def test_cli_csv_matches_library(self, via, tmp_path):
         # every value differs from the StudyConfig default and changes the
@@ -596,26 +647,39 @@ class TestCli:
         assert cli_out.read_bytes() == lib_out.read_bytes()
 
 
-_FIELDS = {f.name for f in dataclasses.fields(StudyConfig)}
+def _read_recorder(cls):
+    """A subclass of dataclass cls that records the fields read after
+    __post_init__ in its `reads` set."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+
+    class Recorder(cls):
+        def __post_init__(self):
+            super().__post_init__()
+            object.__setattr__(self, "reads", set())
+
+        def __getattribute__(self, name):
+            if name in fields:
+                reads = object.__getattribute__(self, "__dict__").get("reads")
+                if reads is not None:
+                    reads.add(name)
+            return object.__getattribute__(self, name)
+
+    return Recorder
 
 
-class _ReadRecorder(StudyConfig):
-    """A StudyConfig that records the fields read after __post_init__."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.reads = set()
-
-    def __getattribute__(self, name):
-        if name in _FIELDS:
-            reads = object.__getattribute__(self, "__dict__").get("reads")
-            if reads is not None:
-                reads.add(name)
-        return object.__getattribute__(self, name)
+_ReadRecorder = _read_recorder(StudyConfig)
+_InputRecorder = _read_recorder(PdeWeightInput)
 
 
 class TestEveryOptionIsRead:
     COMMANDS = ["cbc", "interp-study", "dimtrunc-study"]
+    # (command, weight family); the unsuffixed ids run product weights
+    CASES = [
+        pytest.param(command, family, id=command + suffix)
+        for command in COMMANDS[:2]
+        for family, suffix in [("product", ""), ("pod", "-pod"),
+                               ("spod", "-spod")]
+    ] + [pytest.param("dimtrunc-study", None, id="dimtrunc-study")]
 
     @staticmethod
     def _subparsers():
@@ -627,16 +691,45 @@ class TestEveryOptionIsRead:
     def test_every_command_covered(self):
         assert sorted(self._subparsers()) == sorted(self.COMMANDS)
 
-    def _fields_read(self, command, tmp_path):
+    def _accepted(self, command, family):
+        """The options the CLI takes for command with this weight family,
+        each given alone besides --weights, as StudyConfig fields."""
+        accepted = set()
+        for action in self._subparsers()[command]._actions:
+            if action.dest == "help":
+                continue
+            argv = [command, action.option_strings[0], "1"]
+            if family is not None:
+                argv += ["--weights", family]
+            try:
+                _settings(_parser().parse_args(argv))
+            except ValueError:
+                continue
+            accepted.add(
+                "n_schedule" if action.dest == "n_list" else action.dest
+            )
+        return accepted
+
+    def _fields_read(self, command, family, tmp_path, monkeypatch):
+        """The StudyConfig fields a run reads; delta counts only when the
+        weight derivation reads it off the input that study_kernel builds.
+        """
         out = str(tmp_path / "out.txt")
+        inputs = []
+
+        def record(*args):
+            inputs.append(_InputRecorder(*args))
+            return inputs[-1]
+
+        monkeypatch.setattr("latkern.experiments.PdeWeightInput", record)
         if command == "cbc":
             cfg = _ReadRecorder(
-                "cbc-only", weights="product", s=2, n_schedule=(8,), out=out
+                "cbc-only", weights=family, s=2, n_schedule=(8,), out=out
             )
             _cmd_cbc(cfg)
         elif command == "interp-study":
             cfg = _ReadRecorder(
-                "interp-convergence", weights="product", s=2,
+                "interp-convergence", weights=family, s=2,
                 n_schedule=(4, 8), mesh_level=2, L=1, out=out,
             )
             run_interp_convergence(cfg)
@@ -650,17 +743,21 @@ class TestEveryOptionIsRead:
                 genvec=str(genvec), out=out,
             )
             run_dim_truncation(cfg)
-        return cfg.reads
+        reads = cfg.reads - {"delta"}
+        if any("delta" in inp.reads for inp in inputs):
+            reads.add("delta")
+        return reads
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_every_accepted_option_is_read(self, command, tmp_path):
-        accepted = {
-            "n_schedule" if a.dest == "n_list" else a.dest
-            for a in self._subparsers()[command]._actions
-            if a.dest != "help"
-        }
-        unread = accepted - self._fields_read(command, tmp_path)
-        assert not unread, f"{command} accepts options it never reads"
+    @pytest.mark.parametrize("command,family", CASES)
+    def test_every_accepted_option_is_read(
+        self, command, family, tmp_path, monkeypatch
+    ):
+        read = self._fields_read(command, family, tmp_path, monkeypatch)
+        unread = self._accepted(command, family) - read
+        assert not unread, (
+            f"{command} with {family} weights accepts options it never "
+            f"reads: {sorted(unread)}"
+        )
 
 
 class TestReadmeOptionTable:

@@ -16,10 +16,14 @@ exponent shifts.  The runtime needs numpy alone.
 import ast
 import re
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the test extra installs tomli
+    import tomli as tomllib
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latkern"

@@ -40,12 +40,12 @@ def _input(p, s=10, delta=0.1):
 class TestDeriveSpod:
     def test_p_1_over_2_2(self):
         d = derive_spod(_input(1 / 2.2), 10)
-        assert (d.alpha, d.sigma) == (4, 2)
+        assert (d.alpha, d.scheme.sigma) == (4, 2)
         assert d.lam == pytest.approx(5 / 17)
 
     def test_p_1_over_1_1(self):
         d = derive_spod(_input(1 / 1.1), 10)
-        assert (d.alpha, d.sigma) == (2, 1)
+        assert (d.alpha, d.scheme.sigma) == (2, 1)
         assert d.lam == pytest.approx(5 / 6)
 
     def test_lambda_in_range(self):
@@ -57,7 +57,7 @@ class TestDeriveSpod:
 class TestDerivePod:
     def test_p_1_over_2_2(self):
         d = derive_pod(_input(1 / 2.2), 10)
-        assert (d.alpha, d.sigma) == (4, 2)
+        assert (d.alpha, d.scheme.sigma) == (4, 1)
         assert d.lam == pytest.approx(5 / 17)
 
     def test_boundary_p_rejected_with_interval_hint(self):
@@ -90,14 +90,14 @@ class TestDeriveProduct:
     def test_scenario_b_example(self):
         d = derive_product(_input(1 / 2.2), 10)
         assert d.scenario == "B"
-        assert (d.alpha, d.sigma) == (2, 1)
+        assert (d.alpha, d.scheme.sigma) == (2, 1)
         assert d.lam == pytest.approx(1.0)
         assert d.rate == pytest.approx(0.25)
 
     def test_scenario_a_example(self):
         d = derive_product(_input(1 / 3.3), 10)
         assert d.scenario == "A"
-        assert (d.alpha, d.sigma) == (2, 1)
+        assert (d.alpha, d.scheme.sigma) == (2, 1)
 
     def test_p_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -233,14 +233,14 @@ class TestTheoryErrorConstant:
         # lam=1, alpha=2: kappa = sqrt(2) * 34.5^{1/4}; tiny gamma makes the
         # weighted sum ~ the empty-set term 1
         sch = WeightScheme("product", gamma_j=np.full(1, 1e-30))
-        params = DerivedParams(2, 1, 1.0, sch)
+        params = DerivedParams(2, 1.0, sch)
         got = theory_error_constant(params, 1, 16)
         kappa = math.sqrt(2.0) * 34.5**0.25
         assert got == pytest.approx(kappa * 16 ** (-0.25), rel=1e-6)
 
     def test_power_law_in_n(self):
         sch = WeightScheme("product", gamma_j=np.array([0.5, 0.25]))
-        params = DerivedParams(2, 1, 0.75, sch)
+        params = DerivedParams(2, 0.75, sch)
         r = theory_error_constant(params, 2, 64) / theory_error_constant(
             params, 2, 128
         )
@@ -248,7 +248,7 @@ class TestTheoryErrorConstant:
 
     def test_refuses_large_s(self):
         sch = WeightScheme("product", gamma_j=np.ones(20))
-        params = DerivedParams(2, 1, 1.0, sch)
+        params = DerivedParams(2, 1.0, sch)
         with pytest.raises(ValueError):
             theory_error_constant(params, 13, 16)
 
