@@ -30,6 +30,8 @@ __all__ = [
 _SQRT6 = math.sqrt(6.0)
 # Node values per block of points, so memory does not grow with the batch.
 _SOLVE_BLOCK = 2**16
+# k Chebyshev steps meet 1/T_k(mid/half) <= 1e-12 once k acosh(mid/half) >= this
+_ACOSH_BOUND = math.acosh(1e12)
 
 
 @dataclass(frozen=True)
@@ -196,38 +198,50 @@ def fem_solve(
     """P1 solution at one parameter point y (s,) or at each row of y (B, s).
 
     Chebyshev iteration on L^-1 K, L the unit 5-point Laplacian (Saad, Alg.
-    12.1): edge weights in [a_min, a_max] put its spectrum there, which fixes
-    the steps for an energy-norm error bound 1/T_k(mid/half) <= 1e-12.  No
-    inner products: a point's iterates use only its own data.  The first
-    step L^-1 b / mid is formed once per call; the later steps update the
-    residual, direction and solution in place.
+    12.1).  K and L are 5-point stencils on the same axis edges, so the
+    spectrum of L^-1 K lies in [lo, hi], the min and max of the point's own
+    edge weights.  That interval fixes the point's steps k for an
+    energy-norm error bound 1/T_k(mid/half) <= 1e-12; a constant
+    coefficient (lo = hi) takes one step.  No inner products: a point's
+    iterates use only its own data.  A block runs its points in order of
+    descending k, so the points with steps left are a prefix at every step.
+    The first step L^-1 b / mid scales one solve per call by each point's
+    mid; the later steps update the residual, direction and solution in
+    place.
     """
     psi = mesh.psi_at_centroids(model)
     S, inv_l = mesh._sine, mesh._inv_laplace  # L is diagonal in the sine basis
-    lo, hi = model.a_min, model.a_max
-    mid, half = (hi + lo) / 2, (hi - lo) / 2
-    # c = 0 gives K = a0 L, so the first step is exact
-    steps = math.ceil(math.acosh(1e12) / math.acosh(mid / half)) if half else 1
     Y = _parameters(model, np.atleast_2d(y))
     b = _load_vector(mesh, source).reshape(1, mesh.N - 1, mesh.N - 1)
-    d0 = S @ ((S @ b @ S) * inv_l) @ S / mid  # the first step, L^-1 b / mid
+    Lb = S @ ((S @ b @ S) * inv_l) @ S  # L^-1 b
     u = np.empty((len(Y),) + b.shape[1:])
     block = max(1, _SOLVE_BLOCK // mesh.nodes.shape[0])
     for i in range(0, len(Y), block):
         sines = np.sin(2.0 * math.pi * Y[i : i + block])
-        w = _edge_weights(mesh, model.a0 + sines @ psi.T / _SQRT6)
-        ub = u[i : i + block]
-        ub[...] = d0
+        wx, wy = _edge_weights(mesh, model.a0 + sines @ psi.T / _SQRT6)
+        lo = np.minimum(wx.min(axis=(1, 2)), wy.min(axis=(1, 2)))
+        hi = np.maximum(wx.max(axis=(1, 2)), wy.max(axis=(1, 2)))
+        mid, half = (hi + lo) / 2, (hi - lo) / 2
+        ratio = np.divide(mid, half, out=np.full_like(mid, np.inf), where=half > 0)
+        steps = np.maximum(1, np.ceil(_ACOSH_BOUND / np.arccosh(ratio)))
+        order = np.argsort(-steps, kind="stable")
+        steps, wx, wy = steps[order], wx[order], wy[order]
+        mid, half = mid[order, None, None], half[order, None, None]
+        ub = Lb / mid
         r, rho, d = np.repeat(b, len(ub), axis=0), half / mid, ub.copy()
-        for _ in range(steps - 1):
-            r -= _stencil(w, d)
-            rho_next = 1.0 / (2.0 * mid / half - rho)
-            z = S @ ((S @ r @ S) * inv_l) @ S  # L^-1 r
-            d *= rho_next * rho
-            z *= 2.0 * rho_next / half
-            d += z
-            ub += d
-            rho = rho_next
+        for t in range(1, int(steps[0])):
+            k = np.count_nonzero(steps > t)  # the points with steps left
+            r[:k] -= _stencil((wx[:k], wy[:k]), d[:k])
+            # rho_next = 1 / (2 mid/half - rho), finite when half = 0
+            den = 2.0 * mid[:k] - rho[:k] * half[:k]
+            rho_next = half[:k] / den
+            z = S @ ((S @ r[:k] @ S) * inv_l) @ S  # L^-1 r
+            d[:k] *= rho_next * rho[:k]
+            z *= 2.0 / den
+            d[:k] += z
+            ub[:k] += d[:k]
+            rho[:k] = rho_next
+        u[i : i + block][order] = ub
     u = u.reshape(len(Y), mesh.n_unknowns)
     if bad := np.count_nonzero(~np.isfinite(u).all(axis=1)):
         raise FloatingPointError(

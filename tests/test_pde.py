@@ -99,6 +99,18 @@ def _dense_solve(mesh, model, y):
     return np.linalg.solve(A, _load_oracle(mesh, lambda x: x[:, 1])), A
 
 
+def _steps_needed(mesh, model, y):
+    """The least k with T_k(mid/half) >= 1e12, [lo, hi] the min and max edge
+    weight at y: k Chebyshev steps meet the 1e-12 energy-norm bound."""
+    w = _edge_weights(mesh, _a_T(mesh, model, y)[None])
+    lo, hi = min(x.min() for x in w), max(x.max() for x in w)
+    x = math.inf if hi == lo else (hi + lo) / (hi - lo)
+    k, t_prev, t = 1, 1.0, x  # T_0, T_1
+    while t < 1e12:
+        k, t_prev, t = k + 1, t, 2.0 * x * t - t_prev
+    return k
+
+
 class TestDiffusionModel:
     def test_bounds(self):
         m = _model(c=0.2, theta=2.4, s=100)
@@ -351,7 +363,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("level,c", [(3, 0.2), (4, 0.4), (5, 0.2)])
     def test_against_dense_solve(self, level, c):
-        # relative energy-norm error of the fixed-length iteration
+        # relative energy-norm error of the iteration at one point
         mesh = FemMesh(level)
         m = _model(c=c, s=8)
         y = np.random.default_rng(level).random(8)
@@ -360,8 +372,77 @@ class TestSolve:
         e = got - want
         assert math.sqrt(e @ A @ e) <= 1e-12 * math.sqrt(want @ A @ want)
 
+    def test_batch_against_dense_solves(self):
+        # each point's own interval meets the bound: a narrow first point
+        # next to random ones, whose step counts differ
+        mesh = FemMesh(4)
+        m = _model(c=0.4, s=8)
+        rng = np.random.default_rng(41)
+        Y = np.vstack([0.02 * rng.random(8), rng.random((11, 8))])
+        got = fem_solve(mesh, m, Y).interior_values
+        assert len({_steps_needed(mesh, m, y) for y in Y}) > 1
+        for y, u in zip(Y, got):
+            want, A = _dense_solve(mesh, m, y)
+            e = u - want
+            assert math.sqrt(e @ A @ e) <= 1e-12 * math.sqrt(want @ A @ want)
+
+    def test_steps_meet_the_bound_per_point(self, monkeypatch):
+        # the operator is applied to the points with steps left: a point
+        # with k steps is in k - 1 calls, and k is the least count with
+        # 1/T_k(mid/half) <= 1e-12 on its own edge weights' interval
+        mesh = FemMesh(3)
+        m = _model(c=0.4, s=6)
+        Y = np.random.default_rng(42).random((40, 6))
+        sizes = []
+
+        def counting(w, u):
+            sizes.append(len(u))
+            return _stencil(w, u)
+
+        monkeypatch.setattr(latkern.pde, "_stencil", counting)
+        fem_solve(mesh, m, Y)
+        got = [1 + sum(n > j for n in sizes) for j in range(len(Y))]
+        want = sorted((_steps_needed(mesh, m, y) for y in Y), reverse=True)
+        assert got == want and len(set(want)) > 1
+
+    def test_zero_width_interval_in_a_batch(self):
+        # every sine is 0 at y = 0 and round-off at y = 1/2: lo = hi
+        mesh = FemMesh(3)
+        m = _model(c=0.4, s=6)
+        Y = np.random.default_rng(43).random((6, 6))
+        Y[1], Y[4] = 0.0, 0.5
+        batch = fem_solve(mesh, m, Y).interior_values
+        assert np.isfinite(batch).all()
+        single = np.array([fem_solve(mesh, m, y).interior_values for y in Y])
+        assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(np.abs(single))
+
+    def test_zero_width_batch_takes_one_step(self, monkeypatch):
+        mesh = FemMesh(4)
+        m = _model(c=0.4, s=6)
+        Y = np.array([np.zeros(6), np.full(6, 0.5), np.zeros(6)])
+        want = np.array([_dense_solve(mesh, m, y)[0] for y in Y])
+
+        def no_operator(w, u):
+            pytest.fail("a zero-width interval applied the operator")
+
+        monkeypatch.setattr(latkern.pde, "_stencil", no_operator)
+        got = fem_solve(mesh, m, Y).interior_values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_permuted_batch_permutes_solutions(self, blocks):
+        mesh = FemMesh(3)
+        m = _model(c=0.4, s=6)
+        B = latkern.pde._SOLVE_BLOCK // mesh.nodes.shape[0] if blocks == 2 else 50
+        rng = np.random.default_rng(44)
+        Y = rng.random((blocks * B, 6))
+        perm = rng.permutation(len(Y))
+        want = fem_solve(mesh, m, Y).interior_values[perm]
+        assert np.array_equal(fem_solve(mesh, m, Y[perm]).interior_values, want)
+
     def test_constant_coefficient(self, monkeypatch):
-        # c = 0: a_min = a_max, and one preconditioned step is exact
+        # c = 0: every edge weight is a0, so lo = hi and the one
+        # preconditioned step is exact
         mesh = FemMesh(4)
         m = DiffusionModel(0.0, 2.4, 4)
         y = np.array([0.3, 0.8, 0.1, 0.6])
