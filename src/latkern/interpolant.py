@@ -11,6 +11,13 @@ the last axis.
 One type, `Interpolant`, holds one function (values shaped (n,)) or a
 batch of functions sharing the lattice and kernel (values shaped (B, n)):
 the transforms act on the last axis, so the batch needs no branch.
+Building runs one forward transform.  The coefficients and the residual
+each cost an inverse transform, so each is computed on first read: the
+residual from the values given to `build`, which are kept by reference and
+must not change afterwards.
+
+Kernel columns are formed coordinate-major, from `Lattice.columns()`, so
+the kernel walks the (s, n) differences at unit stride.
 
 Index convention: array index j = 0..n-1 is lattice index k = j, with
 j = 0 the origin point t_0 = 0.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +68,10 @@ def _kernel_column(spec: KernelSpec, lat: Lattice, y) -> np.ndarray:
     y = frac(np.asarray(y, dtype=float))
     if y.shape != (lat.s,):
         raise ValueError(
-            f"y has {y.size} components, the lattice has s = {lat.s}"
+            f"y has shape {y.shape}; the lattice needs shape ({lat.s},), "
+            "one component per coordinate"
         )
-    return kernel_values_batch(spec, lat.points() - y)
+    return kernel_values_batch(spec, (lat.columns() - y[:, None]).T)
 
 
 def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
@@ -71,7 +80,7 @@ def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
     The column is K(t_j, 0).  Raises SingularSpectrumError when
     min/max |lambda| is below 1e-13.
     """
-    spectrum = np.fft.rfft(kernel_values_batch(spec, lat.points())).real
+    spectrum = np.fft.rfft(kernel_values_batch(spec, lat.columns().T)).real
     _check_spectrum(spectrum)
     return spectrum
 
@@ -80,17 +89,30 @@ def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
 class Interpolant:
     """Kernel interpolant(s) of node values on one lattice.
 
-    coeffs has the shape of the node values, (n,) or (B, n); coeff_fft is
-    its rfft along the last axis and spectrum the real circulant spectrum
-    (n // 2 + 1 entries).  residual is the largest node misfit at build.
+    values are the node values given to ``build``, (n,) or (B, n), held by
+    reference: they must not change afterwards.  coeff_fft is the rfft of
+    the coefficients along the last axis and spectrum the real circulant
+    spectrum (n // 2 + 1 entries).  coeffs (shaped as values) and residual
+    (the largest node misfit) are computed on first read and kept.
     """
 
     spec: KernelSpec
     lat: Lattice
     spectrum: np.ndarray
     coeff_fft: np.ndarray
-    coeffs: np.ndarray
-    residual: float
+    values: np.ndarray
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The interpolant's coefficients, shaped as values."""
+        return np.fft.irfft(self.coeff_fft, n=self.lat.n)
+
+    @cached_property
+    def residual(self) -> float:
+        """max |values - the interpolant at the nodes|, where the node
+        values are re-formed by applying the spectrum to coeff_fft."""
+        node_vals = np.fft.irfft(self.coeff_fft * self.spectrum, n=self.lat.n)
+        return float(np.max(np.abs(node_vals - self.values)))
 
     def shifted_union(self, y) -> np.ndarray:
         """f_n(y + t_k) for k = 0..n-1 on the last axis, by one FFT product."""
@@ -101,16 +123,18 @@ class Interpolant:
 
 
 def build(spec: KernelSpec, lat: Lattice, values) -> Interpolant:
-    """Interpolant of values (n,) or (B, n) at the points of lat."""
+    """Interpolant of values (n,) or (B, n) at the points of lat.
+
+    Only the forward transform and the division by the spectrum run here;
+    values is kept by reference for ``Interpolant.residual``.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (lat.n,):
         raise ValueError("values must have one entry per lattice point")
     spectrum = circulant_spectrum(spec, lat)
-    coeff_fft = np.fft.rfft(values) / spectrum
-    coeffs = np.fft.irfft(coeff_fft, n=lat.n)
-    node_vals = np.fft.irfft(coeff_fft * spectrum, n=lat.n)
-    residual = float(np.max(np.abs(node_vals - values)))
-    return Interpolant(spec, lat, spectrum, coeff_fft, coeffs, residual)
+    coeff_fft = np.fft.rfft(values)
+    coeff_fft /= spectrum
+    return Interpolant(spec, lat, spectrum, coeff_fft, values)
 
 
 # The benchmark traces these names, so they stay as aliases of the one type.

@@ -12,11 +12,13 @@ The state starts as one row of ones and each coordinate grows it by the
 sigma orders it can newly reach.  Product weights keep one row and
 multiply it by 1 + gamma_j eta.
 
-It makes one array pass per block: ``kernel_values_batch`` evaluates eta
-once on the whole (s, m) block of differences, and for POD and SPOD one
-contraction sums the order rows, aligned exactly per sample, in row
-order, so it rounds as adding them one at a time does.  It returns
-normalized pairs for every family; ``weights`` aligns and collapses them.
+It makes one array pass per block: eta runs once on the whole
+coordinate-major (s, m) block of differences, whose row j is coordinate j
+of all m points, and the state commits the rows in turn, each read at unit
+stride.  For POD and SPOD one contraction sums the order rows, aligned
+exactly per sample, in row order, so it rounds as adding them one at a
+time does.  It returns normalized pairs for every family; ``weights``
+aligns and collapses them.
 
 For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
@@ -115,9 +117,18 @@ class BatchKernelState:
         return self.scheme.gamma_jnu[j]
 
     def _renorm(self):
-        mx = np.max(np.abs(self.P), axis=0)
-        lo, hi = 2.0**-_RENORM_BITS, 2.0**_RENORM_BITS
-        if not mx.size or (lo <= mx.min() and mx.max() <= hi):
+        P, lo, hi = self.P, 2.0**-_RENORM_BITS, 2.0**_RENORM_BITS
+        if not P.size:
+            return
+        # the usual case needs no array: no |P| above hi, and row 0 of one
+        # sign and at least lo in size, so every sample's largest |P| is
+        # in range; otherwise the per-sample test below decides
+        r = P[0]
+        if -hi <= P.min() and P.max() <= hi:
+            if lo <= r.min() or r.max() <= -lo:
+                return
+        mx = np.max(np.abs(P), axis=0)
+        if lo <= mx.min() and mx.max() <= hi:
             return
         over = (mx > 0.0) & ((mx > hi) | (mx < lo))
         _, ex = np.frexp(mx)
@@ -192,20 +203,27 @@ class BatchKernelState:
         return self._contract(self.P)
 
 
-def _committed(spec: KernelSpec, dy) -> BatchKernelState:
-    """The batch state with every coordinate of dy (m, s) committed.
+def _committed(spec: KernelSpec, block) -> BatchKernelState:
+    """The batch state with every coordinate committed, from the (s, m)
+    block of differences: row j is coordinate j of all m of them.
 
-    eta is evaluated once, on the whole (s, m) block of differences.
+    eta is evaluated once, on the whole block, and each of its rows is
+    committed in turn; a C-contiguous block keeps both passes unit-stride.
     """
-    dy = np.asarray(dy, dtype=float)
-    if dy.ndim != 2:
-        raise ValueError("dy must be a 2-D array of difference vectors")
-    state = BatchKernelState(spec.scheme, len(dy))
-    for row in eta(spec.alpha, dy.T):
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2:
+        raise ValueError("the differences must form a 2-D array")
+    state = BatchKernelState(spec.scheme, block.shape[1])
+    for row in eta(spec.alpha, block):
         state.commit(row)
     return state
 
 
 def kernel_values_batch(spec: KernelSpec, dy: np.ndarray) -> np.ndarray:
-    """K evaluated at a batch of difference vectors dy of shape (m, s)."""
-    return _to_floats(*_committed(spec, dy).values())
+    """K evaluated at a batch of difference vectors dy of shape (m, s).
+
+    dy is transposed once into the (s, m) block that ``_committed`` walks,
+    so the transpose of a coordinate-major block costs no copy.
+    """
+    block = np.asarray(dy, dtype=float).T
+    return _to_floats(*_committed(spec, block).values())

@@ -74,18 +74,31 @@ class Lattice:
     def s(self) -> int:
         return len(self.z)
 
+    def _kept(self, name: str, products) -> np.ndarray:
+        """{k z_j / n} laid out as products(k) lays out the integers k z_j,
+        k = 0..n-1; made on the first call, kept and read-only."""
+        arr = self.__dict__.get(name)
+        if arr is None:
+            k = np.arange(self.n, dtype=np.int64)
+            arr = (products(k) % self.n) / self.n
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        return arr
+
     def points(self) -> np.ndarray:
         """All n points as an (n, s) array; row k is t_k, row 0 is 0.
 
         Computed on the first call and kept; the array is read-only.
         """
-        pts = self.__dict__.get("_points")
-        if pts is None:
-            k = np.arange(self.n, dtype=np.int64)
-            pts = ((k[:, None] * self.z[None, :]) % self.n) / self.n
-            pts.flags.writeable = False
-            object.__setattr__(self, "_points", pts)
-        return pts
+        return self._kept("_points", lambda k: k[:, None] * self.z)
+
+    def columns(self) -> np.ndarray:
+        """The points coordinate-major, a C-contiguous (s, n) array: row j
+        holds coordinate j of every point, bit for bit ``points().T``.
+
+        Computed on the first call and kept; the array is read-only.
+        """
+        return self._kept("_columns", lambda k: self.z[:, None] * k)
 
 
 @dataclass
@@ -112,7 +125,7 @@ class CbcReport:
 
 
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> Scaled:
-    S, F = _committed(spec, lat.points()).values()
+    S, F = _committed(spec, lat.columns()).values()
     t, top = _scaled_total(S * S, 2 * F)
     return Scaled(t / lat.n, top)
 

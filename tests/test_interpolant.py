@@ -1,12 +1,19 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from latkern.experiments import derive_for_family
-from latkern.interpolant import build, evaluate, l2_error_estimate
-from latkern.kernel import KernelSpec
+from latkern.interpolant import (
+    _kernel_column,
+    build,
+    circulant_spectrum,
+    evaluate,
+    l2_error_estimate,
+)
+from latkern.kernel import KernelSpec, frac, kernel_values_batch
 from latkern.lattice import Lattice, cbc_construct
 from latkern.pde import DiffusionModel, decay_sequence
 from latkern.weights import PdeWeightInput, WeightScheme
@@ -35,25 +42,101 @@ def _dense_gram_solve(spec, lat, values):
     return np.linalg.solve(G, values)
 
 
+def _family_spec(family):
+    s = 4
+    model = DiffusionModel(0.2, 2.4, s)
+    inp = PdeWeightInput(1.0 / 2.2, decay_sequence(model, s), 0.1)
+    params = derive_for_family(family, inp, s)
+    return KernelSpec(params.alpha, params.scheme)
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     @pytest.mark.parametrize("n", [7, 64, 97, 257])
     def test_matches_naive_dft_of_kernel_column(self, family, n):
         # the column a_k = K(t_k, 0) is symmetric, so its DFT is real
-        s = 4
-        model = DiffusionModel(0.2, 2.4, s)
-        inp = PdeWeightInput(1.0 / 2.2, decay_sequence(model, s), 0.1)
-        params = derive_for_family(family, inp, s)
-        spec = KernelSpec(params.alpha, params.scheme)
-        lat = cbc_construct(spec, n, s).lattice()
+        spec = _family_spec(family)
+        lat = cbc_construct(spec, n, 4).lattice()
         pts = lat.points()
-        col = [kernel_eval(spec, pts[k], np.zeros(s)) for k in range(n)]
+        col = [kernel_eval(spec, pts[k], np.zeros(4)) for k in range(n)]
         want = naive_dft(col)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(want.imag)) <= 1e-12 * scale
         got = build(spec, lat, np.zeros(n)).spectrum
         assert got.shape == (n // 2 + 1,)
         assert np.max(np.abs(got - want[: n // 2 + 1].real)) <= 1e-10 * scale
+
+
+class TestCoordinateMajorColumns:
+    # the kernel column and spectrum are formed from the (s, n) columns;
+    # the reference is kernel_values_batch on the C-contiguous (n, s)
+    # differences t_j - {y}, the row-major route
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    @pytest.mark.parametrize("n", [64, 257])
+    def test_bit_equal_to_row_major_differences(self, family, n):
+        spec = _family_spec(family)
+        lat = Lattice(n, np.array([1, 27, 15, 5]))
+        rng = np.random.default_rng(n)
+        ys = [rng.random(4), -rng.random(4), 1.0 + 3.0 * rng.random(4),
+              np.array([0.0, -2.5, 1.0, 0.75])]
+        for y in ys:
+            dy = np.ascontiguousarray(lat.points() - frac(y))
+            np.testing.assert_array_equal(
+                _kernel_column(spec, lat, y), kernel_values_batch(spec, dy)
+            )
+        want = np.fft.rfft(
+            kernel_values_batch(spec, np.ascontiguousarray(lat.points()))
+        ).real
+        np.testing.assert_array_equal(circulant_spectrum(spec, lat), want)
+
+
+class TestLazyTransforms:
+    @pytest.mark.parametrize("shape", [(64,), (3, 64)])
+    def test_bit_equal_to_eager_formulas(self, shape):
+        spec = _family_spec("spod")
+        lat = Lattice(64, np.array([1, 27, 15, 5]))
+        values = np.random.default_rng(1).standard_normal(shape)
+        spectrum = circulant_spectrum(spec, lat)
+        coeff_fft = np.fft.rfft(values) / spectrum
+        coeffs = np.fft.irfft(coeff_fft, n=64)
+        node_vals = np.fft.irfft(coeff_fft * spectrum, n=64)
+        residual = float(np.max(np.abs(node_vals - values)))
+        itp = build(spec, lat, values)
+        np.testing.assert_array_equal(itp.coeff_fft, coeff_fft)
+        np.testing.assert_array_equal(itp.coeffs, coeffs)
+        assert itp.coeffs.shape == shape
+        assert itp.residual == residual
+
+    def test_values_held_by_reference(self):
+        values = np.arange(16.0)
+        itp = build(_spec(), Lattice(16, np.array([1, 7, 5])), values)
+        assert itp.values is values
+
+    def test_inverse_transforms_run_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(np.fft, name)
+
+            def transform(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return transform
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        lat = Lattice(16, np.array([1, 7, 5]))
+        itp = build(_spec(), lat, np.ones((2, 16)))
+        assert "irfft" not in calls
+        calls.clear()
+        coeffs = itp.coeffs
+        assert calls == ["irfft"]
+        assert itp.coeffs is coeffs
+        assert itp.residual <= 1e-12
+        assert calls == ["irfft", "irfft"]
+        itp.residual
+        assert calls == ["irfft", "irfft"]
 
 
 class TestBuild:
@@ -185,12 +268,30 @@ class TestParameterLength:
         # a 1-vector once broadcast over all s coordinates without a word
         lat = Lattice(16, np.array([1, 7, 5, 3]))
         itp = build(_spec((0.9, 0.6, 0.4, 0.3)), lat, np.arange(16.0))
-        msg = f"y has {np.size(y)} components, the lattice has s = 4"
+        msg = re.escape(
+            f"y has shape {np.shape(y)}; the lattice needs shape (4,)"
+        )
         with pytest.raises(ValueError, match=msg):
             evaluate(itp, y)
         with pytest.raises(ValueError, match=msg):
             itp.shifted_union(y)
         assert np.isfinite(evaluate(itp, [0.3] * 4))
+
+    @pytest.mark.parametrize(
+        "z, y, got",
+        [([1], 0.25, "()"), ([1, 3], [[0.1, 0.2]], "(1, 2)")],
+    )
+    def test_message_names_both_shapes(self, z, y, got):
+        # a scalar at s = 1 and a (1, s) row have as many entries as y
+        # needs, so a count of components named no difference
+        lat = Lattice(8, np.array(z))
+        itp = build(_spec((0.9, 0.6)[: len(z)]), lat, np.arange(8.0))
+        want = f"({len(z)},)"
+        msg = f"y has shape {got}; the lattice needs shape {want}"
+        for call in (lambda: evaluate(itp, y), lambda: itp.shifted_union(y)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(msg)
 
 
 class TestHNorm:

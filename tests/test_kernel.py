@@ -249,7 +249,7 @@ class TestBatchPath:
         d = _derived(family)
         spec = KernelSpec(d.alpha, d.scheme)
         dy = np.random.default_rng(3).random((32, 6))
-        S, F = _committed(spec, dy).values()
+        S, F = _committed(spec, dy.T).values()
         assert np.all((0.5 <= np.abs(S)) & (np.abs(S) < 1.0))
         np.testing.assert_array_equal(
             np.ldexp(S, F), kernel_values_batch(spec, dy)
@@ -307,6 +307,23 @@ class TestBatchPath:
         with pytest.raises(RangeError):
             kernel_values_batch(spec, np.vstack([dy, np.zeros(s)]))
 
+    def test_product_falling_below_renorm_range(self):
+        # every sample shrinks and none grows, so only the lower end of the
+        # range calls for renormalizing: 250 factors near 1/33.9 take the
+        # product to about 2^-1271, past the smallest double
+        s = 250
+        spec = KernelSpec(2, WeightScheme("product", gamma_j=np.full(s, 10.0)))
+        big = 1.0 + 10.0 * eta(2, 0.0)
+        q = 1.0 / 6.0 - (1.0 / big - 1.0) / (20.0 * math.pi**2)
+        back = (1.0 - math.sqrt(1.0 - 4.0 * q)) / 2.0
+        dy = back + 1e-5 * np.random.default_rng(9).standard_normal((3, s))
+        S, F = _committed(spec, dy.T).values()
+        assert np.all(F < -1200)
+        for i, row in enumerate(dy):
+            exact = math.prod(1 + 10 * Fraction(e) for e in eta(2, row))
+            got = Fraction(float(S[i])) * Fraction(2) ** int(F[i])
+            assert abs(got - exact) <= Fraction(1e-12) * exact
+
     @pytest.mark.parametrize("m", [1, 64])
     @pytest.mark.parametrize("seed", range(4))
     def test_contract_matches_scaled_add_loop(self, seed, m):
@@ -356,7 +373,7 @@ class TestBatchPath:
         d = _derived(family, s=4)
         spec = KernelSpec(d.alpha, d.scheme)
         past = "coordinate 5 is past the weight sequence"
-        state = _committed(spec, np.zeros((3, 4)))
+        state = _committed(spec, np.zeros((4, 3)))
         with pytest.raises(ValueError, match=past):
             state.affine_split()
         with pytest.raises(ValueError, match=past):

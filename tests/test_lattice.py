@@ -187,6 +187,19 @@ class TestLattice:
             pts[1, 0] = 0.5
         np.testing.assert_array_equal(lat.points(), closed)
 
+    @pytest.mark.parametrize("n", [11, 64])
+    def test_columns_computed_once_and_read_only(self, n):
+        # the coordinate-major copy: kept, read-only, C-contiguous (s, n),
+        # and bit for bit the transpose of points()
+        lat = Lattice(n, np.array([1, 3, 7]))
+        cols = lat.columns()
+        assert lat.columns() is cols
+        assert cols.shape == (3, n) and cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, lat.points().T)
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 1] = 0.5
+        np.testing.assert_array_equal(lat.columns(), lat.points().T)
+
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             Lattice(6, np.array([1, 2]))
