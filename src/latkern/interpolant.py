@@ -4,9 +4,8 @@ The Gram matrix of the kernel on a rank-1 lattice is circulant in the
 point index because t_k - t_{k'} is again a lattice point, so building the
 interpolant and evaluating it on the union of shifted lattices both reduce
 to length-n transforms of the single kernel column K(t_j, 0).  The column
-is symmetric, a_k = a_{n-k} (bitwise for even n, to rounding for odd n),
-so its spectrum is real and the solve uses numpy's real transforms along
-the last axis.
+is symmetric to rounding, a_k = a_{n-k}, so its spectrum is real and the
+solve uses numpy's real transforms along the last axis.
 
 One type, `Interpolant`, holds one function (values shaped (n,)) or a
 batch of functions sharing the lattice and kernel (values shaped (B, n)):

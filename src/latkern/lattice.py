@@ -74,31 +74,28 @@ class Lattice:
     def s(self) -> int:
         return len(self.z)
 
-    def _kept(self, name: str, products) -> np.ndarray:
-        """{k z_j / n} laid out as products(k) lays out the integers k z_j,
-        k = 0..n-1; made on the first call, kept and read-only."""
-        arr = self.__dict__.get(name)
-        if arr is None:
+    def columns(self) -> np.ndarray:
+        """The points coordinate-major, a C-contiguous (s, n) array: row j
+        holds coordinate j of every point, {k z_j / n} for k = 0..n-1.
+
+        The lattice's one point array, of which `points` is a view; computed
+        on the first call and kept, read-only.
+        """
+        cols = self.__dict__.get("_columns")
+        if cols is None:
             k = np.arange(self.n, dtype=np.int64)
-            arr = (products(k) % self.n) / self.n
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        return arr
+            cols = (self.z[:, None] * k % self.n) / self.n
+            cols.flags.writeable = False
+            object.__setattr__(self, "_columns", cols)
+        return cols
 
     def points(self) -> np.ndarray:
         """All n points as an (n, s) array; row k is t_k, row 0 is 0.
 
-        Computed on the first call and kept; the array is read-only.
+        The read-only transpose of `columns()`, a view, not a copy: its
+        memory is Fortran-ordered.
         """
-        return self._kept("_points", lambda k: k[:, None] * self.z)
-
-    def columns(self) -> np.ndarray:
-        """The points coordinate-major, a C-contiguous (s, n) array: row j
-        holds coordinate j of every point, bit for bit ``points().T``.
-
-        Computed on the first call and kept; the array is read-only.
-        """
-        return self._kept("_columns", lambda k: self.z[:, None] * k)
+        return self.columns().T
 
 
 @dataclass

@@ -253,8 +253,6 @@ def fem_solve(
 def _norm_by_squares(mesh: FemMesh, v, form):
     """sqrt of form(ll, lr, ul, ur) at each square's corners, summed, for one
     vector v (a float) or a batch (B, ...), interior or full."""
-    if isinstance(v, FemSolution):
-        v = v.full_values()
     v = np.asarray(v, dtype=float)
     V = np.atleast_2d(v)
     nodes = mesh.nodes.shape[0]

@@ -52,7 +52,7 @@ def _family_spec(family):
 
 class TestSpectrum:
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
-    @pytest.mark.parametrize("n", [7, 64, 97, 257])
+    @pytest.mark.parametrize("n", [7, 64, 97, 100, 257])
     def test_matches_naive_dft_of_kernel_column(self, family, n):
         # the column a_k = K(t_k, 0) is symmetric, so its DFT is real
         spec = _family_spec(family)

@@ -178,7 +178,7 @@ class TestLattice:
     def test_points_computed_once_and_read_only(self):
         lat = Lattice(11, np.array([1, 3, 7]))
         pts = lat.points()
-        assert lat.points() is pts
+        assert lat.points().base is lat.columns()
         closed = np.array(
             [[(k * zj % 11) / 11 for zj in (1, 3, 7)] for k in range(11)]
         )
@@ -189,8 +189,8 @@ class TestLattice:
 
     @pytest.mark.parametrize("n", [11, 64])
     def test_columns_computed_once_and_read_only(self, n):
-        # the coordinate-major copy: kept, read-only, C-contiguous (s, n),
-        # and bit for bit the transpose of points()
+        # the lattice's one point array: kept, read-only, C-contiguous
+        # (s, n), and bit for bit the transpose of points()
         lat = Lattice(n, np.array([1, 3, 7]))
         cols = lat.columns()
         assert lat.columns() is cols

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import latkern.pde
+from latkern.lattice import Lattice
 from latkern.pde import (
     DiffusionModel,
     FemMesh,
@@ -474,6 +475,23 @@ class TestSolve:
         second = fem_solve(mesh, m, Y[block:]).interior_values
         assert np.array_equal(both, np.concatenate([first, second]))
 
+    @pytest.mark.parametrize("size", ["one", "block_plus_one", "beyond_two"])
+    def test_point_layout_keeps_the_bits(self, size):
+        # Lattice.points() is an F-ordered view of the (s, n) columns; the
+        # solutions must not depend on that layout, for the one-row path
+        # and for full and partial blocks
+        mesh = FemMesh(5)
+        m = _model(c=0.4, s=6)
+        block = latkern.pde._SOLVE_BLOCK // mesh.nodes.shape[0]
+        n = 2 * block + 7
+        z = [c for c in range(1, n, 7) if math.gcd(c, n) == 1][:6]
+        pts = Lattice(n, np.array(z)).points()
+        Y = pts[-{"one": 1, "block_plus_one": block + 1, "beyond_two": n}[size]:]
+        assert not Y.flags.c_contiguous
+        got = fem_solve(mesh, m, Y).interior_values
+        want = fem_solve(mesh, m, np.ascontiguousarray(Y)).interior_values
+        assert np.array_equal(got, want)
+
     def test_empty_batch(self):
         mesh = FemMesh(3)
         sol = fem_solve(mesh, _model(), np.empty((0, 4)))
@@ -499,7 +517,7 @@ class TestSolve:
         m = _model()
         y = np.random.default_rng(5).random(4)
         sol = fem_solve(mesh, m, y)
-        unorm = l2_norm(mesh, sol)
+        unorm = l2_norm(mesh, sol.interior_values)
         fnorm = l2_norm(mesh, mesh.nodes[:, 1])
         lam1 = 2.0 * math.pi**2
         assert unorm <= fnorm / (m.a_min * lam1) * (1.0 + 1e-6)
@@ -568,7 +586,8 @@ class TestBatchedNorms:
         full = sol.full_values()
         assert full.shape == (3, mesh.nodes.shape[0])
         for norm in (l2_norm, h1_seminorm):
-            got = norm(mesh, sol)
+            got = norm(mesh, sol.interior_values)
+            assert np.array_equal(norm(mesh, full), got)
             for k in range(3):
                 assert got[k] == norm(mesh, sol.interior_values[k])
         for k in range(3):
