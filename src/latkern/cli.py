@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -77,7 +78,8 @@ def _read_config(path: str, command: str) -> dict:
     options = _COMMANDS[command][1]
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        # a comment starts a line or follows whitespace: run#1.txt is a value
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -113,10 +115,11 @@ def _cmd_cbc(cfg: StudyConfig) -> int:
         ns = ",".join(map(str, cfg.n_schedule))
         raise ValueError(f"cbc builds one n, not the n list {ns}")
     (n,) = cfg.n_schedule
+    spec = study_kernel(cfg)  # refuses bad settings before --out is opened
     if cfg.out:
         # a bad path fails before the search; a file keeps its contents
         open(cfg.out, "a").close()
-    report = cbc_construct(study_kernel(cfg), n, cfg.s)
+    report = cbc_construct(spec, n, cfg.s)
     if cfg.out:
         write_genvec(cfg.out, report.z, n)
     else:

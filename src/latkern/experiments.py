@@ -76,8 +76,8 @@ class StudyConfig:
         if self.weights not in ("product", "pod", "spod"):
             raise ValueError(f"unknown weight family {self.weights!r}")
         ns = tuple(int(n) for n in self.n_schedule)
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n schedule must be strictly increasing")
+        if any(b <= a for a, b in zip((1, *ns), ns)):
+            raise ValueError("n schedule must be strictly increasing, n >= 2")
         if self.L < 1 or self.mesh_level < 1 or self.s < 1:
             raise ValueError("L, mesh level, and s must be positive")
         if self.seed < 0:

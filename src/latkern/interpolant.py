@@ -54,7 +54,7 @@ class SingularSpectrumError(ArithmeticError):
 def _check_spectrum(spectrum: np.ndarray) -> None:
     mags = np.abs(spectrum)
     lo, hi = float(np.min(mags)), float(np.max(mags))
-    if lo < _SINGULAR_REL * hi:
+    if not lo >= _SINGULAR_REL * hi:
         raise SingularSpectrumError(
             f"near-singular circulant spectrum: min/max |lambda| = "
             f"{lo:.3e}/{hi:.3e} = {lo / hi:.2e}, below {_SINGULAR_REL:g}; "

@@ -42,11 +42,15 @@ class DiffusionModel:
     a0: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        if self.c < 0 or self.theta <= 1.0 or self.s < 0:
-            raise ValueError("need c >= 0, theta > 1, s >= 0")
+        if not (0.0 <= self.c < math.inf and 1.0 < self.theta < math.inf
+                and self.s >= 0):
+            raise ValueError(
+                "need finite c >= 0 and theta > 1, and s >= 0; got "
+                f"c={self.c}, theta={self.theta}, s={self.s}"
+            )
         # zeta sums 10^4 terms, so once per model
         object.__setattr__(self, "_spread", self.c / _SQRT6 * zeta(self.theta))
-        if self.a_min <= 0.0:
+        if not self.a_min > 0.0:
             raise ValueError(
                 f"fluctuation too large: a_min = {self.a_min} <= 0"
             )

@@ -31,10 +31,6 @@ MAX_BERNOULLI_DEGREE = 16
 E_POW_INV_E = math.exp(1.0 / math.e)
 
 
-class UnsupportedDegreeError(ValueError):
-    pass
-
-
 @lru_cache(maxsize=1)
 def _bernoulli_numbers() -> tuple[Fraction, ...]:
     """B_0..B_max by Akiyama-Tanigawa, with the B_1 = -1/2 convention."""
@@ -54,11 +50,11 @@ def _bernoulli_numbers() -> tuple[Fraction, ...]:
 def bernoulli_poly_coeffs(degree: int) -> np.ndarray:
     """Coefficients of B_degree(x), highest power first (np.polyval order)."""
     if degree <= 0 or degree % 2 != 0:
-        raise UnsupportedDegreeError(
+        raise ValueError(
             f"Bernoulli polynomial degree must be even and positive, got {degree}"
         )
     if degree > MAX_BERNOULLI_DEGREE:
-        raise UnsupportedDegreeError(
+        raise ValueError(
             f"degree {degree} exceeds the cached maximum {MAX_BERNOULLI_DEGREE}"
         )
     nums = _bernoulli_numbers()
@@ -88,14 +84,17 @@ _ZETA_TERMS = 10_000
 
 
 def zeta(x: float) -> float:
-    """Riemann zeta for x > 1.
+    """Riemann zeta for finite x > 1.
 
     Direct partial sum over 10^4 terms plus an Euler-Maclaurin tail with
     two correction terms; absolute error well below 1e-12 down to
-    x = 1.05.
+    x = 1.05.  From x = 1075 on, k^-x rounds to 0 for every k >= 2, so the
+    sum is 1.0, returned before the tail's x (x + 1) (x + 2) overflows.
     """
-    if x <= 1.0:
-        raise ValueError(f"zeta requires x > 1, got {x}")
+    if not 1.0 < x < math.inf:
+        raise ValueError(f"zeta requires finite x > 1, got {x}")
+    if x >= 1075.0:
+        return 1.0
     n = _ZETA_TERMS
     k = np.arange(1, n, dtype=float)
     head = float(np.sum(k ** (-x)))

@@ -130,8 +130,9 @@ class WeightScheme:
                 raise ValueError(f"{self.kind} weights take gamma_j only")
             col = np.asarray(self.gamma_j, dtype=float)[:, None]
             object.__setattr__(self, "gamma_jnu", col)
-        if self.gamma_jnu is None or np.any(np.asarray(self.gamma_jnu) <= 0):
-            raise ValueError("gamma_j / gamma_jnu must be positive")
+        g = np.asarray(self.gamma_jnu, dtype=float)  # None reads as NaN
+        if not np.all((0 < g) & (g < np.inf)):
+            raise ValueError("gamma_j / gamma_jnu must be finite and positive")
         if self.kind != "product":
             if self.Gamma is None:
                 raise ValueError(f"{self.kind} weights need order factors")
@@ -141,8 +142,8 @@ class WeightScheme:
                     f"Gamma needs {need} mantissas and as many exponents "
                     f"(orders 0..dimension * sigma), got {len(gm)}, {len(ge)}"
                 )
-            if np.any(gm <= 0):
-                raise ValueError("Gamma entries must be positive")
+            if not np.all((0 < gm) & (gm < np.inf)):
+                raise ValueError("Gamma entries must be finite and positive")
 
     @property
     def sigma(self) -> int:
@@ -165,8 +166,12 @@ class PdeWeightInput:
         if not 0.0 < self.p < 1.0:
             raise ValueError("summability exponent p must lie in (0, 1)")
         b = np.asarray(self.b, dtype=float)
-        if np.any(b <= 0):
-            raise ValueError("b sequence must be positive")
+        bad = ~((0 < b) & (b < np.inf))  # NaN fails both
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(
+                f"b sequence must be finite and positive: b_{j + 1} = {b[j]}"
+            )
         if np.any(np.diff(b) > 1e-15):
             raise ValueError("b sequence must be non-increasing")
 

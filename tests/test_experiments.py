@@ -352,6 +352,18 @@ class TestCli:
         assert rc == 0
         assert read_genvec(out).s == 3
 
+    def test_config_comment_follows_whitespace(self, tmp_path):
+        # a '#' inside a value is part of it, not a comment: run#1.txt
+        # was cut to 'run'
+        conf = tmp_path / "study.conf"
+        conf.write_text(
+            "# comment line\nweights = product  # after spaces\n"
+            f"s = 3\t# after a tab\nn_list = 16\nout = {tmp_path}/run#1.txt\n"
+        )
+        assert cli(["--config", str(conf), "cbc"]) == 0
+        assert read_genvec(tmp_path / "run#1.txt").s == 3
+        assert not (tmp_path / "run").exists()
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         conf = tmp_path / "study.conf"
         conf.write_text("weights = product\ns = 5\nn_list = 8\n")
@@ -543,6 +555,44 @@ class TestCli:
         rc = cli(["cbc", "--s", "2", "--n-list", "8", "--out", str(out)])
         assert rc == 2
         assert out.read_text() == "# n=8\n1 1\n"
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["cbc", "--weights", "product", "--s", "3", "--n-list", "16",
+              "--c", "nan"], "c=nan"),
+            (["cbc", "--weights", "product", "--s", "3", "--n-list", "16",
+              "--theta", "nan"], "theta=nan"),
+            (["cbc", "--weights", "product", "--s", "3", "--n-list", "16",
+              "--theta", "inf"], "theta=inf"),
+            # theta is finite, but b_j = c j^-theta / ... underflows to 0
+            (["cbc", "--weights", "product", "--s", "3", "--n-list", "16",
+              "--theta", "1e200"], "b_2 = 0.0"),
+            (["cbc", "--weights", "product", "--s", "3", "--n-list", "16",
+              "--p", "0.5"], "p=0.5"),
+            (["cbc", "--weights", "pod", "--s", "3", "--n-list", "16",
+              "--p", "0.35"], "p=0.35"),
+            (["cbc", "--weights", "product", "--s", "3", "--n-list", "1"],
+             "n >= 2"),
+            (["interp-study", "--s", "2", "--L", "1", "--mesh-level", "1",
+              "--n-list", "16,32,64", "--c", "nan"], "c=nan"),
+            (["dimtrunc-study", "--mesh-level", "1", "--theta", "nan"],
+             "theta=nan"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_refused_settings_leave_no_out_file(
+        self, argv, named, tmp_path, monkeypatch, capsys
+    ):
+        # every refusal that needs no search or solve comes before --out
+        # is opened; a NaN parameter once ran to NaN output
+        self._no_solves(monkeypatch)
+        out = tmp_path / "out.txt"
+        rc = cli([*argv, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
 
     def test_cbc_several_n_exits_1(self, capsys):
         rc = cli(["cbc", "--weights", "product", "--s", "2",

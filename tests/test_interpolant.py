@@ -7,6 +7,8 @@ import pytest
 
 from latkern.experiments import derive_for_family
 from latkern.interpolant import (
+    SingularSpectrumError,
+    _check_spectrum,
     _kernel_column,
     build,
     circulant_spectrum,
@@ -196,6 +198,11 @@ class TestBuild:
         lat = Lattice(32, np.array([1, 13, 9]))
         itp = build(spec, lat, np.zeros(32))
         assert np.min(np.abs(itp.spectrum)) > 0.0
+
+    def test_nan_spectrum_is_singular(self):
+        # NaN fails min < 1e-13 max as it fails every comparison
+        with pytest.raises(SingularSpectrumError):
+            _check_spectrum(np.array([1.0, math.nan, 0.5]))
 
     def test_wrong_length_rejected(self):
         spec = _spec()

@@ -137,6 +137,17 @@ class TestDiffusionModel:
         with pytest.raises(ValueError):
             DiffusionModel(10.0, 2.0, 4)
 
+    @pytest.mark.parametrize(
+        "c,theta,named",
+        [(math.nan, 2.4, "c=nan"), (math.inf, 2.4, "c=inf"),
+         (0.2, math.nan, "theta=nan"), (0.2, math.inf, "theta=inf")],
+    )
+    def test_non_finite_parameters_rejected(self, c, theta, named):
+        # NaN fails every comparison, so a check of the invalid range
+        # (c < 0, theta <= 1) once let it through to a NaN coefficient
+        with pytest.raises(ValueError, match=named):
+            DiffusionModel(c, theta, 4)
+
     def test_at_zero_parameter(self):
         m = _model()
         x = np.array([[0.3, 0.7], [0.5, 0.5]])

@@ -1,8 +1,10 @@
 """Every public name of latkern has a caller; every reference a test.
 
-A name in a module's ``__all__`` is reached when the code outside its own
-definition refers to it: a Name, an Attribute or an import in ``src/``
-(leaving out ``latkern/__init__.py``, which only re-exports) or
+Each name has one import path, the module that defines it: the package's
+``__init__.py`` is its docstring alone, and every public top-level def,
+class or assignment of a module is listed in the module's ``__all__``.
+A name in ``__all__`` is reached when the code outside its own definition
+refers to it: a Name, an Attribute or an import in ``src/`` or
 ``perfbench/``, a string naming a function that ``perfbench/`` traces,
 or the console-script entry point in ``pyproject.toml``.  The reference
 implementations in ``tests/reference.py`` exist to check production code,
@@ -87,7 +89,7 @@ REFERENCE_NAMES = [
 def reached():
     """name -> {(path, owner names)} for every reference outside tests."""
     found: dict[str, set] = {}
-    sources = [(p, False) for p in MODULES]
+    sources = [(p, False) for p in sorted(PACKAGE.glob("*.py"))]
     sources += [(p, True) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     for path, strings in sources:
         for name, owner in _references(path, strings):
@@ -115,6 +117,27 @@ class TestEveryPublicNameIsReached:
             "special", "weights",
         }
         assert all(_public_names(p) for p in MODULES)
+
+    def test_package_namespace_is_its_docstring(self):
+        tree = ast.parse((PACKAGE / "__init__.py").read_text())
+        extra = [ast.unparse(stmt) for stmt in tree.body[1:]]
+        assert ast.get_docstring(tree) and not extra, (
+            "latkern/__init__.py gives these names a second import path; "
+            f"import them from the module that defines them: {extra}"
+        )
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+    def test_public_definitions_are_listed(self, path):
+        listed = set(_public_names(path))
+        defined = {
+            name for stmt in ast.parse(path.read_text()).body
+            for name in _defined_names(stmt) if not name.startswith("_")
+        }
+        assert defined <= listed, (
+            f"{path.name} defines {sorted(defined - listed)} outside its "
+            "__all__, where no caller check sees them; list them or make "
+            "them private"
+        )
 
     @pytest.mark.parametrize("module, name", PUBLIC)
     def test_public_name_has_a_caller(self, module, name, reached):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from latkern.special import (
-    UnsupportedDegreeError,
     bell_touchard,
     bernoulli_poly,
     bernoulli_poly_coeffs,
@@ -26,7 +25,7 @@ class TestBernoulliPoly:
 
     @pytest.mark.parametrize("bad", [1, 3, 5, 0, 18])
     def test_rejects_odd_zero_or_large(self, bad):
-        with pytest.raises(UnsupportedDegreeError):
+        with pytest.raises(ValueError, match="degree"):
             bernoulli_poly(bad, 0.25)
 
     @pytest.mark.parametrize("degree", [2, 4, 6, 8, 10, 12])
@@ -73,6 +72,16 @@ class TestZeta:
             zeta(1.0)
         with pytest.raises(ValueError):
             zeta(0.5)
+        with pytest.raises(ValueError, match="nan"):
+            zeta(math.nan)
+        with pytest.raises(ValueError, match="inf"):
+            zeta(math.inf)
+
+    @pytest.mark.parametrize("x", [64.0, 1074.0, 1075.0, 1e103, 1e200, 1e308])
+    def test_one_for_large_x(self, x):
+        # past about 5.6e102, x (x + 1) (x + 2) overflows to inf and met
+        # n^(-x - 3) = 0 in the Euler-Maclaurin tail: the sum was NaN
+        assert zeta(x) == 1.0
 
 
 class TestStirling2:

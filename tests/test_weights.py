@@ -108,6 +108,34 @@ class TestDeriveProduct:
             derive_product(_input(1 / 2.2, delta=5.0), 10)
 
 
+class TestNonFiniteInputs:
+    # NaN fails every comparison, so checks of the invalid range (b <= 0,
+    # gamma <= 0) once let it through to NaN weights
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_b_entry_named(self, bad):
+        b = _input(0.4).b.copy()
+        b[1] = bad
+        with pytest.raises(ValueError, match=f"b_2 = {bad}"):
+            PdeWeightInput(0.4, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gamma_entry(self, bad):
+        with pytest.raises(ValueError, match="gamma_j / gamma_jnu"):
+            WeightScheme("product", gamma_j=np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="gamma_j / gamma_jnu"):
+            WeightScheme("spod", Gamma=_spod_order_factors(0.5, 2),
+                         gamma_jnu=np.array([[0.5, bad]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_order_factor_mantissa(self, bad):
+        gm, ge = _spod_order_factors(0.5, 2)
+        gm = gm.copy()
+        gm[1] = bad
+        with pytest.raises(ValueError, match="Gamma entries"):
+            WeightScheme("spod", Gamma=(gm, ge), gamma_jnu=np.full((1, 2), 0.5))
+
+
 class TestWeightOf:
     def test_product_pair(self):
         sch = WeightScheme("product", gamma_j=np.array([0.5, 0.25]))
