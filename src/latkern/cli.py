@@ -90,7 +90,10 @@ def _read_config(path: str, command: str) -> dict:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r} for {command}"
             )
-        out[key] = _TYPES[key](val)
+        try:
+            out[key] = _TYPES[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key} = {val}: {exc}") from None
     return out
 
 

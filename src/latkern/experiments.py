@@ -127,6 +127,8 @@ def derive_for_family(family: str, inp: PdeWeightInput, s: int):
 
 def study_kernel(cfg: StudyConfig) -> KernelSpec:
     """The kernel of cfg's weight family for its diffusion model."""
+    if cfg.c <= 0.0:  # b_j = 0; NaN goes on to the model's message
+        raise ValueError(f"the weights need c > 0, got c={cfg.c}")
     model = DiffusionModel(cfg.c, cfg.theta, cfg.s)
     inp = PdeWeightInput(cfg.p, decay_sequence(model, cfg.s), cfg.delta)
     params = derive_for_family(cfg.weights, inp, cfg.s)

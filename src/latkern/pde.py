@@ -10,7 +10,7 @@ only interior nodes carry unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -39,6 +39,7 @@ class DiffusionModel:
     c: float
     theta: float
     s: int
+    a_min: float = field(init=False)
     a0: ClassVar[float] = 1.0
 
     def __post_init__(self):
@@ -49,19 +50,10 @@ class DiffusionModel:
                 f"c={self.c}, theta={self.theta}, s={self.s}"
             )
         # zeta sums 10^4 terms, so once per model
-        object.__setattr__(self, "_spread", self.c / _SQRT6 * zeta(self.theta))
-        if not self.a_min > 0.0:
-            raise ValueError(
-                f"fluctuation too large: a_min = {self.a_min} <= 0"
-            )
-
-    @property
-    def a_min(self) -> float:
-        return self.a0 - self._spread
-
-    @property
-    def a_max(self) -> float:
-        return self.a0 + self._spread
+        a_min = self.a0 - self.c / _SQRT6 * zeta(self.theta)
+        if not a_min > 0.0:
+            raise ValueError(f"fluctuation too large: a_min = {a_min} <= 0")
+        object.__setattr__(self, "a_min", a_min)
 
 
 def decay_sequence(model: DiffusionModel, s: int) -> np.ndarray:
@@ -136,15 +128,7 @@ class FemMesh:
 
 @dataclass
 class FemSolution:
-    mesh: FemMesh
     interior_values: np.ndarray
-
-    def full_values(self) -> np.ndarray:
-        """Values at every node, 0 on the boundary: (nodes,) or (B, nodes)."""
-        v = self.interior_values
-        full = np.zeros(v.shape[:-1] + self.mesh.interior_mask.shape)
-        full[..., self.mesh.interior_mask] = v
-        return full
 
 
 def _load_vector(mesh: FemMesh, source) -> np.ndarray:
@@ -251,31 +235,34 @@ def fem_solve(
         raise FloatingPointError(
             f"mesh level {mesh.m}: {bad} of {len(Y)} solutions not finite"
         )
-    return FemSolution(mesh, u[0] if np.ndim(y) == 1 else u)
+    return FemSolution(u[0] if np.ndim(y) == 1 else u)
 
 
 def _norm_by_squares(mesh: FemMesh, v, form):
     """sqrt of form(ll, lr, ul, ur) at each square's corners, summed, for one
-    vector v (a float) or a batch (B, ...), interior or full."""
+    vector v of interior node values (a float) or a batch (B, n_unknowns);
+    the boundary nodes take the zero Dirichlet values."""
     v = np.asarray(v, dtype=float)
     V = np.atleast_2d(v)
-    nodes = mesh.nodes.shape[0]
-    if V.shape[1] not in (mesh.n_unknowns, nodes):
-        raise ValueError("vector length matches neither unknowns nor nodes")
-    idx = mesh.interior_mask if V.shape[1] < nodes else slice(None)
+    if V.shape[1:] != (mesh.n_unknowns,):
+        raise ValueError(
+            f"vectors of shape {v.shape}: expected {mesh.n_unknowns} "
+            "interior node values each"
+        )
+    N = mesh.N
     out = np.empty(len(V))
-    block = max(1, _SOLVE_BLOCK // nodes)
+    block = max(1, _SOLVE_BLOCK // mesh.nodes.shape[0])
     for i in range(0, len(V), block):
-        g = np.zeros((len(V[i : i + block]), nodes))
-        g[:, idx] = V[i : i + block]
-        g = g.reshape(-1, mesh.N + 1, mesh.N + 1)
+        part = V[i : i + block]
+        g = np.zeros((len(part), N + 1, N + 1))
+        g[:, 1:-1, 1:-1] = part.reshape(-1, N - 1, N - 1)
         q = form(g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:], g[:, 1:, 1:])
         out[i : i + block] = q.sum(axis=(1, 2))
     return float(np.sqrt(out[0])) if v.ndim == 1 else np.sqrt(out)
 
 
 def l2_norm(mesh: FemMesh, v):
-    """sqrt(v^T M v) with the consistent mass matrix; v interior or full.
+    """sqrt(v^T M v) with the consistent mass matrix, v interior node values.
 
     Triangle (a, b, c) adds area/12 (a^2 + b^2 + c^2 + (a + b + c)^2).
     """
@@ -289,9 +276,9 @@ def l2_norm(mesh: FemMesh, v):
 def h1_seminorm(mesh: FemMesh, v):
     """|v|_H1 = sqrt(v^T K v), K the unit-coefficient stiffness matrix.
 
-    On interior vectors (zero boundary values) this is the norm of
-    V = H^1_0(D); v interior or full.  A triangle adds half the squares of
-    the differences along its two axis edges.
+    v holds interior node values, so the boundary values are zero and this
+    is the norm of V = H^1_0(D).  A triangle adds half the squares of the
+    differences along its two axis edges.
     """
     def form(ll, lr, ul, ur):
         return (lr - ll) ** 2 + (ur - lr) ** 2 + (ur - ul) ** 2 + (ul - ll) ** 2

@@ -452,9 +452,10 @@ def diffusion_at(model: DiffusionModel, x, y) -> float | np.ndarray:
     )
     sines = np.sin(2.0 * math.pi * y)
     a = model.a0 + np.tensordot(sines, psi, (-1, -1)) / _SQRT6
-    eps = 1e-12 * max(1.0, model.a_max)
-    if np.any(a < model.a_min - eps) or np.any(a > model.a_max + eps):
-        raise AssertionError("coefficient left [a_min, a_max]")
+    a_max = 2 * model.a0 - model.a_min
+    eps = 1e-12 * max(1.0, a_max)
+    if np.any(a < model.a_min - eps) or np.any(a > a_max + eps):
+        raise AssertionError("coefficient left [a_min, 2 a0 - a_min]")
     return a
 
 

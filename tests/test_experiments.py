@@ -364,6 +364,15 @@ class TestCli:
         assert read_genvec(tmp_path / "run#1.txt").s == 3
         assert not (tmp_path / "run").exists()
 
+    def test_config_value_of_the_wrong_type_names_its_line(
+        self, tmp_path, capsys
+    ):
+        conf = tmp_path / "cfg"
+        conf.write_text("s = ten\n")
+        assert cli(["--config", str(conf), "cbc"]) == 1
+        err = capsys.readouterr().err
+        assert f"{conf}:1: s = ten:" in err
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         conf = tmp_path / "study.conf"
         conf.write_text("weights = product\ns = 5\nn_list = 8\n")
@@ -574,6 +583,11 @@ class TestCli:
               "--p", "0.35"], "p=0.35"),
             (["cbc", "--weights", "product", "--s", "3", "--n-list", "1"],
              "n >= 2"),
+            # c = 0 makes every b_j 0: no weights to derive
+            (["cbc", "--s", "3", "--n-list", "16", "--c", "0"],
+             "weights need c > 0"),
+            (["interp-study", "--s", "2", "--L", "1", "--mesh-level", "1",
+              "--n-list", "16,32,64", "--c", "0"], "weights need c > 0"),
             (["interp-study", "--s", "2", "--L", "1", "--mesh-level", "1",
               "--n-list", "16,32,64", "--c", "nan"], "c=nan"),
             (["dimtrunc-study", "--mesh-level", "1", "--theta", "nan"],

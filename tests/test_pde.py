@@ -116,7 +116,6 @@ class TestDiffusionModel:
     def test_bounds(self):
         m = _model(c=0.2, theta=2.4, s=100)
         want = 0.2 * zeta(2.4) / math.sqrt(6.0)
-        assert m.a_max == pytest.approx(1.0 + want, rel=1e-10)
         assert m.a_min == pytest.approx(1.0 - want, rel=1e-10)
         assert m.a_min == pytest.approx(0.8869, abs=5e-4)
 
@@ -130,7 +129,7 @@ class TestDiffusionModel:
         monkeypatch.setattr(latkern.pde, "zeta", counting_zeta)
         m = _model()
         for _ in range(3):
-            assert m.a_min < 1.0 < m.a_max
+            assert m.a_min < 1.0
         assert calls == [2.4]
 
     def test_positivity_enforced(self):
@@ -341,7 +340,8 @@ class TestSolve:
         for lvl in (3, 4, 5):
             mesh = FemMesh(lvl)
             sol = fem_solve(mesh, m, np.zeros(4), source=f)
-            errs.append(l2_norm(mesh, sol.full_values() - u_exact(mesh.nodes)))
+            inner = mesh.nodes[mesh.interior_mask]
+            errs.append(l2_norm(mesh, sol.interior_values - u_exact(inner)))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
         assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.5)
 
@@ -350,8 +350,8 @@ class TestSolve:
         # x1 -> 1 - x1
         mesh = FemMesh(4)
         sol = fem_solve(mesh, _model(), np.zeros(4))
-        full = sol.full_values().reshape(mesh.N + 1, mesh.N + 1)
-        np.testing.assert_allclose(full, full[::-1, :], atol=1e-10)
+        u = sol.interior_values.reshape(mesh.N - 1, mesh.N - 1)
+        np.testing.assert_allclose(u, u[::-1, :], atol=1e-10)
 
     def test_periodicity_in_y(self):
         mesh = FemMesh(3)
@@ -529,15 +529,26 @@ class TestSolve:
         y = np.random.default_rng(5).random(4)
         sol = fem_solve(mesh, m, y)
         unorm = l2_norm(mesh, sol.interior_values)
-        fnorm = l2_norm(mesh, mesh.nodes[:, 1])
+        fnorm = 1.0 / math.sqrt(3.0)  # ||x2|| on the unit square
         lam1 = 2.0 * math.pi**2
         assert unorm <= fnorm / (m.a_min * lam1) * (1.0 + 1e-6)
 
 
+def _hat(mesh):
+    """The interior node values of the hat function at one interior node."""
+    v = np.zeros(mesh.n_unknowns)
+    v[mesh.n_unknowns // 2] = 1.0
+    return v
+
+
 class TestL2Norm:
-    def test_constant_one(self):
-        mesh = FemMesh(3)
-        assert l2_norm(mesh, np.ones(mesh.nodes.shape[0])) == pytest.approx(1.0)
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_hat_at_one_node(self, level):
+        # the integral of the hat squared is M_ii = h^2 / 2
+        mesh = FemMesh(level)
+        assert l2_norm(mesh, _hat(mesh)) == pytest.approx(
+            mesh.h / math.sqrt(2.0), rel=1e-15
+        )
 
     def test_zero(self):
         mesh = FemMesh(3)
@@ -548,9 +559,10 @@ class TestL2Norm:
         # square of the linear interpolant (3 edge-midpoint rule)
         mesh = FemMesh(3)
         rng = np.random.default_rng(7)
-        v = rng.standard_normal(mesh.nodes.shape[0])
-        tri = mesh.triangles
-        vt = v[tri]
+        v = rng.standard_normal(mesh.n_unknowns)
+        full = np.zeros(mesh.nodes.shape[0])
+        full[mesh.interior_mask] = v
+        vt = full[mesh.triangles]
         mids = np.stack(
             [
                 (vt[:, 0] + vt[:, 1]) / 2.0,
@@ -570,17 +582,16 @@ class TestL2Norm:
 
 
 class TestBatchedNorms:
-    @pytest.mark.parametrize("interior", [True, False])
-    def test_against_oracle_quadratic_forms(self, interior):
+    @pytest.mark.parametrize("f_ordered", [True, False])
+    def test_against_oracle_quadratic_forms(self, f_ordered):
+        # F-ordered: the transposed view the interpolation study passes
         mesh = FemMesh(4)
         rng = np.random.default_rng(31)
-        V = rng.standard_normal(
-            (7, mesh.n_unknowns if interior else mesh.nodes.shape[0])
-        )
-        full = V
-        if interior:
-            full = np.zeros((7, mesh.nodes.shape[0]))
-            full[:, mesh.interior_mask] = V
+        V = rng.standard_normal((7, mesh.n_unknowns))
+        if f_ordered:
+            V = np.ascontiguousarray(V.T).T
+        full = np.zeros((7, mesh.nodes.shape[0]))
+        full[:, mesh.interior_mask] = V
         K = _assemble_all_nodes(mesh, np.ones(mesh.triangles.shape[0]))
         for norm, Q in ((l2_norm, _mass_matrix(mesh)), (h1_seminorm, K)):
             got = norm(mesh, V)
@@ -593,17 +604,23 @@ class TestBatchedNorms:
         mesh = FemMesh(3)
         m = _model()
         Y = np.random.default_rng(37).random((3, 4))
-        sol = fem_solve(mesh, m, Y)
-        full = sol.full_values()
-        assert full.shape == (3, mesh.nodes.shape[0])
+        U = fem_solve(mesh, m, Y).interior_values
+        assert U.shape == (3, mesh.n_unknowns)
         for norm in (l2_norm, h1_seminorm):
-            got = norm(mesh, sol.interior_values)
-            assert np.array_equal(norm(mesh, full), got)
+            got = norm(mesh, U)
             for k in range(3):
-                assert got[k] == norm(mesh, sol.interior_values[k])
+                assert got[k] == norm(mesh, U[k])
         for k in range(3):
-            one = fem_solve(mesh, m, Y[k]).full_values()
-            assert np.max(np.abs(full[k] - one)) <= 1e-14 * np.max(np.abs(one))
+            one = fem_solve(mesh, m, Y[k]).interior_values
+            assert np.max(np.abs(U[k] - one)) <= 1e-14 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("norm", [l2_norm, h1_seminorm])
+    def test_full_length_vector_refused(self, norm):
+        # only interior nodes carry values; the boundary ones are zero
+        mesh = FemMesh(3)
+        for shape in ((81,), (2, 81)):
+            with pytest.raises(ValueError, match="expected 49 interior"):
+                norm(mesh, np.zeros(shape))
 
 
 def test_import_leaves_out_scipy_sparse():
@@ -649,12 +666,11 @@ class TestH1Seminorm:
         areas = 0.5 * np.abs(np.linalg.det(E))
         return math.sqrt(np.sum(areas * np.sum(grads**2, axis=1)))
 
-    def test_full_vector_against_gradient_oracle(self):
-        mesh = FemMesh(3)
-        v = np.random.default_rng(17).standard_normal(mesh.nodes.shape[0])
-        assert h1_seminorm(mesh, v) == pytest.approx(
-            self._gradient_oracle(mesh, v), rel=1e-12
-        )
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_hat_at_one_node(self, level):
+        # K_ii = 4, the centre of the 5-point Laplacian
+        mesh = FemMesh(level)
+        assert h1_seminorm(mesh, _hat(mesh)) == pytest.approx(2.0, rel=1e-15)
 
     def test_interior_vector_against_gradient_oracle(self):
         mesh = FemMesh(3)

@@ -6,10 +6,14 @@ class or assignment of a module is listed in the module's ``__all__``.
 A name in ``__all__`` is reached when the code outside its own definition
 refers to it: a Name, an Attribute or an import in ``src/`` or
 ``perfbench/``, a string naming a function that ``perfbench/`` traces,
-or the console-script entry point in ``pyproject.toml``.  The reference
-implementations in ``tests/reference.py`` exist to check production code,
-so each of its public functions and classes needs a caller in another test
-file.  No module raises AssertionError, which a caller cannot tell from a
+or the console-script entry point in ``pyproject.toml``.  Every public
+method or property of a class in ``src/latkern`` needs a caller too: an
+attribute of its name in ``src/`` or ``perfbench/`` outside the member's
+own definition, or a part after the first of a dotted string in
+``perfbench/``, such as the traced ``InterpolantBatch.shifted_union``.
+The reference implementations in ``tests/reference.py`` exist to check
+production code, so each of its public functions and classes needs a
+caller in another test file.  No module raises AssertionError, which a caller cannot tell from a
 failed test: numerical failures raise ArithmeticError.  Scaled-pair
 arithmetic has one home, ``weights.py``, the only module that clips
 exponent shifts.  The runtime needs numpy alone.
@@ -76,8 +80,34 @@ def _entry_points() -> set[str]:
     return {target.rsplit(":")[-1] for target in project["scripts"].values()}
 
 
+def _members(path: Path) -> list[tuple[str, ast.FunctionDef]]:
+    """(Class.member, def) for every public method or property of a class."""
+    return [
+        (f"{cls.name}.{node.name}", node)
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _attributes(path: Path, strings: bool) -> list[tuple[str, int]]:
+    """(attribute name, line) for every Attribute in the file; with strings,
+    also each part after the first of a dotted string constant."""
+    refs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif strings and isinstance(node, ast.Constant) and isinstance(
+            node.value, str
+        ):
+            refs += [(part, node.lineno) for part in node.value.split(".")[1:]]
+    return refs
+
+
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PUBLIC = [(p.stem, name) for p in MODULES for name in _public_names(p)]
+MEMBERS = [(p, m, node) for p in MODULES for m, node in _members(p)]
 REFERENCE_NAMES = [
     stmt.name for stmt in ast.parse(REFERENCE.read_text()).body
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
@@ -96,6 +126,18 @@ def reached():
             found.setdefault(name, set()).add((path, frozenset(owner)))
     for name in _entry_points():
         found.setdefault(name, set()).add((PYPROJECT, frozenset()))
+    return found
+
+
+@pytest.fixture(scope="module")
+def attributes():
+    """name -> {(path, line)} for every attribute outside tests."""
+    found: dict[str, set] = {}
+    sources = [(p, False) for p in sorted(PACKAGE.glob("*.py"))]
+    sources += [(p, True) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    for path, strings in sources:
+        for name, line in _attributes(path, strings):
+            found.setdefault(name, set()).add((path, line))
     return found
 
 
@@ -150,6 +192,24 @@ class TestEveryPublicNameIsReached:
             f"{module}.{name} is public but nothing outside its definition "
             "reaches it; delete it, or move it to tests/reference.py if it "
             "is a reference the tests check against"
+        )
+
+
+class TestEveryPublicMemberIsReached:
+    def test_members_found(self):
+        assert len(MEMBERS) >= 10
+
+    @pytest.mark.parametrize("path, member, node", MEMBERS,
+                             ids=[m for _, m, _ in MEMBERS])
+    def test_public_member_has_a_caller(self, path, member, node, attributes):
+        callers = {
+            (where, line)
+            for where, line in attributes.get(node.name, ())
+            if not (where == path and node.lineno <= line <= node.end_lineno)
+        }
+        assert callers, (
+            f"{path.stem}.{member} is public but nothing outside its "
+            "definition reaches it; delete it, or make it private"
         )
 
 
