@@ -78,8 +78,11 @@ class StudyConfig:
         ns = tuple(int(n) for n in self.n_schedule)
         if any(b <= a for a, b in zip((1, *ns), ns)):
             raise ValueError("n schedule must be strictly increasing, n >= 2")
-        if self.L < 1 or self.mesh_level < 1 or self.s < 1:
-            raise ValueError("L, mesh level, and s must be positive")
+        for name in ("L", "mesh_level", "s"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be positive, got {name}={getattr(self, name)}"
+                )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -164,9 +167,11 @@ def run_interp_convergence(cfg: StudyConfig):
     mesh = FemMesh(cfg.mesh_level)
     shifts = random_shifts(cfg.s, cfg.L, cfg.seed)
 
-    def solves(points):
-        """(unknowns, len(points)) FEM solutions, one column per point."""
-        return fem_solve(mesh, model, points).interior_values.T
+    def solves(points, guess=None):
+        """(unknowns, len(points)) FEM solutions, one column per point,
+        started from guess, of the same shape, when one is given."""
+        x0 = None if guess is None else guess.T
+        return fem_solve(mesh, model, points, x0=x0).interior_values.T
 
     def sq_norm(err):
         return l2_norm(mesh, err.T) ** 2
@@ -240,8 +245,9 @@ def run_dim_truncation(cfg: StudyConfig):
         acc = 0.0
         for k in range(0, nq, _POINT_BLOCK):
             part = slice(k, k + _POINT_BLOCK)
-            trunc = fem_solve(mesh, tmodel, pts[part]).interior_values
-            acc += float(np.sum(h1_seminorm(mesh, ref[part] - trunc) ** 2))
+            trunc = fem_solve(mesh, tmodel, pts[part], x0=ref[part])
+            err2 = h1_seminorm(mesh, ref[part] - trunc.interior_values) ** 2
+            acc += float(np.sum(err2))
         err = math.sqrt(acc / nq)
         svals.append(s)
         errs.append(err)

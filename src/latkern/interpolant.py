@@ -149,9 +149,11 @@ def evaluate(itp: Interpolant, y):
 def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:
     """RMS interpolation error over the shifted lattices y + t_k, y in shifts.
 
-    truth maps the (n, s) shifted points to the true values, shaped like
-    `itp.shifted_union(y)` (points on the last axis); sq_norm maps the error
-    to its n squared norms, one per point (np.square for scalar values).
+    truth maps the (n, s) shifted points and the interpolant's values there,
+    `itp.shifted_union(y)` (points on the last axis), to the true values of
+    the same shape; a truth computed iteratively may start from those
+    values.  sq_norm maps the error to its n squared norms, one per point
+    (np.square for scalar values).
     """
     if len(shifts) < 1:
         raise ValueError("need at least one shift")
@@ -159,6 +161,7 @@ def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:
     acc = 0.0
     for y in shifts:
         y = np.asarray(y, dtype=float)
-        err = np.asarray(truth(frac(y[None, :] + pts))) - itp.shifted_union(y)
+        approx = itp.shifted_union(y)
+        err = np.asarray(truth(frac(y[None, :] + pts), approx)) - approx
         acc += float(np.sum(sq_norm(err)))
     return math.sqrt(acc / (len(shifts) * itp.lat.n))

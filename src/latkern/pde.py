@@ -182,6 +182,7 @@ def fem_solve(
     model: DiffusionModel,
     y,
     source=_default_source,
+    x0=None,
 ) -> FemSolution:
     """P1 solution at one parameter point y (s,) or at each row of y (B, s).
 
@@ -196,13 +197,34 @@ def fem_solve(
     The first step L^-1 b / mid scales one solve per call by each point's
     mid; the later steps update the residual, direction and solution in
     place.
+
+    x0, interior node values shaped like the solution, is a guess to start
+    from.  From any start, ||u - u_k||_K <= ||u - x0||_K / T_k(mid/half),
+    and with r0 = b - K x0 and lo L <= K <= hi L,
+    ||u - x0||_K / ||u||_K <= rho = sqrt(hi/lo r0^T L^-1 r0 / b^T L^-1 b).
+    So a point whose computed rho is < 1 starts from its guess and takes
+    the least k >= 1 with T_k(mid/half) >= 1e12 rho, which keeps the bound
+    1e-12 ||u||_K.  Any other point, a NaN or inf guess included, takes the
+    start from zero and the steps it takes without x0, with the same bits.
+    Each guess costs one residual, about one step.
     """
     psi = mesh.psi_at_centroids(model)
     S, inv_l = mesh._sine, mesh._inv_laplace  # L is diagonal in the sine basis
+
+    def solve_laplace(v):  # L^-1 v for a stack v (B, N-1, N-1)
+        return S @ ((S @ v @ S) * inv_l) @ S
+
     Y = _parameters(model, np.atleast_2d(y))
     b = _load_vector(mesh, source).reshape(1, mesh.N - 1, mesh.N - 1)
-    Lb = S @ ((S @ b @ S) * inv_l) @ S  # L^-1 b
+    Lb = solve_laplace(b)
     u = np.empty((len(Y),) + b.shape[1:])
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        want = np.shape(y)[:-1] + (mesh.n_unknowns,)  # the solution shape
+        if x0.shape != want:
+            raise ValueError(f"x0 of shape {x0.shape}: expected {want}")
+        x0 = x0.reshape(len(Y), mesh.n_unknowns)
+        bLb = float(np.sum(b * Lb))
     block = max(1, _SOLVE_BLOCK // mesh.nodes.shape[0])
     for i in range(0, len(Y), block):
         sines = np.sin(2.0 * math.pi * Y[i : i + block])
@@ -211,19 +233,39 @@ def fem_solve(
         hi = np.maximum(wx.max(axis=(1, 2)), wy.max(axis=(1, 2)))
         mid, half = (hi + lo) / 2, (hi - lo) / 2
         ratio = np.divide(mid, half, out=np.full_like(mid, np.inf), where=half > 0)
-        steps = np.maximum(1, np.ceil(_ACOSH_BOUND / np.arccosh(ratio)))
+        decay = np.arccosh(ratio)  # T_k(ratio) = cosh(k decay)
+        steps = np.maximum(1, np.ceil(_ACOSH_BOUND / decay))
+        if x0 is None:
+            r, z = np.repeat(b, len(wx), axis=0), Lb  # the start from zero
+        else:
+            guess = x0[i : i + block].reshape((-1,) + b.shape[1:])
+            # a guess far off or not finite gives rho >= 1 or NaN: no warning
+            with np.errstate(all="ignore"):
+                r = _stencil((wx, wy), guess)
+                np.subtract(b, r, out=r)  # r0 = b - K x0
+                z = solve_laplace(r)
+                rLr = np.einsum("ijk,ijk->i", r, z)
+                rho0 = np.sqrt(hi / lo * rLr / bLb)
+                k0 = np.ceil(np.arccosh(np.maximum(1.0, 1e12 * rho0)) / decay)
+            warm = rho0 < 1
+            steps[warm] = np.maximum(1, k0[warm])
+            r[~warm], z[~warm] = b, Lb  # the start from zero
         order = np.argsort(-steps, kind="stable")
         steps, wx, wy = steps[order], wx[order], wy[order]
         mid, half = mid[order, None, None], half[order, None, None]
-        ub = Lb / mid
-        r, rho, d = np.repeat(b, len(ub), axis=0), half / mid, ub.copy()
+        if x0 is not None:
+            r, z, guess, warm = (a[order] for a in (r, z, guess, warm))
+        ub = z / mid
+        rho, d = half / mid, ub.copy()
+        if x0 is not None:
+            np.add(ub, guess, out=ub, where=warm[:, None, None])
         for t in range(1, int(steps[0])):
             k = np.count_nonzero(steps > t)  # the points with steps left
             r[:k] -= _stencil((wx[:k], wy[:k]), d[:k])
             # rho_next = 1 / (2 mid/half - rho), finite when half = 0
             den = 2.0 * mid[:k] - rho[:k] * half[:k]
             rho_next = half[:k] / den
-            z = S @ ((S @ r[:k] @ S) * inv_l) @ S  # L^-1 r
+            z = solve_laplace(r[:k])
             d[:k] *= rho_next * rho[:k]
             z *= 2.0 / den
             d[:k] += z

@@ -125,6 +125,14 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="seed"):
             StudyConfig("interp-convergence", seed=-1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("L", 0), ("mesh_level", 0), ("s", 0), ("L", -3), ("s", -1),
+    ])
+    def test_non_positive_setting_named(self, name, value):
+        want = f"{name} must be positive, got {name}={value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            StudyConfig("interp-convergence", **{name: value})
+
 
 def test_unknown_family_named():
     inp = PdeWeightInput(0.5, np.array([0.5, 0.25]), 0.1)
@@ -221,6 +229,32 @@ class TestRunInterpConvergence:
             want = math.sqrt(acc / (cfg.L * n))
             assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-8)
 
+    def test_truths_started_from_the_interpolant(self, monkeypatch):
+        # each truth starts from the interpolant at its shifted points, and
+        # its certified 1e-12 energy-norm bound keeps the errors within
+        # 1e-9 relative of truths solved from zero, at the benchmark's
+        # quick interp sizes
+        cfg = StudyConfig(
+            "interp-convergence", s=10, n_schedule=(16, 32, 64),
+            mesh_level=3, L=2,
+        )
+        rows, fit = run_interp_convergence(cfg)
+        guesses = []
+
+        def from_zero(mesh, model, y, x0=None):
+            guesses.append(x0 is not None)
+            return fem_solve(mesh, model, y)
+
+        monkeypatch.setattr("latkern.experiments.fem_solve", from_zero)
+        cold, cold_fit = run_interp_convergence(cfg)
+        assert guesses.count(True) == cfg.L * len(cfg.n_schedule)
+        for a, b in zip(rows, cold):
+            assert a.split(",")[0] == b.split(",")[0]
+            assert float(a.split(",")[1]) == pytest.approx(
+                float(b.split(",")[1]), rel=1e-9
+            )
+        assert fit.slope == pytest.approx(cold_fit.slope, rel=1e-9)
+
 
 class TestRunDimTruncation:
     def test_rows_match_independent_recomputation(self, tmp_path):
@@ -258,6 +292,31 @@ class TestRunDimTruncation:
                 trunc = truncated_solve(mesh, model, y, int(s)).interior_values
                 acc += h1_seminorm(mesh, u - trunc) ** 2
             assert float(err) == pytest.approx(math.sqrt(acc / n), rel=1e-8)
+
+    def test_truncated_solves_start_from_the_reference(
+        self, tmp_path, monkeypatch
+    ):
+        # each truncated solve gets the reference at its points as x0
+        n, s_ref = 32, 16
+        genvec = tmp_path / "z.txt"
+        write_genvec(genvec, [pow(3, j, n) for j in range(s_ref)], n)
+        cfg = StudyConfig(
+            "dim-truncation", c=0.4, s_ref=s_ref, quad_n=n, mesh_level=2,
+            genvec=str(genvec),
+        )
+        calls = []
+
+        def recording(mesh, model, y, x0=None):
+            sol = fem_solve(mesh, model, y, x0=x0)
+            calls.append((model.s, x0, sol.interior_values))
+            return sol
+
+        monkeypatch.setattr("latkern.experiments.fem_solve", recording)
+        run_dim_truncation(cfg)
+        (s0, x0, ref), *truncated = calls
+        assert s0 == s_ref and x0 is None
+        assert [c[0] for c in truncated] == [4, 8]
+        assert all(np.array_equal(c[1], ref) for c in truncated)
 
 
 class TestCli:

@@ -354,7 +354,8 @@ class TestL2ErrorEstimate:
     def test_self_is_zero(self):
         _, _, itp, sampler = self._setup()
         err = l2_error_estimate(
-            itp, lambda P: [evaluate(itp, p) for p in P], sampler, np.square
+            itp, lambda P, guess: [evaluate(itp, p) for p in P], sampler,
+            np.square,
         )
         assert err <= 1e-12
 
@@ -362,7 +363,7 @@ class TestL2ErrorEstimate:
         _, _, itp, sampler = self._setup()
         err = l2_error_estimate(
             itp,
-            lambda P: np.array([evaluate(itp, p) for p in P]) + 0.75,
+            lambda P, guess: np.array([evaluate(itp, p) for p in P]) + 0.75,
             sampler,
             np.square,
         )
@@ -386,10 +387,25 @@ class TestL2ErrorEstimate:
         dense = math.sqrt(np.mean((np.real(f(G)) - approx) ** 2))
         sampler = np.random.default_rng(17).random((30, 2))
         est = l2_error_estimate(
-            itp, lambda P: np.real(f(P)), sampler, np.square
+            itp, lambda P, guess: np.real(f(P)), sampler, np.square
         )
         assert est == pytest.approx(dense, rel=0.15)
         assert est > 0.1  # genuinely nonzero aliasing error
+
+    def test_truth_receives_the_shifted_union(self):
+        # the guess a truth may start from is the interpolant at its points
+        _, lat, itp, sampler = self._setup()
+        seen = []
+
+        def truth(P, guess):
+            seen.append((P, guess))
+            return guess
+
+        assert l2_error_estimate(itp, truth, sampler, np.square) == 0.0
+        assert len(seen) == len(sampler)
+        for y, (P, guess) in zip(sampler, seen):
+            np.testing.assert_array_equal(P, frac(y + lat.points()))
+            np.testing.assert_array_equal(guess, itp.shifted_union(y))
 
 
 class TestLowerBound:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -100,16 +101,34 @@ def _dense_solve(mesh, model, y):
     return np.linalg.solve(A, _load_oracle(mesh, lambda x: x[:, 1])), A
 
 
-def _steps_needed(mesh, model, y):
-    """The least k with T_k(mid/half) >= 1e12, [lo, hi] the min and max edge
-    weight at y: k Chebyshev steps meet the 1e-12 energy-norm bound."""
+def _interval(mesh, model, y):
+    """lo, hi: the min and max edge weight at y."""
     w = _edge_weights(mesh, _a_T(mesh, model, y)[None])
-    lo, hi = min(x.min() for x in w), max(x.max() for x in w)
+    return min(x.min() for x in w), max(x.max() for x in w)
+
+
+def _steps_needed(mesh, model, y, rho=1.0):
+    """The least k >= 1 with T_k(mid/half) >= 1e12 rho, [lo, hi] the point's
+    interval: from a start whose energy-norm error is at most rho ||u||_K,
+    k Chebyshev steps meet the 1e-12 energy-norm bound."""
+    lo, hi = _interval(mesh, model, y)
     x = math.inf if hi == lo else (hi + lo) / (hi - lo)
     k, t_prev, t = 1, 1.0, x  # T_0, T_1
-    while t < 1e12:
+    while t < 1e12 * rho:
         k, t_prev, t = k + 1, t, 2.0 * x * t - t_prev
     return k
+
+
+def _start_error(mesh, model, y, x0):
+    """rho = sqrt(hi/lo r0^T L^-1 r0 / b^T L^-1 b), r0 = b - K x0, by dense
+    matrices: the certified bound on ||u - x0||_K / ||u||_K."""
+    K = _assemble_stiffness(mesh, _a_T(mesh, model, y)).toarray()
+    L = _assemble_stiffness(mesh, np.ones(len(mesh.triangles))).toarray()
+    b = _load_oracle(mesh, lambda x: x[:, 1])
+    r0 = b - K @ x0
+    lo, hi = _interval(mesh, model, y)
+    return math.sqrt(hi / lo * (r0 @ np.linalg.solve(L, r0))
+                     / (b @ np.linalg.solve(L, b)))
 
 
 class TestDiffusionModel:
@@ -417,6 +436,95 @@ class TestSolve:
         want = sorted((_steps_needed(mesh, m, y) for y in Y), reverse=True)
         assert got == want and len(set(want)) > 1
 
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("c", [0.2, 0.4])
+    @pytest.mark.parametrize("dist", [0.0, 1e-6, 1e-2, "zeros"])
+    def test_against_dense_solve_from_a_guess(self, level, c, dist):
+        # the bound holds from any guess: the exact solution, one off by a
+        # relative 1e-6 or 1e-2 at each node, and zeros (rho >= 1, cold)
+        mesh = FemMesh(level)
+        m = _model(c=c, s=8)
+        rng = np.random.default_rng(level)
+        Y = rng.random((3, 8))
+        for y in Y:
+            want, A = _dense_solve(mesh, m, y)
+            x0 = (np.zeros_like(want) if dist == "zeros" else
+                  want * (1.0 + dist * rng.standard_normal(len(want))))
+            got = fem_solve(mesh, m, y, x0=x0).interior_values
+            e = got - want
+            assert math.sqrt(e @ A @ e) <= 1e-12 * math.sqrt(want @ A @ want)
+
+    def test_steps_meet_the_bound_from_a_guess(self, monkeypatch):
+        # one residual for the whole block, then a point with k steps is in
+        # k - 1 step calls: k calls in all, k the least count with
+        # T_k(mid/half) >= 1e12 rho on the point's own interval and rho.
+        # Each guess puts 1e12 rho 1 % above T_j(mid/half), j = 1 ... 5, so
+        # k = j + 1, where a rho without the factor hi/lo would give j.
+        mesh = FemMesh(3)
+        m = _model(c=0.4, s=6)
+        rng = np.random.default_rng(45)
+        Y = rng.random((40, 6))
+        x0 = []
+        for i, y in enumerate(Y):
+            u = _dense_solve(mesh, m, y)[0]
+            v = u * rng.standard_normal(len(u))
+            lo, hi = _interval(mesh, m, y)
+            t_j = math.cosh((1 + i % 5) * math.acosh((hi + lo) / (hi - lo)))
+            eps = 1.01 * t_j / (1e12 * _start_error(mesh, m, y, u + v))
+            x0.append(u + eps * v)
+        sizes = []
+
+        def counting(w, u):
+            sizes.append(len(u))
+            return _stencil(w, u)
+
+        monkeypatch.setattr(latkern.pde, "_stencil", counting)
+        fem_solve(mesh, m, Y, x0=x0)
+        got = [sum(n > j for n in sizes) for j in range(len(Y))]
+        rhos = [_start_error(mesh, m, y, g) for y, g in zip(Y, x0)]
+        want = sorted(
+            (_steps_needed(mesh, m, y, r) for y, r in zip(Y, rhos)),
+            reverse=True,
+        )
+        assert got == want and len(set(want)) > 2 and max(rhos) < 1
+
+    @pytest.mark.parametrize("bad", ["far", "huge", "nan", "inf"])
+    def test_guess_without_certificate_keeps_the_bits(self, bad):
+        # rho >= 1, inf or NaN: the point starts from zero with its cold
+        # steps.  Point 2 has a zero-width interval (y = 0), where a huge
+        # guess meets rho = inf with acosh(mid/half) = inf.
+        mesh = FemMesh(4)
+        m = _model(c=0.4, s=6)
+        rng = np.random.default_rng(46)
+        Y = rng.random((5, 6))
+        Y[2] = 0.0
+        want = fem_solve(mesh, m, Y).interior_values
+        cold = [0, 1, 2, 3, 4]
+        if bad == "far":
+            x0 = 1e3 * rng.random(want.shape)
+            assert all(_start_error(mesh, m, y, g) >= 1 for y, g in zip(Y, x0))
+        elif bad == "huge":
+            x0 = np.full(want.shape, 1e200)  # r0 finite, r0^T L^-1 r0 inf
+        else:
+            x0 = want + 0.0
+            x0[1:4, 7] = float(bad)
+            cold = [1, 2, 3]
+        got = fem_solve(mesh, m, Y, x0=x0).interior_values
+        assert np.array_equal(got[cold], want[cold])
+        if bad in ("nan", "inf"):  # the finite guesses start from themselves
+            assert not np.array_equal(got[[0, 4]], want[[0, 4]])
+        one = fem_solve(mesh, m, Y[3], x0=x0[3]).interior_values
+        assert np.array_equal(one, fem_solve(mesh, m, Y[3]).interior_values)
+
+    @pytest.mark.parametrize("shape", [(49,), (3, 48), (2, 49), (3, 49, 1)])
+    def test_guess_of_the_wrong_shape_rejected(self, shape):
+        mesh = FemMesh(3)
+        Y = np.full((3, 4), 0.25)
+        with pytest.raises(ValueError, match=re.escape("expected (3, 49)")):
+            fem_solve(mesh, _model(), Y, x0=np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape("expected (49,)")):
+            fem_solve(mesh, _model(), Y[0], x0=np.zeros((1, 49)))
+
     def test_zero_width_interval_in_a_batch(self):
         # every sine is 0 at y = 0 and round-off at y = 1/2: lo = hi
         mesh = FemMesh(3)
@@ -470,10 +578,19 @@ class TestSolve:
     def test_batch_matches_single_solves(self):
         mesh = FemMesh(3)
         m = _model(c=0.4, s=6)
-        Y = np.random.default_rng(23).random((300, 6))
+        rng = np.random.default_rng(23)
+        Y = rng.random((300, 6))
         batch = fem_solve(mesh, m, Y).interior_values
         assert batch.shape == (300, mesh.n_unknowns)
         single = np.array([fem_solve(mesh, m, y).interior_values for y in Y])
+        assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(np.abs(single))
+        # and from guesses off by a relative 1e-9 ... 1e-1
+        scale = 10.0 ** -rng.uniform(1, 9, size=(300, 1))
+        X0 = batch * (1.0 + scale * rng.standard_normal(batch.shape))
+        batch = fem_solve(mesh, m, Y, x0=X0).interior_values
+        single = np.array(
+            [fem_solve(mesh, m, y, x0=g).interior_values for y, g in zip(Y, X0)]
+        )
         assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(np.abs(single))
 
     def test_two_blocks_match_separate_calls(self):
