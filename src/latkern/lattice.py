@@ -6,11 +6,9 @@ The search criterion S_s(z) is evaluated through the computable identity
 
 whose subtracted term is computed in factored form per weight family; the
 equality with the aliasing double sum over the dual lattice is exercised
-against a brute-force oracle in the tests.  Both terms can lie far outside
-double range for POD and SPOD weights, so each is a ``Scaled`` pair
-(mantissa, exponent), and S_s is their difference rounded once.  The
-pair arithmetic is ``weights``'s; only the difference's tolerance,
-warning and digits lost are decided here.
+against a brute-force oracle in the tests.  Both terms are floats, and S_s
+is their difference, one subtraction; only its tolerance, warning and
+digits lost are decided here.
 
 The CBC search ranks the candidates of a dimension by the part of the
 mean-square kernel that depends on the candidate, D(c), not by the full
@@ -32,13 +30,7 @@ import numpy as np
 
 from .kernel import BatchKernelState, KernelSpec, _committed, eta
 from .special import zeta
-from .weights import (
-    Scaled,
-    _difference,
-    _scaled_total,
-    squared_weight_prefixes,
-    squared_weight_sum,
-)
+from .weights import squared_weight_prefixes
 
 __all__ = [
     "Lattice",
@@ -121,40 +113,45 @@ class CbcReport:
         return buf.getvalue()
 
 
-def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> Scaled:
-    S, F = _committed(spec, lat.columns()).values()
-    t, top = _scaled_total(S * S, 2 * F)
-    return Scaled(t / lat.n, top)
+def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> float:
+    K = _committed(spec, lat.columns()).values()
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.square(K[K != 0.0]))) / lat.n
 
 
 def _criterion_from_parts(
-    minuend: Scaled, subtrahend: Scaled
+    minuend: float, subtrahend: float
 ) -> tuple[float, float]:
     """(minuend - subtrahend clamped at 0, decimal digits it cancels).
 
-    The difference of the positive pairs is the exact one rounded
-    (``weights._difference``).  The digits lost are log10(minuend /
-    value): inf when nothing is left.
+    The digits lost are log10(minuend / value): inf when nothing is left.
+    FloatingPointError when the minuend, the mean-square kernel, is not
+    finite.
     """
-    ref = minuend.to_float()
-    val = _difference(minuend, subtrahend).to_float()
-    if val < -1e-10 * ref:
-        raise ArithmeticError(
-            f"criterion cancellation beyond tolerance: {val} vs minuend {ref}"
+    if not math.isfinite(minuend):
+        raise FloatingPointError(
+            f"the mean-square kernel is {minuend}, past double range"
         )
-    if 0.0 < abs(val) < 1e-13 * ref:
+    val = minuend - subtrahend
+    if val < -1e-10 * minuend:
+        raise ArithmeticError(
+            f"criterion cancellation beyond tolerance: {val} vs minuend "
+            f"{minuend}"
+        )
+    if 0.0 < abs(val) < 1e-13 * minuend:
         warnings.warn(
             "criterion value dominated by cancellation; significance lost",
             RuntimeWarning,
         )
     if val <= 0.0:
         return 0.0, math.inf
-    return val, math.log10(ref) - math.log10(val)
+    return val, math.log10(minuend) - math.log10(val)
 
 
 def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
     """Search criterion S_s(z) >= 0 via the kernel-square identity."""
-    sub = squared_weight_sum(spec.scheme, lat.s, 2.0 * zeta(2 * spec.alpha))
+    x = 2.0 * zeta(2 * spec.alpha)
+    sub = squared_weight_prefixes(spec.scheme, lat.s, x)[-1]
     return _criterion_from_parts(_mean_square_kernel(spec, lat), sub)[0]
 
 
@@ -323,8 +320,7 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     z_1 = 1 unscored: every unit gives the same one-dimensional point set.
     Later ties go to the smallest candidate by ``_first_within``.  The
     chosen candidate is scored directly, in O(n), and S_d is formed from
-    its mean-square kernel minus Q_d (``squared_weight_prefixes``), both
-    as scaled pairs.
+    its mean-square kernel minus Q_d (``squared_weight_prefixes``).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -339,17 +335,24 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     crit_trace: list[float] = []
     bound_trace: list[float] = []
     lost_trace: list[float] = []
-    for sub in subs:
-        a, b, top = state.affine_split()
+    for d, sub in enumerate(subs, start=1):
+        a, b = state.affine_split()
         c = 1
-        if z:
-            c = int(scorer.cands[_first_within(scorer(2.0 * a * b, b * b))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if z:
+                D = scorer(2.0 * a * b, b * b)
+                if not np.all(np.isfinite(D)):
+                    raise FloatingPointError(
+                        f"the candidate scores of dimension {d} are past "
+                        "double range"
+                    )
+                c = int(scorer.cands[_first_within(D)])
+            row = etable[karr * c % n]
+            vals = row * b
+            vals += a
+            score = float(np.einsum("k,k->", vals, vals))
         z.append(c)
-        row = etable[karr * c % n]
-        vals = row * b
-        vals += a
-        score = float(np.einsum("k,k->", vals, vals))
-        sd, lost = _criterion_from_parts(Scaled(score / n, 2 * top), sub)
+        sd, lost = _criterion_from_parts(score / n, sub)
         state.commit(row)
         crit_trace.append(sd)
         bound_trace.append(math.sqrt(2.0) * sd**0.25)

@@ -1,11 +1,15 @@
 """Product / POD / SPOD weight families and their PDE-driven derivations.
 
-Weight families are kept in factored (sequence) form throughout.  Order
-factors Gamma_ell carry factorial growth, so they are stored as scaled
-pairs: an array of mantissas in [1, 2) next to an array of unbounded
-integer exponents.  Scalars out of double range, such as the subtracted
-term of the CBC criterion, are ``Scaled`` pairs.  Only this module aligns
-(``_aligned``), sums, subtracts and collapses scaled pairs.
+Weight families are kept in factored (sequence) form throughout.  The
+order factors Gamma_ell of POD and SPOD weights grow factorially: they are
+derived in base-2 logarithms and stored as floats, +inf past double range.
+The derivations pick, of the factorizations Gamma_ell 2^(-k ell) and
+gamma_jnu 2^(k nu), all of them the same weights, the least k >= 0 that
+keeps the kernel's order terms in double range (``_balanced``), and
+refuse the weights when no k does.  The rows the factors multiply drop
+their trailing zeros (``_trimmed``), so an infinite factor reaches a
+result only where a kept row meets it, and that result, not finite,
+raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 from .special import E_POW_INV_E, bell_touchard, stirling2, zeta
 
 __all__ = [
-    "RangeError",
     "Scaled",
     "WeightScheme",
     "PdeWeightInput",
@@ -32,72 +35,23 @@ __all__ = [
 ]
 
 
-class RangeError(OverflowError):
-    """Conversion to a plain float would overflow or underflow.
-
-    Carries the base-2 magnitude of the offending value so callers can
-    report how far out of range the result was.
-    """
-
-    def __init__(self, log2_magnitude: float):
-        self.log2_magnitude = log2_magnitude
-        super().__init__(
-            f"value with log2 magnitude {log2_magnitude:.1f} is outside the "
-            "plain float range"
-        )
-
-
 class Scaled(NamedTuple):
-    """The real number mantissa * 2**exponent, for magnitudes past doubles."""
+    """mantissa * 2**exponent, as ``squared_weight_sum`` returns Q_s."""
 
     mantissa: float
     exponent: int
 
     def to_float(self) -> float:
-        """The value as a float; RangeError outside 2^-1074 .. 2^1024."""
-        if self.mantissa == 0.0:
-            return 0.0
-        e = math.frexp(self.mantissa)[1] + self.exponent
-        if not -1074 < e <= 1024:
-            raise RangeError(self.exponent + math.log2(abs(self.mantissa)))
         return math.ldexp(self.mantissa, self.exponent)
 
 
-_NO_TERM = np.iinfo(np.int64).min  # top of an all-zero column, until set 0
-
-
-def _aligned(T: np.ndarray, F: np.ndarray):
-    """Terms T * 2^F on one scale per column: (T * 2^(F - top), top).
-
-    Axis 0 runs over the terms.  top is each column's largest F over its
-    nonzero terms, and 0 for an all-zero column.  T is scaled in place,
-    exactly, by powers of two, and returned; F is left as it is.  Shifts
-    stop at -2200: any double times 2^-2200 is 0, so no term changes.
-    """
-    top = np.where(T != 0.0, F, _NO_TERM).max(axis=0, initial=_NO_TERM)
-    top = np.where(top == _NO_TERM, 0, top)
-    # int32 shifts take numpy's vectorized ldexp loop, int64 ones do not
-    sh = np.clip(F - top, -2200, 0).astype(np.int32)
-    return np.ldexp(T, sh, out=T), top
-
-
-def _difference(a: Scaled, b: Scaled) -> Scaled:
-    """a - b: both pairs normalized, aligned to the larger exponent and
-    subtracted once, so the result is the exact difference rounded."""
-    (ma, xa), (mb, xb) = math.frexp(a.mantissa), math.frexp(b.mantissa)
-    ea, eb = a.exponent + xa, b.exponent + xb
-    top = max(ea, eb)
-    return Scaled(math.ldexp(ma, ea - top) - math.ldexp(mb, eb - top), top)
-
-
-def _to_floats(S: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Normalized pair arrays S * 2^F as floats; RangeError when one
-    overflows, that is when its exponent F exceeds 1024."""
-    over = (F > 1024) & (S != 0.0)
-    if np.any(over):
-        i = int(np.argmax(over))
-        raise RangeError(math.log2(abs(S[i])) + F[i])
-    return np.ldexp(S, F)
+def _trimmed(P: np.ndarray) -> np.ndarray:
+    """P without its trailing rows that are 0.0 at every point, but row 0:
+    such rows add exact zeros wherever they go, so no bit changes."""
+    k = len(P)
+    while k > 1 and not P[k - 1].any():
+        k -= 1
+    return P[:k]
 
 
 @dataclass(frozen=True)
@@ -113,13 +67,13 @@ class WeightScheme:
     Product and POD schemes take gamma_j and store it as the one-column
     table gamma_jnu too, so POD weights run the SPOD recursions.  sigma is
     the table's column count.  gamma_empty is always 1 and is not stored.
-    Gamma is the pair of arrays (mantissas in [1, 2), int64 exponents) of
-    Gamma_0, Gamma_1, ..., up to at least Gamma_{dimension * sigma}.
+    Gamma is the float array of Gamma_0, Gamma_1, ..., up to at least
+    Gamma_{dimension * sigma}: positive, and +inf past double range.
     """
 
     kind: str
     gamma_j: np.ndarray | None = None
-    Gamma: tuple[np.ndarray, np.ndarray] | None = None
+    Gamma: np.ndarray | None = None
     gamma_jnu: np.ndarray | None = None
 
     def __post_init__(self):
@@ -136,14 +90,16 @@ class WeightScheme:
         if self.kind != "product":
             if self.Gamma is None:
                 raise ValueError(f"{self.kind} weights need order factors")
-            (gm, ge), need = self.Gamma, self.dimension * self.sigma + 1
-            if len(gm) != len(ge) or len(gm) < need:
+            G = np.asarray(self.Gamma, dtype=float)
+            need = self.dimension * self.sigma + 1
+            if G.ndim != 1 or len(G) < need:
                 raise ValueError(
-                    f"Gamma needs {need} mantissas and as many exponents "
-                    f"(orders 0..dimension * sigma), got {len(gm)}, {len(ge)}"
+                    f"Gamma needs {need} entries (orders 0..dimension * "
+                    f"sigma), got shape {G.shape}"
                 )
-            if not np.all((0 < gm) & (gm < np.inf)):
-                raise ValueError("Gamma entries must be finite and positive")
+            if not np.all(G > 0):  # NaN fails too; +inf passes
+                raise ValueError("Gamma entries must be positive, or +inf")
+            object.__setattr__(self, "Gamma", G)
 
     @property
     def sigma(self) -> int:
@@ -223,28 +179,30 @@ def _power(x: float, ell: int) -> tuple[float, int]:
     return m, e
 
 
-def _order_factors(bases, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma arrays of b^t for each base b = m 2^e (m in [1, 2)): with
-    lg = t (e + log2 m), mantissa 2^(lg - floor(lg)), exponent floor(lg)."""
-    gm, ge = [], []
-    for m, e in bases:
-        lg = t * (e + math.log2(m))
-        k = math.floor(lg)
-        gm.append(2.0 ** (lg - k))
-        ge.append(k)
-    return np.array(gm), np.array(ge, dtype=np.int64)
+def _order_logs(bases, t: float) -> np.ndarray:
+    """log2 of b^t for each base b = m 2^e (m in [1, 2)): t (e + log2 m)."""
+    return np.array([t * (e + math.log2(m)) for m, e in bases])
 
 
-def _spod_order_factors(lam: float, span: int):
-    """Gamma_ell = (ell!)^(2/(1+lam)) for ell = 0..span."""
-    return _order_factors(_factorials(span), 2.0 / (1.0 + lam))
+def _order_factors(lg, k: int = 0) -> np.ndarray:
+    """Gamma_ell 2^(-k ell) from lg[ell] = log2 Gamma_ell: 2^(lg - floor(lg))
+    times 2^(floor(lg) - k ell), or +inf past double range."""
+    out = []
+    for ell, x in enumerate(lg):
+        e = math.floor(x) - k * ell
+        out.append(math.ldexp(2.0 ** (x - math.floor(x)), e) if e < 1024
+                   else math.inf)
+    return np.array(out)
 
 
-def _pod_order_factors(alpha: int, sigma: int, lam: float, s: int):
-    """Gamma_ell = ((sigma ell)!^2 / (max(ell, 1) z2^ell))^(1/(1+lam)).
+def _spod_order_logs(lam: float, span: int) -> np.ndarray:
+    """log2 Gamma_ell, Gamma_ell = (ell!)^(2/(1+lam)), for ell = 0..span."""
+    return _order_logs(_factorials(span), 2.0 / (1.0 + lam))
 
-    z2 = 2 zeta(alpha lam), for ell = 0..s.
-    """
+
+def _pod_order_logs(alpha: int, sigma: int, lam: float, s: int):
+    """log2 Gamma_ell, Gamma_ell = ((sigma ell)!^2 / (max(ell, 1)
+    z2^ell))^(1/(1+lam)) with z2 = 2 zeta(alpha lam), for ell = 0..s."""
     z2 = 2.0 * zeta(alpha * lam)
     facts = _factorials(sigma * s)
     bases = []
@@ -255,7 +213,82 @@ def _pod_order_factors(alpha: int, sigma: int, lam: float, s: int):
         dm, de = _unit(max(ell, 1) * pm)
         m, y = _unit(sq / dm)
         bases.append((m, 2 * fe + x - pe - de + y))
-    return _order_factors(bases, 1.0 / (1.0 + lam))
+    return _order_logs(bases, 1.0 / (1.0 + lam))
+
+
+# ---------------------------------------------------------------------------
+# one exact rescaling of the order factors
+#
+# gamma_jnu 2^(k nu) and Gamma_ell 2^(-k ell) give every gamma_u for any
+# integer k, and scale kernel row ell by 2^(k ell) exactly while both stay
+# normal.  |eta| is largest at the difference 0, eta(0) = 2 zeta(alpha), so
+# the rows there bound the rows at every point; their logs, and those of
+# the order-pair table of Q_d, pick k.
+
+
+def _log_rows(table: np.ndarray, x: float) -> np.ndarray:
+    """log2 of the order rows when every factor value is x > 0: coordinate
+    j adds table[j, nu - 1] x times row ell - nu to row ell.  The terms are
+    positive, so a sum of logs loses no range."""
+    lr, sigma = np.zeros(1), table.shape[1]
+    for step in np.log2(table * x):
+        new = np.full(len(lr) + sigma, -np.inf)
+        new[: len(lr)] = lr
+        for nu in range(1, sigma + 1):
+            seg = new[nu : nu + len(lr)]
+            np.logaddexp2(seg, step[nu - 1] + lr, out=seg)
+        lr = new
+    return lr
+
+
+def _fits(lg, lr, k: int, power: int) -> bool:
+    """Whether factors Gamma_ell^power 2^(-power k ell) and rows
+    2^(lr + power k ell) stay in double range: the largest term is below
+    2^1022, no row overflows, no row that stays nonzero meets an infinite
+    factor, no factor is 0.0, and no term within 2^-60 of the largest has
+    a subnormal row or factor."""
+    ell = np.arange(len(lr))
+    g = power * (lg[: len(lr)] - k * ell)
+    r = lr + power * k * ell
+    t = g + r
+    top = t.max()
+    return bool(
+        top < 1022
+        and r.max() < 1023
+        and g[r >= -1080].max() < 1023
+        and g.min() > -1074 * power
+        and not np.any((t >= top - 60) & ((r < -1022) | (g < -1022)))
+    )
+
+
+def _balanced(kind: str, lg, table: np.ndarray, alpha: int) -> WeightScheme:
+    """The POD or SPOD scheme of log2 order factors lg and gamma table,
+    rescaled by the least k >= 0 that keeps its terms in double range.
+
+    The kernel rows use x = eta(0).  Q_d's order-pair table stands in as
+    its diagonal, bounded by the rows of the squared gammas at
+    x = sigma 2 zeta(2 alpha), exact for POD, whose table is diagonal.
+    k = 0 whenever that fits; past the largest step of lg no k does better.
+    ValueError if none fits: the terms span more than double range.
+    """
+    sigma = table.shape[1]
+    rows = _log_rows(table, 2.0 * zeta(alpha))
+    pairs = _log_rows(table**2, sigma * 2.0 * zeta(2 * alpha))
+    for k in range(int(np.diff(lg, prepend=0.0).max()) + 2):
+        if _fits(lg, rows, k, 1) and _fits(lg, pairs, k, 2):
+            break
+    else:
+        t = lg[: len(rows)] + rows
+        raise ValueError(
+            f"the {kind.upper()} kernel's order terms leave double range at "
+            f"every exact rescaling: at the difference 0 term "
+            f"{int(np.argmax(t))} is 2^{t.max():.1f}"
+        )
+    G = _order_factors(lg, k)
+    table = np.ldexp(table, k * np.arange(1, sigma + 1))
+    if kind == "pod":
+        return WeightScheme(kind, gamma_j=table[:, 0], Gamma=G)
+    return WeightScheme(kind, Gamma=G, gamma_jnu=table)
 
 
 def derive_spod(inp: PdeWeightInput, s: int) -> DerivedParams:
@@ -271,9 +304,7 @@ def derive_spod(inp: PdeWeightInput, s: int) -> DerivedParams:
     table = np.empty((s, sigma))
     for nu in range(1, sigma + 1):
         table[:, nu - 1] = (b**nu * stirling2(sigma, nu) / denom) ** expo
-    scheme = WeightScheme(
-        "spod", Gamma=_spod_order_factors(lam, s * sigma), gamma_jnu=table
-    )
+    scheme = _balanced("spod", _spod_order_logs(lam, s * sigma), table, alpha)
     return DerivedParams(alpha, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
 
@@ -302,9 +333,8 @@ def derive_pod(inp: PdeWeightInput, s: int) -> DerivedParams:
     inv = 1.0 / (1.0 + lam)
     b = np.asarray(inp.b, dtype=float)[:s]
     gamma_j = np.array([bell_touchard(k, bj) ** (2.0 * inv) for bj in b])
-    scheme = WeightScheme(
-        "pod", gamma_j=gamma_j, Gamma=_pod_order_factors(alpha, k, lam, s)
-    )
+    lg = _pod_order_logs(alpha, k, lam, s)
+    scheme = _balanced("pod", lg, gamma_j[:, None], alpha)
     return DerivedParams(alpha, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
 
@@ -356,62 +386,53 @@ def derive_product(inp: PdeWeightInput, s: int) -> DerivedParams:
 # factored sums of squared weights (subtracted term of the CBC criterion)
 
 
-def _scaled_total(T: np.ndarray, F: np.ndarray) -> Scaled:
-    """sum T * 2^F of nonnegative terms as a pair, shift-stable: the
-    nonzero terms aligned (``_aligned``) and summed in one array step.
-    The mantissa is in [0.5, 1), or the pair is (0.0, 0)."""
-    live = T != 0.0
-    t, top = _aligned(T[live], F[live])
-    m, e = math.frexp(float(np.sum(t)))
-    return Scaled(m, int(top) + e)
-
-
 def squared_weight_prefixes(
     scheme: WeightScheme, s: int, x: float
-) -> list[Scaled]:
+) -> list[float]:
     """[Q_1, ..., Q_s], Q_d = sum over u subseteq {1..d} of gamma_u^2 x^{|u|}.
 
     x is typically 2*zeta(2*alpha).  One pass of the factored recursion
     adds a coordinate per step, so all s prefixes cost what Q_s does: no
     subset enumeration.  For POD and SPOD (POD is the sigma = 1 case)
-    each prefix contracts the order-pair sums r[ell, ell'] with Gamma's
-    (mantissa, exponent) arrays in one array step.
-    Each Q_d is a pair with its mantissa in [0.5, 1).
+    each prefix contracts the order-pair sums r[ell, ell'] with
+    Gamma_ell Gamma_ell' in one array step, summing the nonzero terms.
+    FloatingPointError when a Q_d is not finite.
     """
     out = []
     if scheme.kind == "product":
-        m, e = 1.0, 0
+        q = 1.0
         for g in scheme.gamma_j[:s]:
-            m, k = math.frexp(m * (1.0 + g * g * x))
-            e += k
-            out.append(Scaled(m, e))
-        return out
-    # gamma_u^2 couples two order indices; track both.  Orders above
-    # (j + 1) sigma are still 0 after j + 1 steps, so each step copies and
-    # updates only the live block r[:top, :top].
-    sigma = scheme.sigma
-    span = s * sigma
-    gm, ge = (a[: span + 1] for a in scheme.Gamma)
-    r = np.zeros((span + 1, span + 1))
-    r[0, 0] = 1.0
-    gmm = gm[:, None] * gm[None, :]
-    gee = ge[:, None] + ge[None, :]
-    for j in range(s):
-        g = scheme.gamma_jnu[j]
-        top = (j + 1) * sigma + 1
-        old = r[:top, :top].copy()
-        for nu in range(1, sigma + 1):
-            for nup in range(1, sigma + 1):
-                c = x * g[nu - 1] * g[nup - 1]
-                r[nu:top, nup:top] += c * old[: top - nu, : top - nup]
-        out.append(_scaled_total(gmm[:top, :top] * r[:top, :top],
-                                 gee[:top, :top]))
+            q *= float(1.0 + g * g * x)
+            out.append(q)
+    else:
+        # gamma_u^2 couples two order indices; track both.  Each step grows
+        # r by the sigma orders per index that the coordinate can reach,
+        # then drops the trailing all-zero rows and columns.
+        sigma, G = scheme.sigma, scheme.Gamma
+        r = np.ones((1, 1))
+        for g in scheme.gamma_jnu[:s]:
+            old, (a, b) = r, r.shape
+            r = np.zeros((a + sigma, b + sigma))
+            r[:a, :b] = old
+            for nu in range(1, sigma + 1):
+                for nup in range(1, sigma + 1):
+                    c = x * g[nu - 1] * g[nup - 1]
+                    r[nu : nu + a, nup : nup + b] += c * old
+            r = _trimmed(_trimmed(r).T).T
+            i, j = np.nonzero(r)
+            with np.errstate(over="ignore"):
+                out.append(float(np.sum(G[i] * G[j] * r[i, j])))
+    for d, q in enumerate(out, start=1):
+        if not math.isfinite(q):
+            raise FloatingPointError(
+                f"the squared weight sum Q_{d} is {q}, past double range"
+            )
     return out
 
 
 def squared_weight_sum(scheme: WeightScheme, s: int, x: float) -> Scaled:
     """Q_s = sum over u subseteq {1..s} of gamma_u^2 * x^{|u|}, s >= 1.
 
-    The last of ``squared_weight_prefixes``.
+    The last of ``squared_weight_prefixes``, split by math.frexp.
     """
-    return squared_weight_prefixes(scheme, s, x)[-1]
+    return Scaled(*math.frexp(squared_weight_prefixes(scheme, s, x)[-1]))

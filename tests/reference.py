@@ -2,12 +2,12 @@
 
 None of this is production code.  ``ExtendedReal`` is a scalar base-2
 extended-range float: a double mantissa in [1, 2) next to an unbounded
-integer exponent.  The package computes the same magnitudes as scaled
-(mantissa, exponent) arrays; the scalar oracles below compute them one
-operation at a time in ``ExtendedReal``: the factored kernel recursion,
-subset enumeration, the norm factor r(h), single weights gamma_u and the
-paper's worst-case bound.  Alongside them are the order factors in their
-defining formulas, trigonometric polynomials and their H norm, the
+integer exponent.  The scalar oracles below compute one operation at a
+time in ``ExtendedReal``: the factored kernel recursion, subset
+enumeration, the norm factor r(h), single weights gamma_u and the paper's
+worst-case bound.  Alongside them are the order factors in their defining
+formulas, the kernel state and the order-pair sums in plain floats with
+every row kept, trigonometric polynomials and their H norm, the
 coefficient a(x, y) at arbitrary points, the 5-point operator on a
 zero-padded copy, the truncated solve and the pigeonhole fooling vector.
 """
@@ -31,11 +31,26 @@ from latkern.pde import (
     fem_solve,
 )
 from latkern.special import zeta
-from latkern.weights import DerivedParams, RangeError, WeightScheme
+from latkern.weights import DerivedParams, WeightScheme
 
 _ENUM_LIMIT = 12
 # Largest |exponent| that still converts to a finite double.
 _MAX_FLOAT_EXP = 1023
+
+
+class OutOfDoubleRange(OverflowError):
+    """An ExtendedReal, or an order factor, outside the plain float range.
+
+    Carries the base-2 magnitude of the value, inf for an order factor
+    that is stored as +inf.
+    """
+
+    def __init__(self, log2_magnitude: float):
+        self.log2_magnitude = log2_magnitude
+        super().__init__(
+            f"value with log2 magnitude {log2_magnitude:.1f} is outside the "
+            "plain float range"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class ExtendedReal:
         # Doubles cover 2^-1074 (smallest subnormal) through just under
         # 2^1024; anything outside raises the range diagnostic.
         if self.exponent > _MAX_FLOAT_EXP or self.exponent < -1074:
-            raise RangeError(self.log2)
+            raise OutOfDoubleRange(self.log2)
         return self.sign * math.ldexp(self.mantissa, self.exponent)
 
     # -- arithmetic --------------------------------------------------------
@@ -220,20 +235,22 @@ def xfactorial(n: int) -> ExtendedReal:
 # order factors
 
 
-def gamma_arrays(factors: Iterable[ExtendedReal]):
-    """WeightScheme.Gamma arrays (mantissas, exponents) of ExtendedReals."""
-    factors = list(factors)
-    return (
-        np.array([g.mantissa for g in factors]),
-        np.array([g.exponent for g in factors], dtype=np.int64),
-    )
+def gamma_arrays(factors: Iterable[ExtendedReal]) -> np.ndarray:
+    """WeightScheme.Gamma of ExtendedReals: floats, +inf past 2^1024."""
+    return np.array([
+        math.ldexp(g.mantissa, g.exponent) if g.exponent <= _MAX_FLOAT_EXP
+        else math.inf
+        for g in factors
+    ])
 
 
 def order_factor(scheme: WeightScheme, ell: int) -> ExtendedReal:
-    """Gamma_ell of a POD or SPOD scheme as an ExtendedReal."""
-    return ExtendedReal(
-        float(scheme.Gamma[0][ell]), int(scheme.Gamma[1][ell]), 1
-    )
+    """Gamma_ell of a POD or SPOD scheme as an ExtendedReal;
+    OutOfDoubleRange where it is stored as +inf."""
+    g = float(scheme.Gamma[ell])
+    if g == math.inf:
+        raise OutOfDoubleRange(math.inf)
+    return ExtendedReal.from_float(g)
 
 
 def spod_order_factors(lam: float, span: int) -> list[ExtendedReal]:
@@ -341,9 +358,10 @@ def kernel_eval(spec: KernelSpec, y, yp) -> float:
     """K(y, y') by the factored per-family recursion, in ExtendedReal.
 
     The oracle for the batch path: every family accumulates in
-    ExtendedReal, since POD and SPOD order factors overflow doubles.  The
-    per-coordinate difference is canonicalized through abs() so swapping
-    the arguments performs bit-identical arithmetic.
+    ExtendedReal, whose rows never underflow, so an order factor stored
+    as +inf is refused (``order_factor``).  The per-coordinate difference
+    is canonicalized through abs() so swapping the arguments performs
+    bit-identical arithmetic.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     yp = np.atleast_1d(np.asarray(yp, dtype=float))
@@ -401,6 +419,73 @@ def kernel_eval_bruteforce(spec: KernelSpec, y, yp) -> float:
             total = total + weight_of(spec.scheme, u) * \
                 ExtendedReal.from_float(prod)
     return total.to_float()
+
+
+# ---------------------------------------------------------------------------
+# the POD/SPOD kernel state and order-pair sums, every row kept
+
+
+def _grown(g, w, P, base=None) -> np.ndarray:
+    """base (or zeros) grown by len(g) rows, plus g[nu - 1] w P shifted by
+    nu orders, for nu = 1..len(g): one coordinate of the order recursion."""
+    out = np.zeros((len(P) + len(g), P.shape[1]))
+    if base is not None:
+        out[: len(base)] = base
+    for nu in range(1, len(g) + 1):
+        out[nu : nu + len(P)] += g[nu - 1] * w * P
+    return out
+
+
+def full_state_rows(scheme: WeightScheme, etas) -> np.ndarray:
+    """The order rows 0..d sigma after committing the d rows of etas (d, m)
+    in plain floats, none of them dropped, whatever their values."""
+    etas = np.asarray(etas, dtype=float)
+    P = np.ones((1, etas.shape[1]))
+    for g, e in zip(scheme.gamma_jnu, etas):
+        P = _grown(g, e, P, P)
+    return P
+
+
+def full_shift_rows(scheme: WeightScheme, P: np.ndarray) -> np.ndarray:
+    """The coefficient of eta in the rows after the next coordinate:
+    P shifted by nu orders times gamma_{j,nu}, every row kept."""
+    d = (len(P) - 1) // scheme.sigma
+    return _grown(scheme.gamma_jnu[d], 1.0, P)
+
+
+def full_contraction(scheme: WeightScheme, P: np.ndarray) -> np.ndarray:
+    """Sum_ell Gamma_ell P[ell], added one row at a time; an entry of 0.0
+    adds 0.0, whatever Gamma_ell is, +inf included."""
+    acc = P[0] * scheme.Gamma[0]
+    for G, row in zip(scheme.Gamma[1:], P[1:]):
+        live = row != 0.0
+        acc[live] = acc[live] + G * row[live]
+    return acc + 0.0
+
+
+def full_squared_weight_prefixes(
+    scheme: WeightScheme, s: int, x: float
+) -> list[float]:
+    """[Q_1, ..., Q_s] from the whole (s sigma + 1)^2 table of order-pair
+    sums r[ell, ell'], none of it dropped.  Each Q_d sums Gamma_ell
+    Gamma_ell' r[ell, ell'] over the nonzero entries, in (ell, ell') order,
+    by one numpy sum."""
+    sigma = scheme.sigma
+    span = s * sigma
+    r = np.zeros((span + 1, span + 1))
+    r[0, 0] = 1.0
+    out = []
+    for g in scheme.gamma_jnu[:s]:
+        new = r.copy()
+        for nu in range(1, sigma + 1):
+            for nup in range(1, sigma + 1):
+                c = x * g[nu - 1] * g[nup - 1]
+                new[nu:, nup:] += c * r[: span + 1 - nu, : span + 1 - nup]
+        r = new
+        i, j = np.nonzero(r)
+        G = scheme.Gamma
+        out.append(float(np.sum(G[i] * G[j] * r[i, j])))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from latkern.experiments import (
     run_interp_convergence,
 )
 from latkern.interpolant import build
-from latkern.kernel import KernelSpec
+from latkern.kernel import KernelSpec, _committed
 from latkern.lattice import Lattice, cbc_construct, read_genvec, write_genvec
 from latkern.pde import (
     DiffusionModel,
@@ -38,11 +38,18 @@ from latkern.pde import (
 )
 from latkern.weights import (
     PdeWeightInput,
-    Scaled,
     WeightScheme,
+    _order_factors,
+    _pod_order_logs,
     squared_weight_prefixes,
 )
-from reference import kernel_eval, truncated_solve
+from reference import (
+    gamma_arrays,
+    kernel_eval,
+    truncated_solve,
+    weight_of,
+    xfactorial,
+)
 
 
 class TestSobol:
@@ -379,11 +386,117 @@ class TestCli:
             sd = float(row.split(",")[2])
             assert math.isfinite(sd) and sd >= 0.0
 
+    def test_tightest_scan_case_exits_0(self, capsys):
+        # the tightest case of the scan at the difference 0 (CHANGES.md):
+        # there the kernel rows reach order 37 and no further, and Gamma_ell
+        # is +inf from order 43, so no kept row meets an infinite factor
+        model = DiffusionModel(0.2, 3.6, 300)
+        inp = PdeWeightInput(0.30303, decay_sequence(model, 300), 0.1)
+        params = derive_for_family("pod", inp, 300)
+        spec = KernelSpec(params.alpha, params.scheme)
+        assert len(_committed(spec, np.zeros((300, 1))).P) == 38
+        G = params.scheme.Gamma
+        assert np.isfinite(G[42]) and np.all(np.isinf(G[43:]))
+        rc = cli(["cbc", "--weights", "pod", "--p", "0.30303", "--theta",
+                  "3.6", "--s", "300", "--n-list", "64"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 300
+        for row in rows:
+            sd = float(row.split(",")[2])
+            assert math.isfinite(sd) and sd >= 0.0
+
+    def test_pod_rescaled_past_gamma_overflow(self, capsys):
+        # p = 0.32 < 1/theta: at the difference 0 the kernel terms peak
+        # near order 68, past order 42 where Gamma_ell leaves double range.
+        # The derivation stores Gamma_ell 2^(-k ell) and gamma_j 2^k, the
+        # same weights gamma_u, and K(0), about 37, is the ExtendedReal
+        # oracle's; unscaled, the batch refuses Gamma_42 = inf
+        s = 100
+        inp = PdeWeightInput(0.32, decay_sequence(DiffusionModel(0.2, 3.0, s),
+                                                  s), 0.1)
+        params = derive_for_family("pod", inp, s)
+        sch = params.scheme
+        lg = _pod_order_logs(params.alpha, 3, params.lam, s)
+        k = round(lg[1] - math.log2(sch.Gamma[1]))
+        assert k > 0
+        np.testing.assert_array_equal(sch.Gamma, _order_factors(lg, k))
+        plain = WeightScheme("pod", gamma_j=np.ldexp(sch.gamma_j, -k),
+                             Gamma=_order_factors(lg))
+        assert np.isfinite(plain.Gamma[41]) and np.isinf(plain.Gamma[42])
+        for u in [(1,), (2, 5), (1, 3, 4, 7, 9), tuple(range(1, 13))]:
+            assert weight_of(sch, u).to_float() == pytest.approx(
+                weight_of(plain, u).to_float(), rel=1e-14)
+        spec = KernelSpec(params.alpha, sch)
+        k0 = _committed(spec, np.zeros((s, 1))).values()[0]
+        assert 30 < k0 < 40
+        assert k0 == pytest.approx(
+            kernel_eval(spec, np.zeros(s), np.zeros(s)), rel=1e-12)
+        with pytest.raises(FloatingPointError, match="Gamma_42 = inf"):
+            _committed(KernelSpec(params.alpha, plain),
+                       np.zeros((s, 1))).values()
+        rc = cli(["cbc", "--weights", "pod", "--p", "0.32", "--theta", "3.0",
+                  "--s", "100", "--n-list", "64"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == s
+        for row in rows:
+            sd = float(row.split(",")[2])
+            assert math.isfinite(sd) and sd >= 0.0
+
+    def test_terms_past_every_rescaling_exit_1(self, capsys):
+        # the same weights at s = 1000: the terms at the difference 0 spread
+        # over more than any one rescaling keeps in double range, so the
+        # derivation refuses before the search starts
+        rc = cli(["cbc", "--weights", "pod", "--p", "0.32", "--theta", "3.0",
+                  "--s", "1000", "--n-list", "16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: the POD kernel's order terms leave double range at every "
+            "exact rescaling")
+
+    def test_order_factor_past_range_exits_2(self, monkeypatch, capsys):
+        # hand-built POD weights: Gamma_ell = (ell!)^4 is +inf from order
+        # 58, and gamma_j = 2^-20 keeps row 58 nonzero (about 2^-1062) at
+        # the difference 0, while every Q_d stays near 1
+        G = gamma_arrays(xfactorial(ell).powf(4.0) for ell in range(61))
+        sch = WeightScheme("pod", gamma_j=np.full(60, 2.0**-20), Gamma=G)
+        spec = KernelSpec(2, sch)
+        named = "Gamma_58 = inf meets a nonzero row"
+        with pytest.raises(FloatingPointError, match=named):
+            cbc_construct(spec, 16, 60)
+        monkeypatch.setattr("latkern.cli.study_kernel", lambda cfg: spec)
+        rc = cli(["cbc", "--weights", "pod", "--s", "60", "--n-list", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: kernel value inf")
+        assert named in err and "Traceback" not in err
+
+    def test_product_overflow_exits_2(self, monkeypatch, capsys):
+        # gamma_j = 1: K(0) = (1 + eta(0))^s, about 2^(2.10 s), passes
+        # 2^1024 from coordinate 488, while Q_s = (1 + 2 zeta(4))^s is still
+        # about 2^814 at s = 490.  The search, which squares K(0), leaves
+        # double range first, about coordinate 244.
+        spec = KernelSpec(2, WeightScheme("product", gamma_j=np.ones(490)))
+        below = _committed(spec, np.zeros((487, 2))).values()
+        assert np.all(np.isfinite(below))
+        with pytest.raises(FloatingPointError, match="row overflowed"):
+            _committed(spec, np.zeros((490, 2))).values()
+        with pytest.raises(FloatingPointError, match="past double range"):
+            cbc_construct(spec, 8, 490)
+        monkeypatch.setattr("latkern.cli.study_kernel", lambda cfg: spec)
+        rc = cli(["cbc", "--weights", "product", "--s", "490",
+                  "--n-list", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "past double range" in err and "Traceback" not in err
+
     def test_criterion_cancellation_exits_2(self, monkeypatch, capsys):
         # a subtracted term twice too large leaves S_d far below zero
         def doubled(*args):
-            return [Scaled(q.mantissa, q.exponent + 1)
-                    for q in squared_weight_prefixes(*args)]
+            return [2.0 * q for q in squared_weight_prefixes(*args)]
 
         monkeypatch.setattr(
             "latkern.lattice.squared_weight_prefixes", doubled

@@ -13,17 +13,23 @@ from latkern.kernel import (
     frac,
     kernel_values_batch,
 )
+from latkern.lattice import Lattice, cbc_construct
+from latkern.pde import DiffusionModel, decay_sequence
 from latkern.special import zeta
 from latkern.weights import (
     PdeWeightInput,
-    RangeError,
     WeightScheme,
-    _to_floats,
     derive_pod,
     derive_product,
     derive_spod,
+    squared_weight_prefixes,
 )
 from reference import (
+    OutOfDoubleRange,
+    full_contraction,
+    full_shift_rows,
+    full_squared_weight_prefixes,
+    full_state_rows,
     gamma_arrays,
     kernel_eval,
     kernel_eval_bruteforce,
@@ -32,41 +38,9 @@ from reference import (
 )
 
 
-def _scaled_add(S, F, T, Te):
-    """In-place (S, F) <- (S, F) + (T, Te) for value arrays S * 2^F.
-
-    One row at a time: the oracle for ``BatchKernelState._contract``.
-    """
-    live = T != 0.0
-    empty = S == 0.0
-    nf = np.where(live, np.where(empty, Te, np.maximum(F, Te)), F)
-    sh_s = np.clip(F - nf, -1100, 0).astype(np.int64)
-    sh_t = np.clip(Te - nf, -1100, 0).astype(np.int64)
-    S2 = np.ldexp(S, sh_s) + np.where(live, np.ldexp(T, sh_t), 0.0)
-    S[:] = S2
-    F[:] = np.where(S2 == 0.0, 0, nf)
-
-
-def _contract_oracle(state, P):
-    """Sum_ell Gamma_ell P[ell] 2^E by one _scaled_add per live row."""
-    S = np.zeros(P.shape[1])
-    F = np.zeros(P.shape[1], dtype=np.int64)
-    gm, ge = state.scheme.Gamma
-    for ell in range(P.shape[0]):
-        if np.any(P[ell]):
-            _scaled_add(S, F, P[ell] * gm[ell], state.E + ge[ell])
-    return S, F
-
-
-def _canonical(S, F):
-    """Scaled pairs as (mantissa in [0.5, 1), exponent); zero is (0, 0)."""
-    mant, ex = np.frexp(S)
-    return mant, np.where(S == 0.0, 0, ex + F)
-
-
-def _wide_state(rng, m=64, mag_bits=300, power=100.0):
-    """A POD state with Gamma_ell = (ell!)^power, about 4,400 bits from
-    first to last at power 100, and random rows P: normal entries times
+def _wide_state(rng, m=64, mag_bits=300, power=14.0):
+    """A POD state with Gamma_ell = (ell!)^power, about 620 bits from
+    first to last at power 14, and random rows P: normal entries times
     2^k, |k| <= mag_bits, with all-zero rows, all-zero samples and
     scattered zeros."""
     s = 16
@@ -78,8 +52,24 @@ def _wide_state(rng, m=64, mag_bits=300, power=100.0):
     P[rng.random(P.shape) < 0.2] = 0.0
     P[rng.choice(s + 1, 3, replace=False)] = 0.0
     P[:, rng.choice(m, m // 16, replace=False)] = 0.0
-    state.E = rng.integers(-3000, 3001, m)
     return state, P
+
+
+def _row_loop(state, P):
+    """Sum_ell Gamma_ell P[ell], one row at a time: the oracle for
+    ``BatchKernelState._contract``."""
+    acc = np.zeros(P.shape[1])
+    for G, row in zip(state.scheme.Gamma, P):
+        acc = acc + G * row
+    return acc + 0.0
+
+
+def _past_range_pod(s=60):
+    """POD weights with gamma_j = 1 and Gamma_ell = (ell!)^4: +inf from
+    order 58, where (ell!)^4 passes 2^1024, while the kernel rows at the
+    difference 0, binomial(s, ell) eta(0)^ell, stay nonzero."""
+    G = gamma_arrays(xfactorial(ell).powf(4.0) for ell in range(s + 1))
+    return KernelSpec(2, WeightScheme("pod", gamma_j=np.ones(s), Gamma=G))
 
 
 def _derived(family, s=6, p=1 / 2.2):
@@ -87,6 +77,14 @@ def _derived(family, s=6, p=1 / 2.2):
     inp = PdeWeightInput(p, b, 0.1)
     fn = {"product": derive_product, "pod": derive_pod, "spod": derive_spod}
     return fn[family](inp, s)
+
+
+def _back(g: float) -> float:
+    """The difference d < 1/2 where 1 + g eta(2, d) = 1 / (1 + g eta(2, 0)):
+    eta(2, d) = 2 pi^2 (d^2 - d + 1/6)."""
+    big = 1.0 + g * eta(2, 0.0)
+    q = 1.0 / 6.0 - (1.0 / big - 1.0) / (2.0 * g * math.pi**2)
+    return (1.0 - math.sqrt(1.0 - 4.0 * q)) / 2.0
 
 
 class TestEta:
@@ -200,14 +198,21 @@ class TestKernelEval:
             kernel_eval_bruteforce(spec, np.zeros(16), np.zeros(16))
 
     def test_overflow_diagnostic_carries_magnitude(self):
-        # POD order factors (ell!)^4 at s=60 push K(0,0) far past doubles
-        s = 60
-        G = gamma_arrays(xfactorial(ell).powf(4.0) for ell in range(s + 1))
-        sch = WeightScheme("pod", gamma_j=np.ones(s), Gamma=G)
-        spec = KernelSpec(2, sch)
-        with pytest.raises(RangeError) as err:
-            kernel_eval(spec, np.zeros(s), np.zeros(s))
+        # POD order factors (ell!)^4 at s=60 push K(0,0) far past doubles:
+        # Gamma_58.. are stored as +inf, and the oracle refuses them
+        spec = _past_range_pod()
+        G = spec.scheme.Gamma
+        assert np.isinf(G[58]) and np.isfinite(G[57])
+        with pytest.raises(OutOfDoubleRange) as err:
+            kernel_eval(spec, np.zeros(60), np.zeros(60))
         assert err.value.log2_magnitude > 1024
+        # an ExtendedReal that ends past doubles carries its own magnitude
+        G = gamma_arrays(xfactorial(ell).powf(4.0) for ell in range(21))
+        big = KernelSpec(2, WeightScheme("pod", gamma_j=np.full(20, 1e60),
+                                         Gamma=G))
+        with pytest.raises(OutOfDoubleRange) as err:
+            kernel_eval(big, np.zeros(20), np.zeros(20))
+        assert 1024 < err.value.log2_magnitude < math.inf
 
 
 class TestBatchPath:
@@ -222,22 +227,27 @@ class TestBatchPath:
         np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_overflow_diagnostic(self):
-        s = 60
-        G = gamma_arrays(xfactorial(ell).powf(4.0) for ell in range(s + 1))
-        sch = WeightScheme("pod", gamma_j=np.ones(s), Gamma=G)
-        spec = KernelSpec(2, sch)
-        with pytest.raises(RangeError):
-            kernel_values_batch(spec, np.zeros((3, s)))
+        # Gamma_58 = +inf meets the nonzero row 58 at the difference 0
+        spec = _past_range_pod()
+        with pytest.raises(FloatingPointError, match="Gamma_58 = inf"):
+            kernel_values_batch(spec, np.zeros((3, 60)))
+        # at the difference 1/2 as well: eta(1/2) < 0, so the rows
+        # alternate in sign, and inf - inf is NaN
+        with pytest.raises(FloatingPointError, match="Gamma_58 = inf"):
+            kernel_values_batch(spec, np.full((2, 60), 0.5))
 
-    def test_product_value_with_exponent_past_1024_fits(self):
+    def test_product_overflowing_partway_is_refused(self):
         # 18 factors 1 + 1e20 eta(0), about 2^68 each, and 34 factors
-        # 1 + 0.6 eta(1/2), about 2^-6.3 each: the running exponent passes
-        # 1024 while the row itself is renormalized small, and the value,
-        # 1.69e305, fits a double
+        # 1 + 0.6 eta(1/2), about 2^-6.3 each: the exact value, 1.69e305,
+        # fits a double, but the running product passes 2^1024 on the way
         g = np.array([1e20] * 18 + [0.6] * 34)
         spec = KernelSpec(2, WeightScheme("product", gamma_j=g))
         dy = np.array([[0.0] * 18 + [0.5] * 34])
-        got = kernel_values_batch(spec, dy)[0]
+        with pytest.raises(FloatingPointError, match="row overflowed"):
+            kernel_values_batch(spec, dy)
+        # with the coordinates reversed the product stays in range
+        spec = KernelSpec(2, WeightScheme("product", gamma_j=g[::-1]))
+        got = kernel_values_batch(spec, dy[:, ::-1])[0]
         exact = math.prod(
             1 + Fraction(gj) * Fraction(e) for gj, e in zip(g, eta(2, dy[0]))
         )
@@ -245,15 +255,13 @@ class TestBatchPath:
         assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
-    def test_values_are_normalized_pairs(self, family):
+    def test_values_are_the_batch_values(self, family):
         d = _derived(family)
         spec = KernelSpec(d.alpha, d.scheme)
         dy = np.random.default_rng(3).random((32, 6))
-        S, F = _committed(spec, dy.T).values()
-        assert np.all((0.5 <= np.abs(S)) & (np.abs(S) < 1.0))
-        np.testing.assert_array_equal(
-            np.ldexp(S, F), kernel_values_batch(spec, dy)
-        )
+        K = _committed(spec, dy.T).values()
+        assert K.dtype == np.float64 and np.all(np.isfinite(K))
+        np.testing.assert_array_equal(K, kernel_values_batch(spec, dy))
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_affine_split_matches_commit(self, family):
@@ -265,10 +273,10 @@ class TestBatchPath:
         state = BatchKernelState(spec.scheme, 16)
         for j in range(6):
             ev = eta(spec.alpha, dy[:, j])
-            a, b, top = state.affine_split()
-            got = np.ldexp(a + ev * b, top)
+            a, b = state.affine_split()
+            got = a + ev * b
             state.commit(ev)
-            want = _to_floats(*state.values())
+            want = state.values()
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
@@ -277,18 +285,15 @@ class TestBatchPath:
         spec = KernelSpec(d.alpha, d.scheme)
         assert kernel_values_batch(spec, np.zeros((0, 6))).shape == (0,)
 
-    def test_product_leaving_renorm_range_partway(self):
+    def test_product_far_from_one_partway(self):
         # gamma_j = 10: a factor 1 + 10 eta(0) = 33.9 per coordinate lifts
-        # the running product past 2^200 by coordinate 40, and factors near
-        # 1/33.9 (or 33.9 after tiny ones) bring it back into range; at
-        # s = 250 the all-zero difference, 33.9^250 ~ 2^1271, is out of range
+        # the running product to about 2^636 by coordinate 125, and factors
+        # near 1/33.9 (or 33.9 after tiny ones) bring it back; at s = 250
+        # the all-zero difference, 33.9^250 ~ 2^1271, is out of range
         s, half = 250, 125
         sch = WeightScheme("product", gamma_j=np.full(s, 10.0))
         spec = KernelSpec(2, sch)
-        big = 1.0 + 10.0 * eta(2, 0.0)
-        # eta(2, d) = 2 pi^2 (d^2 - d + 1/6); solve 1 + 10 eta = 1 / big
-        q = 1.0 / 6.0 - (1.0 / big - 1.0) / (20.0 * math.pi**2)
-        back = (1.0 - math.sqrt(1.0 - 4.0 * q)) / 2.0
+        back = _back(10.0)
         dy = np.empty((4, s))
         dy[0, :half], dy[0, half:] = 0.0, back
         dy[1, :half], dy[1, half:] = back, 0.0
@@ -298,43 +303,57 @@ class TestBatchPath:
         state = BatchKernelState(spec.scheme, 4)
         for j in range(half):
             state.commit(eta(2, dy[:, j]))
-        assert state.E[0] > 200 and state.E[1] < -200 and state.E[3] > 200
+        assert np.abs(state.P[0, [0, 3]]).min() > 2.0**400
+        assert state.P[0, 1] < 2.0**-400
         got = kernel_values_batch(spec, dy)
         want = [kernel_eval(spec, frac(row), np.zeros(s)) for row in dy]
         np.testing.assert_allclose(got, want, rtol=1e-11)
-        with pytest.raises(RangeError):
+        with pytest.raises(OutOfDoubleRange):
             kernel_eval(spec, np.zeros(s), np.zeros(s))
-        with pytest.raises(RangeError):
+        with pytest.raises(FloatingPointError, match="row overflowed"):
             kernel_values_batch(spec, np.vstack([dy, np.zeros(s)]))
 
-    def test_product_falling_below_renorm_range(self):
-        # every sample shrinks and none grows, so only the lower end of the
-        # range calls for renormalizing: 250 factors near 1/33.9 take the
-        # product to about 2^-1271, past the smallest double
+    def test_product_underflowing_is_refused(self):
+        # 250 factors near 1/33.9 take the product to about 2^-1271, below
+        # the smallest double: the running product leaves the normal range
+        # on nonzero factors, which is refused rather than read as 0.0
         s = 250
         spec = KernelSpec(2, WeightScheme("product", gamma_j=np.full(s, 10.0)))
-        big = 1.0 + 10.0 * eta(2, 0.0)
-        q = 1.0 / 6.0 - (1.0 / big - 1.0) / (20.0 * math.pi**2)
-        back = (1.0 - math.sqrt(1.0 - 4.0 * q)) / 2.0
-        dy = back + 1e-5 * np.random.default_rng(9).standard_normal((3, s))
-        S, F = _committed(spec, dy.T).values()
-        assert np.all(F < -1200)
-        for i, row in enumerate(dy):
+        dy = _back(10.0) + 1e-5 * np.random.default_rng(9).standard_normal(
+            (3, s))
+        for row in dy:
             exact = math.prod(1 + 10 * Fraction(e) for e in eta(2, row))
-            got = Fraction(float(S[i])) * Fraction(2) ** int(F[i])
-            assert abs(got - exact) <= Fraction(1e-12) * exact
+            assert 0 < exact < Fraction(2) ** -1200
+        with pytest.raises(FloatingPointError, match="below 2\\^-1022"):
+            kernel_values_batch(spec, dy)
+
+    def test_product_dipping_below_range_is_refused(self):
+        # 210 factors near 1/33.9 take the running product below 2^-1022,
+        # and 40 factors 33.9 bring the exact value back to about 2^-864:
+        # floats would have lost its bits on the way, so the batch refuses
+        s = 250
+        spec = KernelSpec(2, WeightScheme("product", gamma_j=np.full(s, 10.0)))
+        dy = np.zeros((1, s))
+        dy[0, :210] = _back(10.0)
+        exact = math.prod(1 + 10 * Fraction(e) for e in eta(2, dy[0]))
+        assert Fraction(2) ** -900 < exact < Fraction(2) ** -800
+        with pytest.raises(FloatingPointError, match="coordinate 20[0-9]"):
+            kernel_values_batch(spec, dy)
+        # an exact zero factor is no underflow: the value is 0.0
+        sch = WeightScheme("product", gamma_j=np.full(3, 1.0))
+        state = BatchKernelState(sch, 2)
+        state.commit(np.array([-1.0, 0.5]))
+        state.commit(np.array([0.5, 0.5]))
+        assert state.values().tolist() == [0.0, 2.25]
 
     @pytest.mark.parametrize("m", [1, 64])
     @pytest.mark.parametrize("seed", range(4))
-    def test_contract_matches_scaled_add_loop(self, seed, m):
-        # the one-step contraction against the row-by-row oracle: same
-        # values S * 2^F, with order factors spreading past 1100 bits
+    def test_contract_matches_row_loop(self, seed, m):
+        # the one-step contraction against the row-by-row oracle, bit for
+        # bit, with order factors spreading over 620 bits
         state, P = _wide_state(np.random.default_rng(seed), m)
-        assert np.ptp(state.scheme.Gamma[1]) > 1100
-        got = _canonical(*state._contract(P))
-        want = _canonical(*_contract_oracle(state, P))
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        assert np.log2(state.scheme.Gamma[-1]) > 600
+        np.testing.assert_array_equal(state._contract(P), _row_loop(state, P))
 
     @pytest.mark.parametrize("m", [1, 64])
     def test_contract_sums_in_row_order(self, m):
@@ -343,28 +362,62 @@ class TestBatchPath:
         # pairwise sum would split up
         for seed in range(20):
             state, P = _wide_state(np.random.default_rng(seed), m, 0, 0.0)
-            got = _canonical(*state._contract(P))
-            want = _canonical(*_contract_oracle(state, P))
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(
+                state._contract(P), _row_loop(state, P)
+            )
 
-    def test_contract_exact_beyond_the_oracle(self):
-        # with row entries themselves 2^+-1000 apart, the oracle's 1100-bit
-        # shift cap leaves part of far smaller terms in its sum; the
-        # contraction scales every term exactly, so it is the exact sum
-        # rounded, to the error bound of a 17-term float sum
-        state, P = _wide_state(np.random.default_rng(99), mag_bits=1000)
-        S, F = state._contract(P)
-        gm, ge = state.scheme.Gamma
+    @staticmethod
+    def _within_sum_bound(state, P):
+        # 17 terms Gamma_ell P[ell], each rounded once as a product and then
+        # added in turn: a term meets at most 1 + 16 roundings, so the
+        # error is below gamma_17 = 17u / (1 - 17u) < 18u times the sum of
+        # the exact |terms|, u = 2^-53
+        K = state._contract(P)
+        G = state.scheme.Gamma
         for i in range(P.shape[1]):
-            terms = [
-                Fraction(float(P[ell, i] * gm[ell]))
-                * Fraction(2) ** int(state.E[i] + ge[ell])
-                for ell in range(P.shape[0])
-            ]
-            got = Fraction(float(S[i])) * Fraction(2) ** int(F[i])
-            bound = Fraction(17, 2**53) * sum(abs(x) for x in terms)
-            assert abs(got - sum(terms)) <= bound
+            terms = [Fraction(P[ell, i]) * Fraction(G[ell])
+                     for ell in range(P.shape[0])]
+            bound = Fraction(18, 2**53) * sum(abs(x) for x in terms)
+            assert abs(Fraction(K[i]) - sum(terms)) <= bound
+
+    def test_contract_within_the_float_sum_bound(self):
+        # row entries 2^+-350 apart against order factors 620 bits apart
+        state, P = _wide_state(np.random.default_rng(99), mag_bits=350)
+        self._within_sum_bound(state, P)
+
+    def test_contract_within_the_float_sum_bound_at_the_widest_spread(self):
+        # order factors from 1 to about 2^1022 and rows from about 1 down
+        # to 2^-1042, subnormal there, so every product is near 2^+-20
+        rng = np.random.default_rng(98)
+        s, m = 16, 64
+        e = np.round(np.linspace(0, 1022, s + 1)).astype(int)
+        G = np.ldexp(1.0 + rng.random(s + 1), e)
+        G[0] = 1.0
+        sch = WeightScheme("pod", gamma_j=np.ones(s), Gamma=G)
+        P = rng.standard_normal((s + 1, m))
+        P *= np.ldexp(1.0, rng.integers(-20, 21, P.shape) - e[:, None])
+        P[rng.random(P.shape) < 0.2] = 0.0
+        assert G.max() > 2.0**1022 and 0 < np.abs(P[-1][P[-1] != 0]).min() \
+            < 2.0**-1022
+        self._within_sum_bound(BatchKernelState(sch, m), P)
+
+    def test_trailing_zero_rows_are_dropped(self):
+        # gamma_j = 1e-200: order 2 is about 1e-400 and falls to 0.0 at
+        # every point, so the state keeps rows 0 and 1 only, and its
+        # values are the full recursion's bit for bit
+        s = 8
+        G = gamma_arrays(xfactorial(ell).powf(2.0) for ell in range(s + 1))
+        sch = WeightScheme("pod", gamma_j=np.full(s, 1e-200), Gamma=G)
+        etas = eta(2, np.random.default_rng(2).random((s, 5)))
+        state = BatchKernelState(sch, 5)
+        for j, row in enumerate(etas, start=1):
+            state.commit(row)
+            assert len(state.P) == 2
+            full = full_state_rows(sch, etas[:j])
+            assert len(full) == j + 1 and not full[2:].any()
+            np.testing.assert_array_equal(
+                state.values(), full_contraction(sch, full)
+            )
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_dimension_beyond_weights_rejected(self, family):
@@ -396,6 +449,48 @@ class TestBatchPath:
             assert state.P.shape == (rows, 5)
         if family == "spod":
             assert d.scheme.sigma == 3
+
+
+class TestTrim:
+    # Dropping the trailing rows that are 0.0 at every point is exact: the
+    # trimmed state, its affine split and the order-pair prefixes equal
+    # the plain recursions that keep every row, bit for bit.  SPOD at
+    # s = 100 reaches orders 0..200; on its n = 64 CBC lattice the state
+    # keeps 56 of them, and Gamma_ell is +inf from order 121 on.
+
+    @pytest.fixture(scope="class")
+    def spod100(self):
+        model = DiffusionModel(0.2, 2.4, 100)
+        inp = PdeWeightInput(1 / 2.2, decay_sequence(model, 100), 0.1)
+        d = derive_spod(inp, 100)
+        spec = KernelSpec(d.alpha, d.scheme)
+        lat = Lattice(64, cbc_construct(spec, 64, 100).z)
+        return spec, eta(d.alpha, lat.columns())
+
+    def test_state_matches_full_recursion(self, spod100):
+        spec, etas = spod100
+        sch = spec.scheme
+        assert np.isinf(sch.Gamma[121]) and np.isfinite(sch.Gamma[120])
+        state = BatchKernelState(sch, etas.shape[1])
+        for d, row in enumerate(etas):
+            full = full_state_rows(sch, etas[:d])
+            a, b = state.affine_split()
+            np.testing.assert_array_equal(a, full_contraction(sch, full))
+            np.testing.assert_array_equal(
+                b, full_contraction(sch, full_shift_rows(sch, full))
+            )
+            state.commit(row)
+        full = full_state_rows(sch, etas)
+        assert len(full) == 201 and len(state.P) == 56
+        assert state.P[-1].any() and not full[56:].any()
+        np.testing.assert_array_equal(state.values(),
+                                      full_contraction(sch, full))
+
+    def test_prefixes_match_full_table(self, spod100):
+        spec, _ = spod100
+        x = 2.0 * zeta(2 * spec.alpha)
+        assert squared_weight_prefixes(spec.scheme, 100, x) == \
+            full_squared_weight_prefixes(spec.scheme, 100, x)
 
 
 class TestStructuralProperties:

@@ -14,9 +14,9 @@ own definition, or a part after the first of a dotted string in
 The reference implementations in ``tests/reference.py`` exist to check
 production code, so each of its public functions and classes needs a
 caller in another test file.  No module raises AssertionError, which a caller cannot tell from a
-failed test: numerical failures raise ArithmeticError.  Scaled-pair
-arithmetic has one home, ``weights.py``, the only module that clips
-exponent shifts.  The runtime needs numpy alone.
+failed test: numerical failures raise ArithmeticError.  The package
+computes in plain floats, so no module clips exponent shifts.  The runtime
+needs numpy alone.
 """
 
 import ast
@@ -233,19 +233,18 @@ def test_no_module_raises_assertion_error():
                 )
 
 
-def test_only_weights_clips_exponents():
+def test_no_module_clips_exponents():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (
+            assert not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "clip"
                 and getattr(node.func.value, "id", None) == "np"
-            ):
-                assert path.name == "weights.py", (
-                    f"{path.name}:{node.lineno} calls np.clip; scaled-pair "
-                    "arithmetic belongs in weights.py"
-                )
+            ), (
+                f"{path.name}:{node.lineno} calls np.clip; the package "
+                "computes in plain floats, with no exponent shifts to clip"
+            )
 
 
 def test_runtime_needs_numpy_alone():

@@ -4,16 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latkern.kernel import KernelSpec, kernel_values_batch
 from latkern.special import zeta
 from latkern.weights import (
     DerivedParams,
     PdeWeightInput,
-    Scaled,
     WeightScheme,
-    _aligned,
-    _pod_order_factors,
+    _order_factors,
+    _pod_order_logs,
     _power,
-    _spod_order_factors,
+    _spod_order_logs,
     derive_pod,
     derive_product,
     derive_spod,
@@ -69,12 +69,13 @@ class TestDerivePod:
         assert order_factor(d.scheme, 0).to_float() == pytest.approx(1.0)
         assert weight_of(d.scheme, ()).to_float() == 1.0
 
-    def test_gamma_100_matches_stirling(self):
-        # POD order factor at ell=100, sigma=2: finite as a scaled pair and
-        # log2 within 1% of the Stirling approximation of the formula
+    def test_gamma_60_matches_stirling(self):
+        # POD order factor at ell=60, sigma=2: about 2^847, log2 within 1%
+        # of the Stirling approximation of the formula; from order 70 on,
+        # past 2^1024, it is +inf
         d = derive_pod(_input(1 / 2.2, s=100), 100)
-        got = order_factor(d.scheme, 100).log2
-        ell, sigma, lam = 100, 2, 5 / 17
+        got = order_factor(d.scheme, 60).log2
+        ell, sigma, lam = 60, 2, 5 / 17
         n = sigma * ell
         log_fact = n * math.log(n) - n + 0.5 * math.log(2 * math.pi * n)
         want = (
@@ -83,7 +84,10 @@ class TestDerivePod:
             - ell * math.log(2 * zeta(d.alpha * lam))
         ) / (1 + lam) / math.log(2)
         assert got == pytest.approx(want, rel=0.01)
-        assert d.scheme.Gamma[0][100] > 0
+        G = d.scheme.Gamma
+        first = int(np.argmax(np.isinf(G)))
+        assert np.all(np.isfinite(G[:first])) and np.all(np.isinf(G[first:]))
+        assert np.log2(G[first - 1]) > 1000
 
 
 class TestDeriveProduct:
@@ -124,16 +128,23 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="gamma_j / gamma_jnu"):
             WeightScheme("product", gamma_j=np.array([0.5, bad]))
         with pytest.raises(ValueError, match="gamma_j / gamma_jnu"):
-            WeightScheme("spod", Gamma=_spod_order_factors(0.5, 2),
+            WeightScheme("spod",
+                         Gamma=_order_factors(_spod_order_logs(0.5, 2)),
                          gamma_jnu=np.array([[0.5, bad]]))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_order_factor_mantissa(self, bad):
-        gm, ge = _spod_order_factors(0.5, 2)
-        gm = gm.copy()
-        gm[1] = bad
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, -math.inf])
+    def test_order_factor_entry(self, bad):
+        G = _order_factors(_spod_order_logs(0.5, 2))
+        G[1] = bad
         with pytest.raises(ValueError, match="Gamma entries"):
-            WeightScheme("spod", Gamma=(gm, ge), gamma_jnu=np.full((1, 2), 0.5))
+            WeightScheme("spod", Gamma=G, gamma_jnu=np.full((1, 2), 0.5))
+
+    def test_order_factor_past_double_range_is_inf(self):
+        # +inf is how an order factor past 2^1024 is stored
+        G = _order_factors(_spod_order_logs(0.5, 2))
+        G[2] = math.inf
+        sch = WeightScheme("spod", Gamma=G, gamma_jnu=np.full((1, 2), 0.5))
+        assert sch.Gamma[2] == math.inf
 
 
 class TestWeightOf:
@@ -194,13 +205,36 @@ class TestWeightScheme:
         def scheme(G):
             return WeightScheme(kind, Gamma=G, **col)
 
-        G = _spod_order_factors(0.5, 4 * sigma)
+        G = _order_factors(_spod_order_logs(0.5, 4 * sigma))
         assert scheme(G).dimension == 4
-        need = f"needs {4 * sigma + 1} mantissas"
+        need = f"needs {4 * sigma + 1} entries"
         with pytest.raises(ValueError, match=need):
-            scheme((G[0][:-1], G[1][:-1]))
+            scheme(G[:-1])
         with pytest.raises(ValueError, match=need):
-            scheme((G[0], G[1][:-1]))
+            scheme(G[None, :])
+
+
+class TestRescaling:
+    @pytest.mark.parametrize("k", [3, 11])
+    def test_kernel_and_squared_sums_keep_their_bits(self, k):
+        # gamma_jnu 2^(k nu) and Gamma_ell 2^(-k ell) are the same weights
+        # gamma_u and scale kernel row ell by 2^(k ell): while no row or
+        # factor is subnormal, every kernel value and Q_d keeps its bits
+        d = derive_spod(_input(1 / 2.2), 10)
+        sch, sigma = d.scheme, d.scheme.sigma
+        lg = _spod_order_logs(d.lam, 10 * sigma)
+        np.testing.assert_array_equal(sch.Gamma, _order_factors(lg))
+        scaled = WeightScheme(
+            "spod", Gamma=_order_factors(lg, k),
+            gamma_jnu=np.ldexp(sch.gamma_jnu, k * np.arange(1, sigma + 1)))
+        dy = np.vstack([np.zeros(10),
+                        np.random.default_rng(4).random((63, 10))])
+        np.testing.assert_array_equal(
+            kernel_values_batch(KernelSpec(d.alpha, scaled), dy),
+            kernel_values_batch(KernelSpec(d.alpha, sch), dy))
+        x = 2.0 * zeta(2 * d.alpha)
+        assert squared_weight_prefixes(scaled, 10, x) == \
+            squared_weight_prefixes(sch, 10, x)
 
 
 class TestOrderFactors:
@@ -209,22 +243,20 @@ class TestOrderFactors:
 
     @pytest.mark.parametrize("lam", [0.15, 5 / 17, 0.5, 5 / 6, 1.0])
     def test_spod_matches_extended_real(self, lam):
-        got = _spod_order_factors(lam, 3000)
+        got = _order_factors(_spod_order_logs(lam, 3000))
         want = gamma_arrays(spod_order_factors(lam, 3000))
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[1][-1] > 4000
+        np.testing.assert_array_equal(got, want)
+        assert np.isinf(got[-1]) and np.isfinite(got[100])
 
     @pytest.mark.parametrize(
         "alpha,sigma,lam", [(2, 1, 9 / 11), (4, 2, 5 / 17), (6, 3, 0.5),
                             (8, 4, 0.3)]
     )
     def test_pod_matches_extended_real(self, alpha, sigma, lam, s=250):
-        got = _pod_order_factors(alpha, sigma, lam, s)
+        got = _order_factors(_pod_order_logs(alpha, sigma, lam, s))
         want = gamma_arrays(pod_order_factors(alpha, sigma, lam, s))
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[1][-1] > 1100
+        np.testing.assert_array_equal(got, want)
+        assert np.isinf(got[-1]) and np.log2(got[20]) > 40
 
     @pytest.mark.parametrize(
         "alpha,sigma,lam", [(2, 1, 9 / 11), (4, 2, 5 / 17), (6, 3, 0.5),
@@ -249,11 +281,10 @@ class TestOrderFactors:
         inp = _input(1 / 2.2, s=12)
         spod, pod = derive_spod(inp, 12), derive_pod(inp, 12)
         for got, want in [
-            (spod.scheme.Gamma, _spod_order_factors(spod.lam, 24)),
-            (pod.scheme.Gamma, _pod_order_factors(4, 2, pod.lam, 12)),
+            (spod.scheme.Gamma, _spod_order_logs(spod.lam, 24)),
+            (pod.scheme.Gamma, _pod_order_logs(4, 2, pod.lam, 12)),
         ]:
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got, _order_factors(want))
 
 
 class TestTheoryErrorConstant:
@@ -281,21 +312,16 @@ class TestTheoryErrorConstant:
             theory_error_constant(params, 13, 16)
 
 
-def _pair(x):
-    """An ExtendedReal as the package's pair, mantissa in [0.5, 1)."""
-    return Scaled(x.sign * x.mantissa / 2.0, x.exponent + 1)
-
-
 def _squared_weight_sum_loop(scheme, s, x):
     """Q_s by the factored recursion for s coordinates, each term formed in
     ExtendedReal: the oracle for the one-pass prefixes.
 
     Product weights multiply the factors in ExtendedReal.  POD runs its
     own one-index recursion on the diagonal, with the coefficient formed
-    as (x gamma_j) gamma_j, as the package's sigma = 1 pair recursion
+    as (x gamma_j) gamma_j, as the package's sigma = 1 order-pair recursion
     forms it.  POD and SPOD terms Gamma_ell Gamma_ell' v are each formed
-    in ExtendedReal, then summed as the package sums them, scaled to the
-    top exponent in one numpy sum in (ell, ell') order: power-of-two
+    in ExtendedReal, then summed as the package sums them, in one numpy
+    sum in (ell, ell') order, scaled to the top exponent: power-of-two
     scaling is exact, so this is the package's sum bit for bit, whatever
     numpy's summation order.
     """
@@ -303,7 +329,7 @@ def _squared_weight_sum_loop(scheme, s, x):
         acc = ExtendedReal.one()
         for g in scheme.gamma_j[:s]:
             acc = acc * ExtendedReal.from_float(1.0 + g * g * x)
-        return _pair(acc)
+        return acc.to_float()
     if scheme.kind == "pod":
         q = np.zeros(s + 1)
         q[0] = 1.0
@@ -339,7 +365,7 @@ def _squared_weight_sum_loop(scheme, s, x):
     top = max(t.exponent for t in terms)
     total = np.sum([math.ldexp(t.mantissa, t.exponent - top) for t in terms])
     total = ExtendedReal.from_float(float(total)) * ExtendedReal(1.0, top, 1)
-    return _pair(total)
+    return total.to_float()
 
 
 class TestSquaredWeightSum:
@@ -375,38 +401,7 @@ class TestSquaredWeightSum:
         x = 2.0 * zeta(2 * d.alpha)
         got = squared_weight_prefixes(d.scheme, s, x)
         assert len(got) == s
-        assert squared_weight_sum(d.scheme, s, x) == got[-1]
+        assert all(type(q) is float for q in got)
+        assert squared_weight_sum(d.scheme, s, x).to_float() == got[-1]
         for q, got_q in enumerate(got, start=1):
             assert got_q == _squared_weight_sum_loop(d.scheme, q, x)
-
-
-class TestAligned:
-    def test_all_zero_column_has_top_0(self):
-        T = np.array([[0.0, 1.5], [0.0, -0.75], [-0.0, 0.0]])
-        F = np.array([[5, 3], [900, 4], [-7, 2000]])
-        t, top = _aligned(T.copy(), F)
-        assert top.tolist() == [0, 4]
-        np.testing.assert_array_equal(
-            t, [[0.0, 0.75], [0.0, -0.75], [0.0, 0.0]]
-        )
-        t, top = _aligned(np.zeros(0), np.zeros(0, dtype=np.int64))
-        assert t.shape == (0,) and top == 0
-
-    def test_every_term_is_its_exact_value_rounded(self):
-        # exponents spread over 6000 bits and mantissas up to 2^+-1000: each
-        # aligned term is T 2^(F - top) rounded once, so the terms whose
-        # shift lies below the floor of -2200 come out 0, as their exact
-        # values round, and large terms shifted by more than 1100 survive
-        rng = np.random.default_rng(4)
-        T = rng.uniform(0.5, 1.0, (40, 3))
-        T *= np.ldexp(1.0, rng.integers(-1000, 1001, T.shape))
-        T[rng.random(T.shape) < 0.2] = 0.0
-        F = rng.integers(-3000, 3001, T.shape)
-        t, top = _aligned(T.copy(), F)
-        for i, j in np.ndindex(T.shape):
-            assert top[j] == max(F[k, j] for k in range(40) if T[k, j])
-            exact = Fraction(T[i, j]) * Fraction(2) ** int(F[i, j] - top[j])
-            assert t[i, j] == float(exact)
-        sh = F - top
-        assert np.any(sh < -2200) and not np.any(t[sh < -2200])
-        assert np.any(t[(sh < -1100) & (sh >= -2200)])
