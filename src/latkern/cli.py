@@ -75,7 +75,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str, command: str) -> dict:
-    options = _COMMANDS[command][1]
+    """The file's values by key; ValueError naming path:line for a line,
+    key or value refused, StudyConfig's checks included."""
+    kind, options = _COMMANDS[command]
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         # a comment starts a line or follows whitespace: run#1.txt is a value
@@ -92,6 +94,9 @@ def _read_config(path: str, command: str) -> dict:
             )
         try:
             out[key] = _TYPES[key](val)
+            # StudyConfig checks each field alone, so the defaults of the
+            # others cannot make it refuse this one
+            StudyConfig(kind, **_fields({key: out[key]}))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key} = {val}: {exc}") from None
     return out
@@ -108,9 +113,14 @@ def _settings(args: argparse.Namespace) -> dict:
     for key, only in _FAMILY_ONLY.items():
         if key in merged and family != only:
             raise ValueError(f"--{key} is for {only} weights, not {family}")
-    if "n_list" in merged:
-        merged["n_schedule"] = merged.pop("n_list")
-    return merged
+    return _fields(merged)
+
+
+def _fields(settings: dict) -> dict:
+    """Option values as StudyConfig keywords: n_list is n_schedule."""
+    if "n_list" in settings:
+        settings["n_schedule"] = settings.pop("n_list")
+    return settings
 
 
 def _cmd_cbc(cfg: StudyConfig) -> int:

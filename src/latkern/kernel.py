@@ -23,7 +23,10 @@ the current contraction and B the contraction of the order-shifted rows.
 ``BatchKernelState.affine_split`` returns A and B, so the CBC search ranks
 the candidates c <= n/2 of a dimension by sum_k 2 A_k B_k eta + B_k^2
 eta^2, all of them by one FFT over the unit group mod n, at
-O(d(n) phi(n) log n) cost per dimension, whatever the family.
+O(d(n) phi(n) log n) cost and O(d(n) phi(n)) memory per dimension, whatever
+the family.  eta is even, so where -1 is the half turn of one axis of the
+group's torus (n = 4, 2^e, p^e and 2 p^e) the FFT runs on U(n)/{+-1}, and
+both halve.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ mean-square kernel that depends on the candidate, D(c), not by the full
 sum, which the candidate-independent sum_k A_k^2 dominates.  D is a
 correlation over the multiplicative group of units mod n (Nuyens and
 Cools, Math. Comp. 75, 2006), so one FFT scores every candidate, at
-O(d(n) phi(n) log n) cost per dimension for every weight family.
+O(d(n) phi(n) log n) cost per dimension for every weight family; eta is
+even, so at n = 4, 2^e, p^e and 2 p^e the FFT runs on half the group.
 """
 
 from __future__ import annotations
@@ -252,12 +253,32 @@ class _UnitScorer:
     batched rfftn per dimension correlates all of them against the eta
     and eta^2 spectra, which are built once per search.
 
-    Memory is O(d(n) phi(n)) for d(n) divisors: the spectra, and int32
-    indices into the point axis.
+    eta is even, so the points a and -a of a class meet the same eta: where
+    -1 is the half turn of one torus axis (n = 4, p^e and 2 p^e, and 2^e),
+    the classes are correlated on U(n)/{+-1}, the first half of that axis,
+    against u_k + u_{n-k} and v_k + v_{n-k}.  That halves the transforms,
+    the spectra and the indices.  At other n the fold is empty.
+
+    Memory is O(d(n) phi(n)) for d(n) divisors, halved by the fold: the
+    spectra, and int32 indices into the point axis.
     """
 
     def __init__(self, n: int, etable: np.ndarray):
         units = _unit_torus(n)
+        phi = units.size
+        self.mirror = None  # k -> n - k where the torus is folded
+        for ax, length in enumerate(units.shape):
+            turn = [0] * units.ndim
+            turn[ax] = length // 2
+            if length % 2 == 0 and units[tuple(turn)] == n - 1:
+                # the first half of the axis holds one of a and -a, stored
+                # as the one not above n/2; a length-2 axis drops
+                half = units.take(range(length // 2), axis=ax)
+                if length == 2:
+                    half = np.atleast_1d(half.squeeze(ax))
+                units = np.minimum(half, n - half)
+                self.mirror = -np.arange(n) % n
+                break
         self.shape = units.shape
         self.axes = tuple(range(-units.ndim, 0))
         divs = [(1, 1)]  # (m, phi(m)) for every divisor m of n
@@ -267,15 +288,15 @@ class _UnitScorer:
                 for m, t in divs
                 for f in range(e + 1)
             ]
-        phi = units.size
         g = np.array([n // m for m, _ in divs], dtype=np.int64)
         w = np.array([t / phi for _, t in divs])
         flat = units.ravel()
         self.idx = (g[:, None] * flat % n).astype(np.int32)
-        # Each class is correlated mean-free: sum_a f(a) h(a + b) is
-        # phi mean(f) mean(h) plus the correlation of f - mean(f) with
-        # h - mean(h).  The means of eta^2 and of B^2 are large against
-        # what varies with c, and would otherwise set the rounding of D.
+        # Each class is correlated mean-free: sum_a f(a) h(a + b) is the
+        # torus size times mean(f) mean(h), plus the correlation of
+        # f - mean(f) with h - mean(h).  The means of eta^2 and of B^2 are
+        # large against what varies with c, and would otherwise set the
+        # rounding of D.
         e = etable[self.idx]
         h = np.stack([e, e * e])
         hmean = h.mean(axis=-1, keepdims=True)
@@ -284,7 +305,7 @@ class _UnitScorer:
             h.reshape(h.shape[:2] + self.shape), axes=self.axes
         )
         self.spectra *= w.reshape((-1,) + (1,) * units.ndim)
-        self.hmean = phi * w[:, None] * hmean
+        self.hmean = units.size * w[:, None] * hmean
         order = np.argsort(flat)
         # positions of the candidates c <= n/2, ascending
         self.pos = order[flat[order] <= n // 2]
@@ -292,6 +313,9 @@ class _UnitScorer:
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """D(c) for every candidate c <= n/2, in ascending order of c."""
+        if self.mirror is not None:
+            u = u + u[self.mirror]
+            v = v + v[self.mirror]
         x = np.empty((2,) + self.idx.shape)
         np.take(u, self.idx, out=x[0])
         np.take(v, self.idx, out=x[1])
@@ -302,6 +326,22 @@ class _UnitScorer:
         f *= self.spectra
         corr = np.fft.irfftn(f.sum(axis=(0, 1)), s=self.shape, axes=self.axes)
         return corr.ravel()[self.pos] + np.sum(xmean * self.hmean)
+
+
+def _check_zero_point(spec: KernelSpec, eta0: np.ndarray, s: int) -> None:
+    """FloatingPointError naming the first d <= s whose K_d(0)^2 is past
+    double range.  Point 0 of every lattice is the difference 0, where
+    the kernel is largest, and every score of dimension d sums K_d(0)^2.
+    """
+    state = BatchKernelState(spec.scheme, 1)
+    for d in range(1, s + 1):
+        state.commit(eta0)
+        k0 = float(state.values()[0])
+        if not math.isfinite(k0 * k0):
+            raise FloatingPointError(
+                f"K(0)^2 of dimension {d} is past double range (K(0) = "
+                f"{k0}), and every candidate score of that dimension sums it"
+            )
 
 
 def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
@@ -315,7 +355,14 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2.  ``_UnitScorer`` gives D for
     all of them by FFT over the unit group, at O(d(n) phi(n) log n) cost per
     dimension for every family.  eta is even, so the unit n - c scores as
-    c does, and only the units c <= n/2 are ranked.
+    c does, and only the units c <= n/2 are ranked; where -1 is the half
+    turn of one axis of the group's torus (n = 4, 2^e, p^e and 2 p^e) the
+    FFT runs on U(n)/{+-1}, which halves that cost and its O(d(n) phi(n))
+    memory.
+
+    Before the first dimension, K_d(0)^2, the largest term of every score
+    of dimension d, is checked to be finite for every d <= s
+    (FloatingPointError otherwise, naming d).
 
     z_1 = 1 unscored: every unit gives the same one-dimensional point set.
     Later ties go to the smallest candidate by ``_first_within``.  The
@@ -327,6 +374,7 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     if s < 1 or s > spec.scheme.dimension:
         raise ValueError("target dimension outside the weight sequence")
     etable = _eta_table(spec.alpha, n)
+    _check_zero_point(spec, etable[:1], s)
     scorer = _UnitScorer(n, etable) if s > 1 else None
     karr = np.arange(n, dtype=np.int64)
     state = BatchKernelState(spec.scheme, n)

@@ -68,12 +68,14 @@ def bernoulli_poly(degree: int, x):
     """B_degree(x) for even degree >= 2 and x in [0, 1); vectorized in x.
 
     Horner in place on one new array, in np.polyval's order of operations
-    (p0 x, + p1, * x, ..., + p_last), so the bits are polyval's.
+    (p0 x, + p1, * x, ..., + p_last), so the bits are polyval's.  B_degree
+    is monic, p0 = 1, so p0 x is x and Horner starts from x + p1.
     """
     p = bernoulli_poly_coeffs(degree)
     x = np.asarray(x, dtype=float)
-    val = p[0] * x
-    for c in p[1:-1]:
+    val = x + p[1]
+    val *= x
+    for c in p[2:-1]:
         val += c
         val *= x
     val += p[-1]

@@ -493,6 +493,24 @@ class TestCli:
         assert err.startswith("numerical failure: ")
         assert "past double range" in err and "Traceback" not in err
 
+    def test_zero_point_past_range_exits_2_before_the_search(
+        self, monkeypatch, capsys
+    ):
+        # these POD weights are rescaled to keep the kernel in range (K(0)
+        # is about 2^661 at s = 300), but every candidate score of
+        # dimension d sums K_d(0)^2, which leaves double range at d = 259
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr("latkern.lattice._UnitScorer", no_search)
+        rc = cli(["cbc", "--weights", "pod", "--p", "0.41", "--theta", "1.3",
+                  "--s", "300", "--n-list", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: K(0)^2 of dimension 259 is past double range"
+        )
+
     def test_criterion_cancellation_exits_2(self, monkeypatch, capsys):
         # a subtracted term twice too large leaves S_d far below zero
         def doubled(*args):
@@ -544,6 +562,33 @@ class TestCli:
         assert cli(["--config", str(conf), "cbc"]) == 1
         err = capsys.readouterr().err
         assert f"{conf}:1: s = ten:" in err
+
+    @pytest.mark.parametrize(
+        "command,line,why",
+        [
+            ("dimtrunc-study", "mesh_level = 0",
+             "mesh_level must be positive, got mesh_level=0"),
+            ("interp-study", "L = 0", "L must be positive, got L=0"),
+            ("interp-study", "seed = -1", "seed must be non-negative"),
+            ("cbc", "s = 0", "s must be positive, got s=0"),
+            ("cbc", "n_list = 16,8", "n schedule must be strictly increasing"),
+            ("cbc", "weights = fancy", "unknown weight family 'fancy'"),
+        ],
+    )
+    def test_config_value_the_study_refuses_names_its_line(
+        self, command, line, why, tmp_path, capsys
+    ):
+        conf = tmp_path / "cfg"
+        conf.write_text(f"# a study\n{line}\n")
+        assert cli(["--config", str(conf), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {conf}:2: {line}: {why}")
+
+    def test_flag_the_study_refuses_keeps_its_message(self, capsys):
+        assert cli(["dimtrunc-study", "--mesh-level", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: mesh_level must be positive, got mesh_level=0\n"
+        )
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         conf = tmp_path / "study.conf"

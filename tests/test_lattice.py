@@ -507,9 +507,12 @@ class TestCbc:
 
 
 class TestUnitScorer:
-    # cyclic groups (prime n and odd prime powers), U(4) = <3>, the
-    # {+-1} x <5> of 2^e, and mixed CRT products
-    GROUP_NS = (2, 3, 4, 8, 9, 27, 72, 90, 97, 100, 243, 256, 257, 1000, 1024)
+    # cyclic groups (prime n, odd prime powers and their doubles), U(4) =
+    # <3>, the {+-1} x <5> of 2^e, and mixed CRT products
+    GROUP_NS = (
+        2, 3, 4, 8, 9, 18, 27, 54, 72, 90, 97, 100, 194, 243, 256, 257,
+        1000, 1021, 1024,
+    )
 
     @pytest.mark.parametrize("n", GROUP_NS)
     def test_torus_is_the_unit_group(self, n):
@@ -536,6 +539,26 @@ class TestUnitScorer:
             assert pow(g, order // q, p * p) != 1
         if p == 40487:
             assert g == 5 + p
+
+    @pytest.mark.parametrize(
+        "n,folded",
+        [(n, True) for n in (3, 4, 8, 9, 18, 97, 256)]
+        + [(n, False) for n in (72, 100, 1000)],
+    )
+    def test_torus_folds_where_minus_one_is_a_half_turn(self, n, folded):
+        # -1 is the half turn of the one axis of a cyclic U(n), and of the
+        # length-2 axis of 2^e; at 72, 100 and 1000 it turns two axes
+        phi = sum(math.gcd(c, n) == 1 for c in range(1, n))
+        scorer = _UnitScorer(n, _eta_table(2, n))
+        size = phi // 2 if folded else phi
+        assert scorer.idx.shape[1] == math.prod(scorer.shape) == size
+        *lead, last = scorer.shape
+        assert scorer.spectra.shape[2:] == (*lead, last // 2 + 1)
+        # every candidate c <= n/2 is one position of the torus: all of
+        # them where it is folded
+        assert scorer.cands.tolist() == [
+            c for c in range(1, n // 2 + 1) if math.gcd(c, n) == 1
+        ]
 
     @pytest.mark.parametrize("alpha", [2, 4])
     @pytest.mark.parametrize("n", GROUP_NS)
@@ -567,7 +590,8 @@ class TestUnitScorer:
     )
     @pytest.mark.parametrize(
         "family,n,s", [("product", 1024, 32), ("pod", 1024, 10),
-                       ("spod", 1024, 10), ("spod", 257, 10)]
+                       ("spod", 1024, 10), ("spod", 257, 10),
+                       ("product", 1021, 32)]
     )
     def test_tie_margin_above_fft_noise(self, family, n, s):
         # on the search's own inputs the FFT scores differ from the direct

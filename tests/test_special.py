@@ -40,6 +40,11 @@ class TestBernoulliPoly:
         np.testing.assert_allclose(vec, scal, rtol=0, atol=0)
 
     @pytest.mark.parametrize("degree", range(2, 17, 2))
+    def test_monic(self, degree):
+        # bernoulli_poly starts Horner from x + p1, dropping 1.0 * x
+        assert bernoulli_poly_coeffs(degree)[0] == 1.0
+
+    @pytest.mark.parametrize("degree", range(2, 17, 2))
     def test_bits_equal_polyval(self, degree):
         # oracle: np.polyval, whose order of operations the Horner loop keeps
         p = bernoulli_poly_coeffs(degree)
