@@ -16,7 +16,16 @@ residual from the values given to `build`, which are kept by reference and
 must not change afterwards.
 
 Kernel columns are formed coordinate-major, from `Lattice.columns()`, so
-the kernel walks the (s, n) differences at unit stride.
+the kernel walks the (s, n) differences at unit stride; it takes the
+offset y and subtracts it block by block, so no (s, n) array of
+differences is formed.  `Interpolant.shifted_union` allocates its (..., n)
+result once, in the memory order of the coefficients, and fills it in row
+blocks of about 2^16 complex entries (1 MiB): each block's product with
+the column's spectrum goes into one reused buffer and is inverse
+transformed into the result's rows.  So its transient memory is the
+result plus about 1 MiB, not a second full-size complex array, and a
+single function is a batch of one.  Each row's transform is independent,
+so the blocks keep the bits of one transform.
 
 Index convention: array index j = 0..n-1 is lattice index k = j, with
 j = 0 the origin point t_0 = 0.
@@ -45,6 +54,8 @@ __all__ = [
 ]
 
 _SINGULAR_REL = 1e-13
+# Complex entries per row block of `Interpolant.shifted_union`: 1 MiB.
+_ROW_BLOCK = 2**16
 
 
 class SingularSpectrumError(ArithmeticError):
@@ -70,7 +81,7 @@ def _kernel_column(spec: KernelSpec, lat: Lattice, y) -> np.ndarray:
             f"y has shape {y.shape}; the lattice needs shape ({lat.s},), "
             "one component per coordinate"
         )
-    return kernel_values_batch(spec, (lat.columns() - y[:, None]).T)
+    return kernel_values_batch(spec, lat.columns().T, y)
 
 
 def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
@@ -114,11 +125,26 @@ class Interpolant:
         return float(np.max(np.abs(node_vals - self.values)))
 
     def shifted_union(self, y) -> np.ndarray:
-        """f_n(y + t_k) for k = 0..n-1 on the last axis, by one FFT product."""
+        """f_n(y + t_k) for k = 0..n-1 on the last axis, by one FFT product
+        per row, taken in row blocks of about _ROW_BLOCK complex entries.
+        """
         col = _kernel_column(self.spec, self.lat, y)
         # f_n(y + t_k) = sum_j c_j a_{j-k}(y): a correlation, hence the conj
         chat = np.conj(np.fft.rfft(col))
-        return np.fft.irfft(self.coeff_fft * chat, n=self.lat.n)
+        n = self.lat.n
+        # in coeff_fft's memory order: the interpolation study's values are
+        # F-ordered, and its warm-started solves read the union's transpose
+        out = np.empty_like(
+            self.coeff_fft, dtype=float, shape=self.coeff_fft.shape[:-1] + (n,)
+        )
+        src, dst = np.atleast_2d(self.coeff_fft), np.atleast_2d(out)
+        rows = max(1, _ROW_BLOCK // chat.size)
+        buf = np.empty((min(rows, len(src)), chat.size), dtype=complex)
+        for a in range(0, len(src), rows):
+            part = buf[: len(src) - a]  # the last block may be short
+            np.multiply(src[a : a + rows], chat, out=part)
+            np.fft.irfft(part, n=n, out=dst[a : a + rows])
+        return out
 
 
 def build(spec: KernelSpec, lat: Lattice, values) -> Interpolant:

@@ -11,11 +11,17 @@ ones, each coordinate grows it by the sigma orders it can newly reach, and
 the trailing rows that have fallen to 0.0 at every point are dropped.
 Product weights keep one row and multiply it by 1 + gamma_j eta.
 
-It makes one array pass per block: eta runs once on the whole
-coordinate-major (s, m) block of differences, whose row j is coordinate j
-of all m points, and the state commits the rows in turn, each read at unit
-stride.  For POD and SPOD one contraction sums Gamma_ell P[ell] in row
-order, so it rounds as adding them one at a time does.
+``kernel_values_batch`` walks its points in blocks of 2^15 differences
+(but at least 1024 points), so no temporary grows with the batch: a kernel
+column at n = 8192, s = 16 runs in four blocks of 2048 points.  Each block
+is formed coordinate-major, an (s, m) array whose row j is coordinate j of
+its m points, minus an offset y when one is given; eta runs once on it, and
+its k = s rows go to the state as one (k, m) ``commit``.  Product weights
+multiply all k factor rows in at once, in coordinate order; POD and SPOD
+add each row's order shift in turn.  For POD and SPOD one contraction sums
+Gamma_ell P[ell] in row order, so it rounds as adding them one at a time
+does.  Every step acts on each point alone, so the blocks keep the bits of
+one whole batch.
 
 For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
@@ -40,6 +46,12 @@ from .special import MAX_BERNOULLI_DEGREE, bernoulli_poly
 from .weights import WeightScheme, _trimmed
 
 _TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal double
+# A floor on every running product that k <= 2^60 roundings, each by at
+# most 2^-53, cannot take below _TINY.
+_SAFE = 2.0**-1000
+# Differences per block of ``kernel_values_batch``: 256 KiB of floats, so a
+# block's differences, eta and factor rows stay in cache.
+_BLOCK = 2**15
 
 __all__ = [
     "KernelSpec",
@@ -166,24 +178,57 @@ class BatchKernelState:
             shift = self._add_shift(1.0)
         return self._contract(self.P), self._contract(shift)
 
-    def commit(self, eta_vec: np.ndarray) -> None:
-        """Advance by one coordinate of factor values.  FloatingPointError
-        when a product value falls below 2^-1022 on a nonzero factor: its
-        bits are lost, whatever factors follow."""
-        if self.scheme.kind == "product":
-            factor = self._gammas()[0] * eta_vec
-            factor += 1.0
+    def commit(self, etas: np.ndarray) -> None:
+        """Advance by the coordinates of etas, in order: one row of factor
+        values (m,) or the rows of k coordinates (k, m).
+
+        POD and SPOD add each row's order shift in turn.  Product weights
+        form 1 + gamma_j eta for every row at once and multiply them in by
+        one ``np.multiply.reduce`` in coordinate order, bit for bit the
+        row-by-row product.  FloatingPointError when a product value falls
+        below 2^-1022 on a nonzero factor, naming the coordinate: its bits
+        are lost, whatever factors follow.  min|P| times the product of
+        min(1, min|factor|) over the rows bounds every running product from
+        below, so the rows are checked one by one only where that bound is
+        not safely normal.
+        """
+        etas = np.asarray(etas, dtype=float)
+        if etas.ndim == 1:
+            etas = etas[None]
+        j, k = self.dims_done, len(etas)
+        if j + k > self.scheme.dimension:
+            raise ValueError(
+                f"coordinate {self.scheme.dimension + 1} is past the weight "
+                "sequence"
+            )
+        if self.scheme.kind != "product":
+            for row in etas:
+                self.P = self._add_shift(row, self.P)
+                self.dims_done += 1
+            return
+        T = np.empty((k + 1, etas.shape[1]))  # P, then the k factor rows
+        T[0] = self.P[0]
+        np.multiply(self.scheme.gamma_jnu[j : j + k, :1], etas, out=T[1:])
+        T[1:] += 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            low = np.min(np.abs(T), axis=1, initial=np.inf)
+            if low[0] * np.prod(np.minimum(low[1:], 1.0)) >= _SAFE:
+                np.multiply.reduce(T, axis=0, out=self.P[0])
+            else:
+                self._multiply_rows(T[1:])
+        self.dims_done += k
+
+    def _multiply_rows(self, factors) -> None:
+        """Multiply the product row by each factor row in turn, checking
+        each running product for a fall below 2^-1022."""
+        for i, factor in enumerate(factors, start=1):
             live = (self.P[0] != 0.0) & (factor != 0.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.P *= factor
+            self.P *= factor
             if np.any(live & (np.abs(self.P[0]) < _TINY)):
                 raise FloatingPointError(
                     f"a product kernel value fell below 2^-1022 at "
-                    f"coordinate {self.dims_done + 1}"
+                    f"coordinate {self.dims_done + i}"
                 )
-        else:
-            self.P = self._add_shift(eta_vec, self.P)
-        self.dims_done += 1
 
     def values(self) -> np.ndarray:
         """The current kernel values."""
@@ -194,23 +239,47 @@ def _committed(spec: KernelSpec, block) -> BatchKernelState:
     """The batch state with every coordinate committed, from the (s, m)
     block of differences: row j is coordinate j of all m of them.
 
-    eta is evaluated once, on the whole block, and each of its rows is
-    committed in turn; a C-contiguous block keeps both passes unit-stride.
+    eta is evaluated once, on the whole block, and its rows are committed
+    as one k-row ``commit``; a C-contiguous block keeps both passes
+    unit-stride.
     """
     block = np.asarray(block, dtype=float)
     if block.ndim != 2:
         raise ValueError("the differences must form a 2-D array")
     state = BatchKernelState(spec.scheme, block.shape[1])
-    for row in eta(spec.alpha, block):
-        state.commit(row)
+    state.commit(eta(spec.alpha, block))
     return state
 
 
-def kernel_values_batch(spec: KernelSpec, dy: np.ndarray) -> np.ndarray:
-    """K evaluated at a batch of difference vectors dy of shape (m, s).
-
-    dy is transposed once into the (s, m) block that ``_committed`` walks,
-    so the transpose of a coordinate-major block costs no copy.
+def _block_points(s: int) -> int:
+    """Points per block of ``kernel_values_batch`` at s coordinates: _BLOCK
+    differences, but at least 1024 points, since POD and SPOD commit each
+    coordinate by a few numpy calls that a narrower block would not repay.
     """
-    block = np.asarray(dy, dtype=float).T
-    return _committed(spec, block).values()
+    return max(1024, _BLOCK // max(s, 1))
+
+
+def kernel_values_batch(
+    spec: KernelSpec, dy: np.ndarray, y=None
+) -> np.ndarray:
+    """K evaluated at a batch of difference vectors dy of shape (m, s), or
+    at dy - y for an offset y of shape (s,).
+
+    The batch runs in blocks of ``_block_points(s)`` points.  Each block is
+    transposed into the (s, m) block that ``_committed`` walks, so the
+    transpose of a coordinate-major dy costs no copy, and y is subtracted
+    there: no (s, m) array of the whole batch is formed.  Every step acts
+    on each point alone, so the blocks give the bits of one whole block.
+    """
+    dy = np.asarray(dy, dtype=float)
+    if dy.ndim != 2:
+        raise ValueError("the differences must form a 2-D array")
+    m, s = dy.shape
+    step = _block_points(s)
+    out = np.empty(m)
+    for a in range(0, max(m, 1), step):  # an empty batch is one empty block
+        block = dy[a : a + step].T
+        if y is not None:
+            block = block - y[:, None]
+        out[a : a + step] = _committed(spec, block).values()
+    return out

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import BatchKernelState, KernelSpec, _committed, eta
+from .kernel import BatchKernelState, KernelSpec, eta, kernel_values_batch
 from .special import zeta
 from .weights import squared_weight_prefixes
 
@@ -115,7 +115,7 @@ class CbcReport:
 
 
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> float:
-    K = _committed(spec, lat.columns()).values()
+    K = kernel_values_batch(spec, lat.columns().T)
     with np.errstate(over="ignore"):
         return float(np.sum(np.square(K[K != 0.0]))) / lat.n
 
@@ -328,14 +328,26 @@ class _UnitScorer:
         return corr.ravel()[self.pos] + np.sum(xmean * self.hmean)
 
 
-def _check_zero_point(spec: KernelSpec, eta0: np.ndarray, s: int) -> None:
+def _check_zero_point(spec: KernelSpec, eta0: float, s: int) -> None:
     """FloatingPointError naming the first d <= s whose K_d(0)^2 is past
     double range.  Point 0 of every lattice is the difference 0, where
     the kernel is largest, and every score of dimension d sums K_d(0)^2.
+
+    eta(0) > 0 and the weights are positive, so K_d(0) cannot decrease
+    with d: one commit of the s coordinates and a finite K_s(0)^2 clear
+    every d.  Only otherwise are the dimensions walked, to name d.
     """
     state = BatchKernelState(spec.scheme, 1)
+    state.commit(np.full((s, 1), eta0))
+    try:
+        k0 = float(state.values()[0])
+    except FloatingPointError:  # K_s(0) itself is not finite
+        k0 = math.inf
+    if math.isfinite(k0 * k0):
+        return
+    state = BatchKernelState(spec.scheme, 1)
     for d in range(1, s + 1):
-        state.commit(eta0)
+        state.commit(np.array([eta0]))
         k0 = float(state.values()[0])
         if not math.isfinite(k0 * k0):
             raise FloatingPointError(
@@ -374,7 +386,7 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     if s < 1 or s > spec.scheme.dimension:
         raise ValueError("target dimension outside the weight sequence")
     etable = _eta_table(spec.alpha, n)
-    _check_zero_point(spec, etable[:1], s)
+    _check_zero_point(spec, etable[0], s)
     scorer = _UnitScorer(n, etable) if s > 1 else None
     karr = np.arange(n, dtype=np.int64)
     state = BatchKernelState(spec.scheme, n)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,37 @@ class TestShiftedUnion:
             evaluate(itp, (y + lat.points()[k]) % 1.0) for k in range(32)
         ]
         np.testing.assert_allclose(su, direct, rtol=1e-10, atol=1e-12)
+
+    def test_row_blocks_match_single_functions(self):
+        # n = 8192 takes 2^16 // 4097 = 15 rows per block, so 64 functions
+        # run in five blocks, the last one short; each row is the single
+        # function's union bit for bit.  The whole product coeff_fft * chat
+        # at once would be as large as the result again; the blocks keep
+        # the transient below the result plus 2 MiB
+        spec = _spec((0.9, 0.6, 0.4, 0.3))
+        lat = Lattice(8192, np.array([1, 3455, 2865, 1019]))
+        rng = np.random.default_rng(13)
+        V = rng.standard_normal((64, 8192))
+        batch = build(spec, lat, V)
+        y = rng.random(4)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            su = batch.shifted_union(y)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert su.shape == (64, 8192)
+        assert transient < su.nbytes + 2 * 2**20
+        for i in (0, 14, 15, 44, 60, 63):
+            np.testing.assert_array_equal(
+                su[i], build(spec, lat, V[i]).shifted_union(y)
+            )
+        # F-ordered values (the study's solves) give an F-ordered union,
+        # whose transpose the warm-started solves read at unit stride
+        su_f = build(spec, lat, np.asfortranarray(V)).shifted_union(y)
+        assert su_f.flags.f_contiguous
+        np.testing.assert_array_equal(su_f, su)
 
 
 class TestParameterLength:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from latkern.kernel import (
     BatchKernelState,
     KernelSpec,
+    _block_points,
     _committed,
     eta,
     frac,
@@ -449,6 +451,88 @@ class TestBatchPath:
             assert state.P.shape == (rows, 5)
         if family == "spod":
             assert d.scheme.sigma == 3
+
+
+class TestBlocks:
+    # A (k, m) commit is k one-row commits, and kernel_values_batch's
+    # point blocks are one whole block, bit for bit
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_block_commit_matches_row_commits(self, family):
+        d = _derived(family, s=9, p=0.3)
+        etas = eta(d.alpha, np.random.default_rng(31).random((9, 40)))
+        rows = BatchKernelState(d.scheme, 40)
+        for row in etas:
+            rows.commit(row)
+        block = BatchKernelState(d.scheme, 40)
+        block.commit(etas[:4])
+        block.commit(etas[4:])
+        assert block.dims_done == rows.dims_done == 9
+        np.testing.assert_array_equal(block.P, rows.P)
+        np.testing.assert_array_equal(block.values(), rows.values())
+
+    def test_product_block_with_small_and_signed_factors(self):
+        # gamma_j = 10 gives factors 1 + 10 eta from about -15 to 34, some
+        # near 0 and one exactly 0 (eta = -1/10 needs no rounding here), so
+        # the running products' floor is not safely normal and the rows are
+        # multiplied in one by one; the bits are the same either way
+        s, m = 12, 33
+        sch = WeightScheme("product", gamma_j=np.full(s, 10.0))
+        etas = eta(2, np.random.default_rng(5).random((s, m)))
+        etas[3, 7] = -0.1
+        rows = BatchKernelState(sch, m)
+        for row in etas:
+            rows.commit(row)
+        block = BatchKernelState(sch, m)
+        block.commit(etas)
+        assert rows.P[0, 7] == 0.0
+        np.testing.assert_array_equal(block.P, rows.P)
+
+    @pytest.mark.parametrize("case", ["dipping", "underflowing"])
+    def test_block_refuses_at_the_row_commits_coordinate(self, case):
+        # the inputs of test_product_dipping_below_range_is_refused and
+        # test_product_underflowing_is_refused, committed as one block
+        s = 250
+        sch = WeightScheme("product", gamma_j=np.full(s, 10.0))
+        if case == "dipping":
+            dy = np.zeros((1, s))
+            dy[0, :210] = _back(10.0)
+        else:
+            dy = _back(10.0) + 1e-5 * np.random.default_rng(9) \
+                .standard_normal((3, s))
+        etas = eta(2, dy.T)
+        rows = BatchKernelState(sch, len(dy))
+        with pytest.raises(FloatingPointError, match="below 2\\^-1022") \
+                as by_rows:
+            for row in etas:
+                rows.commit(row)
+        block = BatchKernelState(sch, len(dy))
+        with pytest.raises(FloatingPointError) as by_block:
+            block.commit(etas)
+        assert str(by_block.value) == str(by_rows.value)
+        if case == "dipping":
+            assert re.search("coordinate 20[0-9]$", str(by_block.value))
+
+    @pytest.mark.parametrize("family", ["product", "spod"])
+    @pytest.mark.parametrize("s", [1, 16, 40])
+    def test_point_blocks_match_one_block(self, family, s):
+        # m = b - 1 and b are one block, b + 1 two; with an offset y, the
+        # differences are formed block by block
+        d = _derived(family, s=s)
+        spec = KernelSpec(d.alpha, d.scheme)
+        b = _block_points(s)
+        rng = np.random.default_rng(s)
+        y = rng.random(s) - 0.5
+        for m in (b - 1, b, b + 1):
+            cols = rng.random((s, m))
+            np.testing.assert_array_equal(
+                kernel_values_batch(spec, cols.T),
+                _committed(spec, cols).values(),
+            )
+            np.testing.assert_array_equal(
+                kernel_values_batch(spec, cols.T, y),
+                _committed(spec, cols - y[:, None]).values(),
+            )
 
 
 class TestTrim:
