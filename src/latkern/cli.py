@@ -40,10 +40,6 @@ _TYPES = {
 
 _WEIGHT_OPTIONS = ("weights", "theta", "c", "p", "delta", "s", "n_list")
 
-# Options that one weight family alone reads, refused for the others:
-# delta is the slack that product weights take off their rate.
-_FAMILY_ONLY = {"delta": "product"}
-
 # Each command's study kind and the options its code reads; a command
 # accepts no other flag or config key.
 _COMMANDS = {
@@ -110,9 +106,10 @@ def _settings(args: argparse.Namespace) -> dict:
         if val is not None:
             merged[key] = val
     family = merged.get("weights", StudyConfig.weights)
-    for key, only in _FAMILY_ONLY.items():
-        if key in merged and family != only:
-            raise ValueError(f"--{key} is for {only} weights, not {family}")
+    # delta is the slack that product weights take off their rate; no other
+    # family reads it
+    if "delta" in merged and family != "product":
+        raise ValueError(f"--delta is for product weights, not {family}")
     return _fields(merged)
 
 

@@ -11,28 +11,23 @@ ones, each coordinate grows it by the sigma orders it can newly reach, and
 the trailing rows that have fallen to 0.0 at every point are dropped.
 Product weights keep one row and multiply it by 1 + gamma_j eta.
 
-``kernel_values_batch`` walks its points in blocks of 2^15 differences
-(but at least 1024 points), so no temporary grows with the batch: a kernel
-column at n = 8192, s = 16 runs in four blocks of 2048 points.  Each block
-is formed coordinate-major, an (s, m) array whose row j is coordinate j of
-its m points, minus an offset y when one is given; eta runs once on it, and
-its k = s rows go to the state as one (k, m) ``commit``.  Product weights
-multiply all k factor rows in at once, in coordinate order; POD and SPOD
-add each row's order shift in turn.  For POD and SPOD one contraction sums
+``kernel_values_batch`` walks its points in blocks (``_block_points``), so
+no temporary grows with the batch.  Each block is formed coordinate-major,
+an (s, m) array whose row j is coordinate j of its m points, minus an
+offset y when one is given; eta runs once on it, and its k = s rows go to
+a fresh state as one (k, m) ``commit``.  Product weights multiply all k
+factor rows in at once, in coordinate order; POD and SPOD add each row's
+order shift in turn.  For POD and SPOD one contraction sums
 Gamma_ell P[ell] in row order, so it rounds as adding them one at a time
 does.  Every step acts on each point alone, so the blocks keep the bits of
-one whole batch.
+one whole batch.  Besides it, only the CBC search in ``latkern.lattice``
+steps a state itself.
 
 For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
 the current contraction and B the contraction of the order-shifted rows.
-``BatchKernelState.affine_split`` returns A and B, so the CBC search ranks
-the candidates c <= n/2 of a dimension by sum_k 2 A_k B_k eta + B_k^2
-eta^2, all of them by one FFT over the unit group mod n, at
-O(d(n) phi(n) log n) cost and O(d(n) phi(n)) memory per dimension, whatever
-the family.  eta is even, so where -1 is the half turn of one axis of the
-group's torus (n = 4, 2^e, p^e and 2 p^e) the FFT runs on U(n)/{+-1}, and
-both halve.
+``BatchKernelState.affine_split`` returns A and B, from which
+``latkern.lattice._UnitScorer`` scores every CBC candidate of a dimension.
 """
 
 from __future__ import annotations
@@ -78,12 +73,11 @@ class KernelSpec:
             )
 
 
-def frac(x):
-    """Fractional part mapped into [0, 1), robust at integer boundaries."""
-    f = np.floor(x, order="C")
-    if not isinstance(f, np.ndarray):
-        f = x - f
-        return 0.0 if f >= 1.0 else f
+def frac(x) -> np.ndarray:
+    """Fractional part mapped into [0, 1), robust at integer boundaries, as
+    a new C-ordered float array (0-d for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    f = np.floor(x, out=np.empty(x.shape))
     np.subtract(x, f, out=f)
     f[f >= 1.0] = 0.0
     return f
@@ -118,12 +112,16 @@ class BatchKernelState:
         self.dims_done = 0
         self.P = np.ones((1, m))
 
-    def _gammas(self) -> np.ndarray:
-        """The next coordinate's row of gamma_jnu (gamma_j in column 0)."""
+    def _gammas(self, k: int = 1) -> np.ndarray:
+        """The next k coordinates' rows of gamma_jnu (gamma_j in column 0);
+        ValueError if they run past the weight sequence."""
         j = self.dims_done
-        if j >= self.scheme.dimension:
-            raise ValueError(f"coordinate {j + 1} is past the weight sequence")
-        return self.scheme.gamma_jnu[j]
+        if j + k > self.scheme.dimension:
+            raise ValueError(
+                f"coordinate {self.scheme.dimension + 1} is past the weight "
+                "sequence"
+            )
+        return self.scheme.gamma_jnu[j : j + k]
 
     def _add_shift(self, w, base=None) -> np.ndarray:
         """base (P, or zeros if None) grown by sigma rows, plus w times the
@@ -131,7 +129,7 @@ class BatchKernelState:
         w is its factor values (commit) or 1.0 (the coefficient of eta, for
         ``affine_split``), trimmed (``_trimmed``).  POD and SPOD only.
         """
-        g, P = self._gammas(), self.P
+        g, P = self._gammas()[0], self.P
         out = np.zeros((len(P) + len(g), P.shape[1]))
         if base is not None:
             out[: len(base)] = base
@@ -173,7 +171,7 @@ class BatchKernelState:
         shift of P for POD and SPOD.
         """
         if self.scheme.kind == "product":
-            shift = self._gammas()[0] * self.P
+            shift = self._gammas()[0, 0] * self.P
         else:
             shift = self._add_shift(1.0)
         return self._contract(self.P), self._contract(shift)
@@ -192,15 +190,9 @@ class BatchKernelState:
         below, so the rows are checked one by one only where that bound is
         not safely normal.
         """
-        etas = np.asarray(etas, dtype=float)
-        if etas.ndim == 1:
-            etas = etas[None]
-        j, k = self.dims_done, len(etas)
-        if j + k > self.scheme.dimension:
-            raise ValueError(
-                f"coordinate {self.scheme.dimension + 1} is past the weight "
-                "sequence"
-            )
+        etas = np.atleast_2d(np.asarray(etas, dtype=float))
+        k = len(etas)
+        g = self._gammas(k)
         if self.scheme.kind != "product":
             for row in etas:
                 self.P = self._add_shift(row, self.P)
@@ -208,7 +200,7 @@ class BatchKernelState:
             return
         T = np.empty((k + 1, etas.shape[1]))  # P, then the k factor rows
         T[0] = self.P[0]
-        np.multiply(self.scheme.gamma_jnu[j : j + k, :1], etas, out=T[1:])
+        np.multiply(g[:, :1], etas, out=T[1:])
         T[1:] += 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             low = np.min(np.abs(T), axis=1, initial=np.inf)
@@ -235,22 +227,6 @@ class BatchKernelState:
         return self._contract(self.P)
 
 
-def _committed(spec: KernelSpec, block) -> BatchKernelState:
-    """The batch state with every coordinate committed, from the (s, m)
-    block of differences: row j is coordinate j of all m of them.
-
-    eta is evaluated once, on the whole block, and its rows are committed
-    as one k-row ``commit``; a C-contiguous block keeps both passes
-    unit-stride.
-    """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2:
-        raise ValueError("the differences must form a 2-D array")
-    state = BatchKernelState(spec.scheme, block.shape[1])
-    state.commit(eta(spec.alpha, block))
-    return state
-
-
 def _block_points(s: int) -> int:
     """Points per block of ``kernel_values_batch`` at s coordinates: _BLOCK
     differences, but at least 1024 points, since POD and SPOD commit each
@@ -265,11 +241,9 @@ def kernel_values_batch(
     """K evaluated at a batch of difference vectors dy of shape (m, s), or
     at dy - y for an offset y of shape (s,).
 
-    The batch runs in blocks of ``_block_points(s)`` points.  Each block is
-    transposed into the (s, m) block that ``_committed`` walks, so the
-    transpose of a coordinate-major dy costs no copy, and y is subtracted
-    there: no (s, m) array of the whole batch is formed.  Every step acts
-    on each point alone, so the blocks give the bits of one whole block.
+    Each block of ``_block_points(s)`` points is transposed to (s, m), which
+    costs no copy for a coordinate-major dy, and y is subtracted there: no
+    (s, m) array of the whole batch is formed.
     """
     dy = np.asarray(dy, dtype=float)
     if dy.ndim != 2:
@@ -281,5 +255,7 @@ def kernel_values_batch(
         block = dy[a : a + step].T
         if y is not None:
             block = block - y[:, None]
-        out[a : a + step] = _committed(spec, block).values()
+        state = BatchKernelState(spec.scheme, block.shape[1])
+        state.commit(eta(spec.alpha, block))
+        out[a : a + step] = state.values()
     return out

@@ -14,9 +14,8 @@ The CBC search ranks the candidates of a dimension by the part of the
 mean-square kernel that depends on the candidate, D(c), not by the full
 sum, which the candidate-independent sum_k A_k^2 dominates.  D is a
 correlation over the multiplicative group of units mod n (Nuyens and
-Cools, Math. Comp. 75, 2006), so one FFT scores every candidate, at
-O(d(n) phi(n) log n) cost per dimension for every weight family; eta is
-even, so at n = 4, 2^e, p^e and 2 p^e the FFT runs on half the group.
+Cools, Math. Comp. 75, 2006), so one FFT scores every candidate
+(``_UnitScorer``, which gives the cost and the fold by +-1).
 """
 
 from __future__ import annotations
@@ -251,13 +250,16 @@ class _UnitScorer:
     phi(n)/phi(m) preimages, with the weight phi(m)/phi(n).  On the torus
     of ``_unit_torus`` every class is then a cyclic correlation, and one
     batched rfftn per dimension correlates all of them against the eta
-    and eta^2 spectra, which are built once per search.
+    and eta^2 spectra, which are built once per search: O(d(n) phi(n)
+    log n) per dimension, whatever the weight family.
 
-    eta is even, so the points a and -a of a class meet the same eta: where
-    -1 is the half turn of one torus axis (n = 4, p^e and 2 p^e, and 2^e),
-    the classes are correlated on U(n)/{+-1}, the first half of that axis,
-    against u_k + u_{n-k} and v_k + v_{n-k}.  That halves the transforms,
-    the spectra and the indices.  At other n the fold is empty.
+    eta is even, so the unit n - c scores as c does, and only the
+    candidates c <= n/2 are ranked.  Likewise the points a and -a of a
+    class meet the same eta: where -1 is the half turn of one torus axis
+    (n = 4, p^e and 2 p^e, and 2^e), the classes are correlated on
+    U(n)/{+-1}, the first half of that axis, against u_k + u_{n-k} and
+    v_k + v_{n-k}.  That halves the transforms, the spectra and the
+    indices, and so the cost.  At other n the fold is empty.
 
     Memory is O(d(n) phi(n)) for d(n) divisors, halved by the fold: the
     spectra, and int32 indices into the point axis.
@@ -364,13 +366,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     A_k + eta({k c / n}) B_k, for every weight family
     (``BatchKernelState.affine_split``), so the mean-square kernel of
     candidate c is (sum_k A_k^2 + D(c)) / n, and candidates differ only by
-    D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2.  ``_UnitScorer`` gives D for
-    all of them by FFT over the unit group, at O(d(n) phi(n) log n) cost per
-    dimension for every family.  eta is even, so the unit n - c scores as
-    c does, and only the units c <= n/2 are ranked; where -1 is the half
-    turn of one axis of the group's torus (n = 4, 2^e, p^e and 2 p^e) the
-    FFT runs on U(n)/{+-1}, which halves that cost and its O(d(n) phi(n))
-    memory.
+    D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2, which ``_UnitScorer`` gives
+    for all of them at once.
 
     Before the first dimension, K_d(0)^2, the largest term of every score
     of dimension d, is checked to be finite for every d <= s

@@ -238,7 +238,9 @@ def fem_solve(
         if x0 is None:
             r, z = np.repeat(b, len(wx), axis=0), Lb  # the start from zero
         else:
-            guess = x0[i : i + block].reshape((-1,) + b.shape[1:])
+            # the stencil runs on C-ordered rows; a C-ordered x0 is not copied
+            guess = np.ascontiguousarray(x0[i : i + block])
+            guess = guess.reshape((-1,) + b.shape[1:])
             # a guess far off or not finite gives rho >= 1 or NaN: no warning
             with np.errstate(all="ignore"):
                 r = _stencil((wx, wy), guess)

@@ -308,16 +308,11 @@ def derive_spod(inp: PdeWeightInput, s: int) -> DerivedParams:
     return DerivedParams(alpha, lam, scheme, rate=1.0 / (2 * p) - 0.25)
 
 
-def _pod_admissible(p: float) -> bool:
-    k = math.floor(1.0 / p)
-    return k >= 1 and 2.0 / (2 * k + 1) < p < 1.0 / k
-
-
 def derive_pod(inp: PdeWeightInput, s: int) -> DerivedParams:
     """POD weights; p must lie in some (2/(2k+1), 1/k)."""
     p = inp.p
     k = math.floor(1.0 / p)
-    if not _pod_admissible(p):
+    if not (k >= 1 and 2.0 / (2 * k + 1) < p < 1.0 / k):
         # Smallest admissible p~ > p is the lower endpoint of the next
         # interval up; substitution is the caller's decision.
         while k >= 1 and 1.0 / k <= p:

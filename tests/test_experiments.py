@@ -26,7 +26,12 @@ from latkern.experiments import (
     run_interp_convergence,
 )
 from latkern.interpolant import build
-from latkern.kernel import KernelSpec, _committed
+from latkern.kernel import (
+    BatchKernelState,
+    KernelSpec,
+    eta,
+    kernel_values_batch,
+)
 from latkern.lattice import Lattice, cbc_construct, read_genvec, write_genvec
 from latkern.pde import (
     DiffusionModel,
@@ -394,7 +399,9 @@ class TestCli:
         inp = PdeWeightInput(0.30303, decay_sequence(model, 300), 0.1)
         params = derive_for_family("pod", inp, 300)
         spec = KernelSpec(params.alpha, params.scheme)
-        assert len(_committed(spec, np.zeros((300, 1))).P) == 38
+        state = BatchKernelState(spec.scheme, 1)
+        state.commit(eta(spec.alpha, np.zeros((300, 1))))
+        assert len(state.P) == 38
         G = params.scheme.Gamma
         assert np.isfinite(G[42]) and np.all(np.isinf(G[43:]))
         rc = cli(["cbc", "--weights", "pod", "--p", "0.30303", "--theta",
@@ -428,13 +435,13 @@ class TestCli:
             assert weight_of(sch, u).to_float() == pytest.approx(
                 weight_of(plain, u).to_float(), rel=1e-14)
         spec = KernelSpec(params.alpha, sch)
-        k0 = _committed(spec, np.zeros((s, 1))).values()[0]
+        k0 = kernel_values_batch(spec, np.zeros((1, s)))[0]
         assert 30 < k0 < 40
         assert k0 == pytest.approx(
             kernel_eval(spec, np.zeros(s), np.zeros(s)), rel=1e-12)
         with pytest.raises(FloatingPointError, match="Gamma_42 = inf"):
-            _committed(KernelSpec(params.alpha, plain),
-                       np.zeros((s, 1))).values()
+            kernel_values_batch(KernelSpec(params.alpha, plain),
+                                np.zeros((1, s)))
         rc = cli(["cbc", "--weights", "pod", "--p", "0.32", "--theta", "3.0",
                   "--s", "100", "--n-list", "64"])
         assert rc == 0
@@ -479,10 +486,10 @@ class TestCli:
         # about 2^814 at s = 490.  The search, which squares K(0), leaves
         # double range first, about coordinate 244.
         spec = KernelSpec(2, WeightScheme("product", gamma_j=np.ones(490)))
-        below = _committed(spec, np.zeros((487, 2))).values()
+        below = kernel_values_batch(spec, np.zeros((2, 487)))
         assert np.all(np.isfinite(below))
         with pytest.raises(FloatingPointError, match="row overflowed"):
-            _committed(spec, np.zeros((490, 2))).values()
+            kernel_values_batch(spec, np.zeros((2, 490)))
         with pytest.raises(FloatingPointError, match="past double range"):
             cbc_construct(spec, 8, 490)
         monkeypatch.setattr("latkern.cli.study_kernel", lambda cfg: spec)

@@ -10,7 +10,6 @@ from latkern.kernel import (
     BatchKernelState,
     KernelSpec,
     _block_points,
-    _committed,
     eta,
     frac,
     kernel_values_batch,
@@ -72,6 +71,13 @@ def _past_range_pod(s=60):
     difference 0, binomial(s, ell) eta(0)^ell, stay nonzero."""
     G = gamma_arrays(xfactorial(ell).powf(4.0) for ell in range(s + 1))
     return KernelSpec(2, WeightScheme("pod", gamma_j=np.ones(s), Gamma=G))
+
+
+def _committed_by_hand(spec, cols):
+    """A state with the (s, m) differences cols committed as one block."""
+    state = BatchKernelState(spec.scheme, cols.shape[1])
+    state.commit(eta(spec.alpha, cols))
+    return state
 
 
 def _derived(family, s=6, p=1 / 2.2):
@@ -261,7 +267,7 @@ class TestBatchPath:
         d = _derived(family)
         spec = KernelSpec(d.alpha, d.scheme)
         dy = np.random.default_rng(3).random((32, 6))
-        K = _committed(spec, dy.T).values()
+        K = _committed_by_hand(spec, dy.T).values()
         assert K.dtype == np.float64 and np.all(np.isfinite(K))
         np.testing.assert_array_equal(K, kernel_values_batch(spec, dy))
 
@@ -428,7 +434,7 @@ class TestBatchPath:
         d = _derived(family, s=4)
         spec = KernelSpec(d.alpha, d.scheme)
         past = "coordinate 5 is past the weight sequence"
-        state = _committed(spec, np.zeros((4, 3)))
+        state = _committed_by_hand(spec, np.zeros((4, 3)))
         with pytest.raises(ValueError, match=past):
             state.affine_split()
         with pytest.raises(ValueError, match=past):
@@ -527,11 +533,11 @@ class TestBlocks:
             cols = rng.random((s, m))
             np.testing.assert_array_equal(
                 kernel_values_batch(spec, cols.T),
-                _committed(spec, cols).values(),
+                _committed_by_hand(spec, cols).values(),
             )
             np.testing.assert_array_equal(
                 kernel_values_batch(spec, cols.T, y),
-                _committed(spec, cols - y[:, None]).values(),
+                _committed_by_hand(spec, cols - y[:, None]).values(),
             )
 
 

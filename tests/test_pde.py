@@ -488,6 +488,28 @@ class TestSolve:
         )
         assert got == want and len(set(want)) > 2 and max(rhos) < 1
 
+    def test_f_ordered_guess_runs_c_ordered(self, monkeypatch):
+        # an F-ordered x0, such as the transpose of a node-major array,
+        # is copied to C order block by block: the stencil sees C-contiguous
+        # iterates only, and the bits are those of the C-ordered x0
+        mesh = FemMesh(4)
+        m = _model(c=0.2, s=6)
+        rng = np.random.default_rng(47)
+        Y = rng.random((20, 6))
+        u = fem_solve(mesh, m, Y).interior_values
+        x0 = u + 1e-7 * rng.standard_normal(u.shape)
+        want = fem_solve(mesh, m, Y, x0=x0).interior_values
+        contiguous = []
+
+        def spy(w, v):
+            contiguous.append(v.flags.c_contiguous)
+            return _stencil(w, v)
+
+        monkeypatch.setattr(latkern.pde, "_stencil", spy)
+        got = fem_solve(mesh, m, Y, x0=np.asfortranarray(x0)).interior_values
+        assert contiguous and all(contiguous)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("bad", ["far", "huge", "nan", "inf"])
     def test_guess_without_certificate_keeps_the_bits(self, bad):
         # rho >= 1, inf or NaN: the point starts from zero with its cold
