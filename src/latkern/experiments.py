@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .interpolant import build, circulant_spectrum, l2_error_estimate
+from .interpolant import _build, circulant_spectrum, l2_error_estimate
 from .kernel import KernelSpec
 from .lattice import Lattice, cbc_construct, read_genvec
 from .pde import (
@@ -194,9 +194,9 @@ def run_interp_convergence(cfg: StudyConfig):
         else:
             lat = cbc_construct(spec, n, cfg.s).lattice()
         # the spectrum needs no solve, so a singular one fails before any
-        circulant_spectrum(spec, lat)
-        data = solves(lat.points())
-        err = l2_error_estimate(build(spec, lat, data), solves, shifts, sq_norm)
+        spectrum = circulant_spectrum(spec, lat)
+        itp = _build(spec, lat, spectrum, solves(lat.points()))
+        err = l2_error_estimate(itp, solves, shifts, sq_norm)
         ns.append(n)
         errs.append(err)
         fit = _fit_so_far(ns, errs)

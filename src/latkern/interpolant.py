@@ -156,7 +156,14 @@ def build(spec: KernelSpec, lat: Lattice, values) -> Interpolant:
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (lat.n,):
         raise ValueError("values must have one entry per lattice point")
-    spectrum = circulant_spectrum(spec, lat)
+    return _build(spec, lat, circulant_spectrum(spec, lat), values)
+
+
+def _build(
+    spec: KernelSpec, lat: Lattice, spectrum: np.ndarray, values: np.ndarray
+) -> Interpolant:
+    """``build`` from lat's circulant spectrum and float values (n,) or
+    (B, n), for a caller that formed the spectrum before the values."""
     coeff_fft = np.fft.rfft(values)
     coeff_fft /= spectrum
     return Interpolant(spec, lat, spectrum, coeff_fft, values)

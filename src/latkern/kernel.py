@@ -203,8 +203,8 @@ class BatchKernelState:
         np.multiply(g[:, :1], etas, out=T[1:])
         T[1:] += 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            low = np.min(np.abs(T), axis=1, initial=np.inf)
-            if low[0] * np.prod(np.minimum(low[1:], 1.0)) >= _SAFE:
+            low = np.minimum.reduce(np.abs(T), axis=1, initial=np.inf)
+            if low[0] * np.multiply.reduce(np.minimum(low[1:], 1.0)) >= _SAFE:
                 np.multiply.reduce(T, axis=0, out=self.P[0])
             else:
                 self._multiply_rows(T[1:])

@@ -24,6 +24,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -169,15 +170,20 @@ def _eta_table(alpha: int, n: int) -> np.ndarray:
     return eta(alpha, np.minimum(k, n - k) / n)
 
 
-def _first_within(D: np.ndarray) -> int:
-    """Index of the first score within _TIE of the spread above the lowest.
+def _first_within(D: np.ndarray) -> int | None:
+    """Index of the first score within _TIE of the spread above the lowest,
+    or None when a score is not finite.
 
     D(c) - D(c') is S_d(c) - S_d(c') up to a positive factor, so the rule
     reads on the S_d scale: with the candidates ascending, the smallest
-    whose S_d is at most min S_d + _TIE (max S_d - min S_d).
+    whose S_d is at most min S_d + _TIE (max S_d - min S_d).  The same
+    two reductions decide finiteness: both are NaN when a score is NaN,
+    and one of them is infinite when a score is.
     """
-    lo = D.min()
-    return int(np.argmax(D <= lo + _TIE * (D.max() - lo)))
+    lo, hi = D.min(), D.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    return int(np.argmax(D <= lo + _TIE * (hi - lo)))
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -241,25 +247,38 @@ def _unit_torus(n: int) -> np.ndarray:
 class _UnitScorer:
     """The candidate-dependent part of the CBC score, by FFT over U(n).
 
-    For one dimension, with u = 2AB and v = B^2 from the affine split, the
-    score of candidate c is sum_k (A_k + eta_kc B_k)^2 = sum_k A_k^2 + D(c),
-    D(c) = sum_k u_k eta_kc + v_k eta_kc^2 and eta_kc = eta({k c / n}).  The
-    points k with gcd(k, n) = g are g k' for the units k' mod m = n/g, and
-    k c = g (k' c mod m), so their share of D is a correlation over U(m).
-    Each class is lifted onto U(n), where every unit mod m has
+    For one dimension, with A and B from the affine split, the score of
+    candidate c is sum_k (A_k + eta_kc B_k)^2 = sum_k A_k^2 + D(c),
+    D(c) = sum_k u_k eta_kc + v_k eta_kc^2 with u = 2AB, v = B^2 and
+    eta_kc = eta({k c / n}).  A call takes D as r sequences x_i, each met
+    by its own mix of eta and eta^2: D(c) = sum_i sum_k x_ik (mix_i0 eta_kc
+    + mix_i1 eta_kc^2).  POD and SPOD pass u and v with the identity mix.
+    Product weights have B = gamma_d A, so they pass the one sequence A^2
+    with the mix (2 gamma_d, gamma_d^2): one gather, one mean and one
+    forward transform set in place of two.
+
+    The points k with gcd(k, n) = g are g k' for the units k' mod m = n/g,
+    and k c = g (k' c mod m), so their share of D is a correlation over
+    U(m).  Each class is lifted onto U(n), where every unit mod m has
     phi(n)/phi(m) preimages, with the weight phi(m)/phi(n).  On the torus
     of ``_unit_torus`` every class is then a cyclic correlation, and one
-    batched rfftn per dimension correlates all of them against the eta
-    and eta^2 spectra, which are built once per search: O(d(n) phi(n)
-    log n) per dimension, whatever the weight family.
+    batched forward transform of the r sequences' d(n) classes per
+    dimension meets the eta and eta^2 spectra, built once per search and
+    mixed by two scalars per sequence; one inverse transform gives D.  So
+    a dimension costs O(r d(n) phi(n) log n), whatever the weight family,
+    plus some 20 numpy calls: on a 2-core VM about 48 us at n = 1024 for
+    product weights, and 39 us at n = 256 for POD and SPOD.  On a 1-D
+    torus (every n with a fold, below) the transforms are rfft and irfft,
+    which rfftn and irfftn call on one axis, without their per-call
+    overhead.
 
     eta is even, so the unit n - c scores as c does, and only the
     candidates c <= n/2 are ranked.  Likewise the points a and -a of a
     class meet the same eta: where -1 is the half turn of one torus axis
     (n = 4, p^e and 2 p^e, and 2^e), the classes are correlated on
-    U(n)/{+-1}, the first half of that axis, against u_k + u_{n-k} and
-    v_k + v_{n-k}.  That halves the transforms, the spectra and the
-    indices, and so the cost.  At other n the fold is empty.
+    U(n)/{+-1}, the first half of that axis, against x_k + x_{n-k}.  That
+    halves the transforms, the spectra and the indices, and so the cost,
+    and leaves a 1-D torus.  At other n the fold is empty.
 
     Memory is O(d(n) phi(n)) for d(n) divisors, halved by the fold: the
     spectra, and int32 indices into the point axis.
@@ -268,7 +287,7 @@ class _UnitScorer:
     def __init__(self, n: int, etable: np.ndarray):
         units = _unit_torus(n)
         phi = units.size
-        self.mirror = None  # k -> n - k where the torus is folded
+        self.folded = False
         for ax, length in enumerate(units.shape):
             turn = [0] * units.ndim
             turn[ax] = length // 2
@@ -279,10 +298,16 @@ class _UnitScorer:
                 if length == 2:
                     half = np.atleast_1d(half.squeeze(ax))
                 units = np.minimum(half, n - half)
-                self.mirror = -np.arange(n) % n
+                self.folded = True
                 break
         self.shape = units.shape
-        self.axes = tuple(range(-units.ndim, 0))
+        if units.ndim == 1:
+            self.fwd = np.fft.rfft
+            self.inv = partial(np.fft.irfft, n=units.size)
+        else:
+            axes = tuple(range(-units.ndim, 0))
+            self.fwd = partial(np.fft.rfftn, axes=axes)
+            self.inv = partial(np.fft.irfftn, s=self.shape, axes=axes)
         divs = [(1, 1)]  # (m, phi(m)) for every divisor m of n
         for p, e in _prime_powers(n):
             divs = [
@@ -303,31 +328,43 @@ class _UnitScorer:
         h = np.stack([e, e * e])
         hmean = h.mean(axis=-1, keepdims=True)
         h -= hmean
-        self.spectra = np.fft.rfftn(
-            h.reshape(h.shape[:2] + self.shape), axes=self.axes
+        spectra = self.fwd(h.reshape(h.shape[:2] + self.shape))
+        spectra *= w.reshape((-1,) + (1,) * units.ndim)
+        # each row: the spectra of the d(n) classes as floats, then their
+        # mean terms, so that one pair of real scalings mixes both
+        # (elementwise: a matrix product here would start the BLAS, whose
+        # buffers cost the search 0.5 MB of resident memory)
+        means = units.size * w * hmean[..., 0]
+        self.basis = np.concatenate(
+            [spectra.reshape(2, -1).view(float), means], axis=1
         )
-        self.spectra *= w.reshape((-1,) + (1,) * units.ndim)
-        self.hmean = units.size * w[:, None] * hmean
         order = np.argsort(flat)
         # positions of the candidates c <= n/2, ascending
         self.pos = order[flat[order] <= n // 2]
         self.cands = flat[self.pos]
 
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """D(c) for every candidate c <= n/2, in ascending order of c."""
-        if self.mirror is not None:
-            u = u + u[self.mirror]
-            v = v + v[self.mirror]
-        x = np.empty((2,) + self.idx.shape)
-        np.take(u, self.idx, out=x[0])
-        np.take(v, self.idx, out=x[1])
-        xmean = x.mean(axis=-1, keepdims=True)
-        x -= xmean
-        f = np.fft.rfftn(x.reshape(x.shape[:2] + self.shape), axes=self.axes)
+    def __call__(self, x: np.ndarray, mix: np.ndarray) -> np.ndarray:
+        """D(c) for every candidate c <= n/2, in ascending order of c, from
+        the (r, n) sequences x and their (r, 2) eta and eta^2 weights mix.
+        """
+        if self.folded:  # x_k + x_{n-k}
+            y = np.empty_like(x)
+            np.add(x[:, :1], x[:, :1], out=y[:, :1])
+            np.add(x[:, 1:], x[:, :0:-1], out=y[:, 1:])
+            x = y
+        g = np.take(x, self.idx, axis=1)
+        # np.mean's own arithmetic, without its per-call overhead
+        xmean = np.add.reduce(g, axis=-1, keepdims=True)
+        xmean /= g.shape[-1]
+        g -= xmean
+        f = self.fwd(g.reshape(g.shape[:2] + self.shape))
         np.conjugate(f, out=f)
-        f *= self.spectra
-        corr = np.fft.irfftn(f.sum(axis=(0, 1)), s=self.shape, axes=self.axes)
-        return corr.ravel()[self.pos] + np.sum(xmean * self.hmean)
+        h = mix[:, :1] * self.basis[0]
+        h += mix[:, 1:] * self.basis[1]
+        split = 2 * f[0].size
+        f *= h[:, :split].view(complex).reshape(f.shape)
+        corr = self.inv(f.sum(axis=(0, 1)))
+        return corr.ravel()[self.pos] + np.sum(xmean[..., 0] * h[:, split:])
 
 
 def _check_zero_point(spec: KernelSpec, eta0: float, s: int) -> None:
@@ -367,7 +404,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     (``BatchKernelState.affine_split``), so the mean-square kernel of
     candidate c is (sum_k A_k^2 + D(c)) / n, and candidates differ only by
     D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2, which ``_UnitScorer`` gives
-    for all of them at once.
+    for all of them at once; for product weights, B = gamma_d A, from the
+    one sequence A^2.
 
     Before the first dimension, K_d(0)^2, the largest term of every score
     of dimension d, is checked to be finite for every d <= s
@@ -385,6 +423,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     etable = _eta_table(spec.alpha, n)
     _check_zero_point(spec, etable[0], s)
     scorer = _UnitScorer(n, etable) if s > 1 else None
+    product = spec.scheme.kind == "product"
+    eye = np.eye(2)
     karr = np.arange(n, dtype=np.int64)
     state = BatchKernelState(spec.scheme, n)
     subs = squared_weight_prefixes(spec.scheme, s, 2.0 * zeta(2 * spec.alpha))
@@ -397,13 +437,18 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
         c = 1
         with np.errstate(over="ignore", invalid="ignore"):
             if z:
-                D = scorer(2.0 * a * b, b * b)
-                if not np.all(np.isfinite(D)):
+                if product:  # b = gamma_d a: one sequence, a^2
+                    g = spec.scheme.gamma_jnu[d - 1, 0]
+                    D = scorer((a * a)[None], np.array([[2.0 * g, g * g]]))
+                else:
+                    D = scorer(np.stack([2.0 * a * b, b * b]), eye)
+                i = _first_within(D)
+                if i is None:
                     raise FloatingPointError(
                         f"the candidate scores of dimension {d} are past "
                         "double range"
                     )
-                c = int(scorer.cands[_first_within(D)])
+                c = int(scorer.cands[i])
             row = etable[karr * c % n]
             vals = row * b
             vals += a

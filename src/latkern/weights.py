@@ -396,26 +396,38 @@ def squared_weight_prefixes(
     out = []
     if scheme.kind == "product":
         q = 1.0
-        for g in scheme.gamma_j[:s]:
-            q *= float(1.0 + g * g * x)
+        g = scheme.gamma_jnu[:s, 0]
+        for f in (1.0 + g * g * x).tolist():
+            q *= f
             out.append(q)
     else:
-        # gamma_u^2 couples two order indices; track both.  Each step grows
-        # r by the sigma orders per index that the coordinate can reach,
-        # then drops the trailing all-zero rows and columns.
+        # gamma_u^2 couples two order indices; track both.  Each step widens
+        # r by the sigma orders per index that the coordinate can reach and
+        # adds c r shifted by (nu, nu'), c = x gamma_nu gamma_nu', for every
+        # pair in turn: T[0] holds r and T[(nu - 1) sigma + nu'] that term,
+        # and one sum over T's first axis adds them in that order (numpy
+        # pairs terms up only along a reduced axis it walks innermost, and
+        # each slab of T holds at least 4 entries).  The trailing all-zero
+        # rows and columns go: r[0, 0] = 1 stays, so the last nonzero
+        # entry's row and the largest column bound them.
         sigma, G = scheme.sigma, scheme.Gamma
+        g = scheme.gamma_jnu[:s]
+        cs = (x * g)[:, :, None, None, None] * g[:, None, :, None, None]
         r = np.ones((1, 1))
-        for g in scheme.gamma_jnu[:s]:
-            old, (a, b) = r, r.shape
-            r = np.zeros((a + sigma, b + sigma))
-            r[:a, :b] = old
-            for nu in range(1, sigma + 1):
-                for nup in range(1, sigma + 1):
-                    c = x * g[nu - 1] * g[nup - 1]
-                    r[nu : nu + a, nup : nup + b] += c * old
-            r = _trimmed(_trimmed(r).T).T
-            i, j = np.nonzero(r)
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for c in cs:
+                a, b = r.shape
+                T = np.zeros((sigma * sigma + 1, a + sigma, b + sigma))
+                T[0, :a, :b] = r
+                s0, s1, s2 = T.strides
+                terms = np.ndarray(
+                    (sigma, sigma, a, b), buffer=T, offset=s0 + s1 + s2,
+                    strides=(sigma * s0 + s1, s0 + s2, s1, s2),
+                )
+                np.multiply(c, r, out=terms)
+                r = np.add.reduce(T, axis=0)
+                i, j = np.nonzero(r)
+                r = r[: i[-1] + 1, : j.max() + 1]
                 out.append(float(np.sum(G[i] * G[j] * r[i, j])))
     for d, q in enumerate(out, start=1):
         if not math.isfinite(q):

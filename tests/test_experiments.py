@@ -25,7 +25,7 @@ from latkern.experiments import (
     run_dim_truncation,
     run_interp_convergence,
 )
-from latkern.interpolant import build
+from latkern.interpolant import build, circulant_spectrum
 from latkern.kernel import (
     BatchKernelState,
     KernelSpec,
@@ -240,6 +240,35 @@ class TestRunInterpConvergence:
                     acc += l2_norm(mesh, u(x) - k_x @ coeffs) ** 2
             want = math.sqrt(acc / (cfg.L * n))
             assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-8)
+
+    def test_one_spectrum_per_n_before_its_solves(self, monkeypatch):
+        # each n's circulant spectrum is formed once, before the first
+        # solve at that n, and the interpolant divides by that one
+        cfg = StudyConfig(
+            "interp-convergence", weights="product", s=2,
+            n_schedule=(8, 16), mesh_level=2, L=1,
+        )
+        want, _ = run_interp_convergence(cfg)
+        log = []
+
+        def spectrum(spec, lat):
+            log.append(("spectrum", lat.n))
+            return circulant_spectrum(spec, lat)
+
+        def solve(mesh, model, y, x0=None):
+            log.append(("solve", None))
+            return fem_solve(mesh, model, y, x0=x0)
+
+        monkeypatch.setattr("latkern.experiments.circulant_spectrum", spectrum)
+        monkeypatch.setattr("latkern.interpolant.circulant_spectrum", spectrum)
+        monkeypatch.setattr("latkern.experiments.fem_solve", solve)
+        rows, _ = run_interp_convergence(cfg)
+        assert rows == want
+        spectra = [i for i, (what, _) in enumerate(log) if what == "spectrum"]
+        assert [log[i][1] for i in spectra] == [8, 16]
+        # no solve before the first spectrum; solves follow each spectrum
+        assert spectra[0] == 0
+        assert all(log[i + 1][0] == "solve" for i in spectra)
 
     def test_truths_started_from_the_interpolant(self, monkeypatch):
         # each truth starts from the interpolant at its shifted points, and

@@ -582,6 +582,22 @@ class TestTrim:
         assert squared_weight_prefixes(spec.scheme, 100, x) == \
             full_squared_weight_prefixes(spec.scheme, 100, x)
 
+    @pytest.mark.parametrize("sigma", [2, 3])
+    def test_prefixes_add_pair_terms_in_order(self, sigma):
+        # gamma_{j,nu} of one size, so that the order in which the sigma^2
+        # shifted terms reach an entry of the order-pair table sets its
+        # rounding (the derived SPOD weights above fall off too fast in
+        # nu for that): the prefixes still equal the loop that adds them
+        # in (nu, nu') order, bit for bit
+        rng = np.random.default_rng(5)
+        s = 12
+        sch = WeightScheme(
+            "spod", Gamma=rng.uniform(0.5, 2.0, s * sigma + 1),
+            gamma_jnu=rng.uniform(0.5, 1.0, (s, sigma)),
+        )
+        assert squared_weight_prefixes(sch, s, 1.7) == \
+            full_squared_weight_prefixes(sch, s, 1.7)
+
 
 class TestStructuralProperties:
     def test_positive_definite_small(self):

@@ -440,6 +440,25 @@ class TestCbc:
             assert _first_within(S + shift) == 1
             assert _first_within(np.array([5.0]) + shift) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_refused(self, bad, monkeypatch):
+        # one score that is not finite: the tie rule picks nothing, and the
+        # search raises, naming the dimension (the CLI's exit 2)
+        assert _first_within(np.array([2.0, bad, 1.0])) is None
+        score = _UnitScorer.__call__
+
+        def spoiled(self, x, mix):
+            D = score(self, x, mix)
+            D[-1] = bad
+            return D
+
+        monkeypatch.setattr(_UnitScorer, "__call__", spoiled)
+        with pytest.raises(
+            FloatingPointError,
+            match="candidate scores of dimension 2 are past double range",
+        ):
+            cbc_construct(_product_spec([0.9, 0.6, 0.4]), 64, 3)
+
     @pytest.mark.parametrize("n", [13, 64, 257])
     def test_mirror_pairs_go_to_smaller_candidate(self, n):
         # c and n - c give the same kernel values up to rounding of eta
@@ -552,8 +571,12 @@ class TestUnitScorer:
         scorer = _UnitScorer(n, _eta_table(2, n))
         size = phi // 2 if folded else phi
         assert scorer.idx.shape[1] == math.prod(scorer.shape) == size
+        # per row of basis: the eta or eta^2 spectrum of every divisor
+        # class, as pairs of floats, then the classes' mean terms
         *lead, last = scorer.shape
-        assert scorer.spectra.shape[2:] == (*lead, last // 2 + 1)
+        classes = len(scorer.idx)
+        spectrum = math.prod(lead) * (last // 2 + 1)
+        assert scorer.basis.shape == (2, classes * (2 * spectrum + 1))
         # every candidate c <= n/2 is one position of the torus: all of
         # them where it is folded
         assert scorer.cands.tolist() == [
@@ -575,7 +598,7 @@ class TestUnitScorer:
         if alpha == spec.alpha:
             cases.append(_affine_inputs(spec, n, [1, n - 1]))
         for u, v in cases:
-            got = scorer(u, v)
+            got = scorer(np.stack([u, v]), np.eye(2))
             want = _direct_D(u, v, etable, scorer.cands)
             # n <= 4 has one candidate: compare with |D| there
             scale = np.ptp(want) if len(want) > 1 else np.abs(want[0])
@@ -583,6 +606,18 @@ class TestUnitScorer:
             # the mirror n - c of each candidate scores the same
             mirror = _direct_D(u, v, etable, n - scorer.cands)
             np.testing.assert_array_equal(mirror, want)
+        # product weights: b = gamma_2 a, scored as the one sequence a^2
+        # against 2 gamma_2 eta + gamma_2^2 eta^2, as the search does; the
+        # direct D takes u = 2ab and v = b^2 from the affine split
+        spec = _product_spec([0.9, 0.6, 0.4], alpha)
+        state = BatchKernelState(spec.scheme, n)
+        state.commit(etable)
+        a, b = state.affine_split()
+        g = spec.scheme.gamma_jnu[1, 0]
+        got = scorer((a * a)[None], np.array([[2.0 * g, g * g]]))
+        want = _direct_D(2.0 * a * b, b * b, etable, scorer.cands)
+        scale = np.ptp(want) if len(want) > 1 else np.abs(want[0])
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -593,20 +628,30 @@ class TestUnitScorer:
                        ("spod", 1024, 10), ("spod", 257, 10),
                        ("product", 1021, 32)]
     )
-    def test_tie_margin_above_fft_noise(self, family, n, s):
-        # on the search's own inputs the FFT scores differ from the direct
-        # long-double D by less than _TIE / 100 of the spread of D, up to
-        # a shift shared by every candidate, which moves no ranking
+    def test_tie_margin_above_fft_noise(self, family, n, s, monkeypatch):
+        # the scores the search ranks differ from the direct long-double D
+        # by less than _TIE / 100 of the spread of D, up to a shift shared
+        # by every candidate, which moves no ranking; product weights are
+        # ranked by their one-sequence route
         spec = _study_spec(family, s)
+        ranked = []
+        score = _UnitScorer.__call__
+
+        def spy(self, x, mix):
+            ranked.append(score(self, x, mix))
+            return ranked[-1]
+
+        monkeypatch.setattr(_UnitScorer, "__call__", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             z = cbc_construct(spec, n, s).z.tolist()
+        assert len(ranked) == s - 1
         etable = _eta_table(spec.alpha, n)
         scorer = _UnitScorer(n, etable)
-        for d in range(2, s + 1):
+        for d, got in enumerate(ranked, start=2):
             u, v = _affine_inputs(spec, n, z[: d - 1])
             want = _direct_D(u, v, etable, scorer.cands)
-            err = scorer(u, v) - want
+            err = got - want
             spread = float(want.max() - want.min())
             assert float(err.max() - err.min()) <= _TIE / 100 * spread
             # and the pick is the smallest within the margin of the direct D
