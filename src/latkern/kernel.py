@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import MAX_BERNOULLI_DEGREE, bernoulli_poly
-from .weights import WeightScheme, _trimmed
+from .weights import WeightScheme
 
 _TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal double
 # A floor on every running product that k <= 2^60 roundings, each by at
@@ -94,6 +94,15 @@ def eta(alpha: int, delta):
 
 # ---------------------------------------------------------------------------
 # vectorized batch path
+
+
+def _trimmed(P: np.ndarray) -> np.ndarray:
+    """P without its trailing rows that are 0.0 at every point, but row 0:
+    such rows add exact zeros wherever they go, so no bit changes."""
+    k = len(P)
+    while k > 1 and not P[k - 1].any():
+        k -= 1
+    return P[:k]
 
 
 class BatchKernelState:

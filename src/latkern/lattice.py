@@ -117,7 +117,7 @@ class CbcReport:
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> float:
     K = kernel_values_batch(spec, lat.columns().T)
     with np.errstate(over="ignore"):
-        return float(np.sum(np.square(K[K != 0.0]))) / lat.n
+        return float(np.sum(np.square(K))) / lat.n
 
 
 def _criterion_from_parts(
@@ -158,9 +158,10 @@ def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
 
 # Candidates tie when their S_d differ by at most _TIE times the spread of
 # S_d over all candidates; the smallest of the tied ones is taken.  On the
-# search's own inputs the FFT scores were measured within 4e-16 of that
-# spread of their exact values (test_tie_margin_above_fft_noise asserts
-# _TIE / 100), so rounding neither makes nor breaks a tie.
+# search's own inputs the FFT scores were measured within 3.2e-16 of that
+# spread of their exact values, up to a shift shared by every candidate
+# (test_tie_margin_above_fft_noise asserts _TIE / 100), so rounding can
+# decide a tie only for a candidate within 0.32 % of the margin of its edge.
 _TIE = 1e-13
 
 
@@ -176,14 +177,16 @@ def _first_within(D: np.ndarray) -> int | None:
 
     D(c) - D(c') is S_d(c) - S_d(c') up to a positive factor, so the rule
     reads on the S_d scale: with the candidates ascending, the smallest
-    whose S_d is at most min S_d + _TIE (max S_d - min S_d).  The same
-    two reductions decide finiteness: both are NaN when a score is NaN,
-    and one of them is infinite when a score is.
+    whose S_d is at most min S_d + _TIE (max S_d - min S_d).  It compares
+    D - min D, exact near the lowest score, with the margin: min D + margin
+    would round at the scale of min D, which the shift that ``_UnitScorer``
+    leaves in D moves.  The same two reductions decide finiteness: both
+    are NaN when a score is NaN, and one of them is infinite when one is.
     """
     lo, hi = D.min(), D.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
-    return int(np.argmax(D <= lo + _TIE * (hi - lo)))
+    return int(np.argmax(D - lo <= _TIE * (hi - lo)))
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -262,15 +265,18 @@ class _UnitScorer:
     U(m).  Each class is lifted onto U(n), where every unit mod m has
     phi(n)/phi(m) preimages, with the weight phi(m)/phi(n).  On the torus
     of ``_unit_torus`` every class is then a cyclic correlation, and one
-    batched forward transform of the r sequences' d(n) classes per
-    dimension meets the eta and eta^2 spectra, built once per search and
-    mixed by two scalars per sequence; one inverse transform gives D.  So
-    a dimension costs O(r d(n) phi(n) log n), whatever the weight family,
-    plus some 20 numpy calls: on a 2-core VM about 48 us at n = 1024 for
-    product weights, and 39 us at n = 256 for POD and SPOD.  On a 1-D
-    torus (every n with a fold, below) the transforms are rfft and irfft,
-    which rfftn and irfftn call on one axis, without their per-call
-    overhead.
+    batched forward transform of the r sequences' classes per dimension
+    meets the eta and eta^2 spectra, built once per search and mixed by
+    two scalars per sequence; one inverse transform gives D up to a shift
+    shared by every candidate: a unit c permutes each class, so the class
+    means of eta and eta^2 do not depend on c, and the class m = 1, the
+    point k = 0, meets eta(0) whatever c is.  Both are left out, and d(n) - 1
+    classes are transformed, one at a prime n.  A dimension costs
+    O(r (d(n) - 1) phi(n) log n), whatever the weight family, plus some 20
+    numpy calls: on a 2-core VM about 41 us at n = 1024 for product
+    weights, and 31 us at n = 256 for POD and SPOD.  On a 1-D torus (every
+    n with a fold, below) the transforms are rfft and irfft, which rfftn
+    and irfftn call on one axis, without their per-call overhead.
 
     eta is even, so the unit n - c scores as c does, and only the
     candidates c <= n/2 are ranked.  Likewise the points a and -a of a
@@ -280,8 +286,8 @@ class _UnitScorer:
     halves the transforms, the spectra and the indices, and so the cost,
     and leaves a 1-D torus.  At other n the fold is empty.
 
-    Memory is O(d(n) phi(n)) for d(n) divisors, halved by the fold: the
-    spectra, and int32 indices into the point axis.
+    Memory is O((d(n) - 1) phi(n)), halved by the fold: the spectra, and
+    int32 indices into the point axis.
     """
 
     def __init__(self, n: int, etable: np.ndarray):
@@ -315,41 +321,39 @@ class _UnitScorer:
                 for m, t in divs
                 for f in range(e + 1)
             ]
-        g = np.array([n // m for m, _ in divs], dtype=np.int64)
-        w = np.array([t / phi for _, t in divs])
+        # divs[0] is m = 1, the point k = 0 alone, which meets eta(0)
+        # whatever c is
+        g = np.array([n // m for m, _ in divs[1:]], dtype=np.int64)
+        w = np.array([t / phi for _, t in divs[1:]])
         flat = units.ravel()
         self.idx = (g[:, None] * flat % n).astype(np.int32)
         # Each class is correlated mean-free: sum_a f(a) h(a + b) is the
-        # torus size times mean(f) mean(h), plus the correlation of
-        # f - mean(f) with h - mean(h).  The means of eta^2 and of B^2 are
-        # large against what varies with c, and would otherwise set the
-        # rounding of D.
+        # torus size times mean(f) mean(h), the same for every c, plus the
+        # correlation of f - mean(f) with h - mean(h), which is kept.  The
+        # means of eta^2 and of B^2 are large against what varies with c,
+        # and would otherwise set the rounding of D.
         e = etable[self.idx]
         h = np.stack([e, e * e])
-        hmean = h.mean(axis=-1, keepdims=True)
-        h -= hmean
+        h -= h.mean(axis=-1, keepdims=True)
         spectra = self.fwd(h.reshape(h.shape[:2] + self.shape))
         spectra *= w.reshape((-1,) + (1,) * units.ndim)
-        # each row: the spectra of the d(n) classes as floats, then their
-        # mean terms, so that one pair of real scalings mixes both
-        # (elementwise: a matrix product here would start the BLAS, whose
-        # buffers cost the search 0.5 MB of resident memory)
-        means = units.size * w * hmean[..., 0]
-        self.basis = np.concatenate(
-            [spectra.reshape(2, -1).view(float), means], axis=1
-        )
+        # each row: the spectra of the classes as floats, so that one pair
+        # of real scalings mixes them (elementwise: a matrix product here
+        # would start the BLAS, whose buffers cost the search 0.5 MB of
+        # resident memory)
+        self.basis = spectra.reshape(2, -1).view(float)
         order = np.argsort(flat)
         # positions of the candidates c <= n/2, ascending
         self.pos = order[flat[order] <= n // 2]
         self.cands = flat[self.pos]
 
     def __call__(self, x: np.ndarray, mix: np.ndarray) -> np.ndarray:
-        """D(c) for every candidate c <= n/2, in ascending order of c, from
-        the (r, n) sequences x and their (r, 2) eta and eta^2 weights mix.
+        """D(c) up to a shift shared by every candidate c <= n/2, in
+        ascending order of c, from the (r, n) sequences x and their (r, 2)
+        eta and eta^2 weights mix.
         """
-        if self.folded:  # x_k + x_{n-k}
+        if self.folded:  # x_k + x_{n-k}; no class reads k = 0
             y = np.empty_like(x)
-            np.add(x[:, :1], x[:, :1], out=y[:, :1])
             np.add(x[:, 1:], x[:, :0:-1], out=y[:, 1:])
             x = y
         g = np.take(x, self.idx, axis=1)
@@ -361,10 +365,8 @@ class _UnitScorer:
         np.conjugate(f, out=f)
         h = mix[:, :1] * self.basis[0]
         h += mix[:, 1:] * self.basis[1]
-        split = 2 * f[0].size
-        f *= h[:, :split].view(complex).reshape(f.shape)
-        corr = self.inv(f.sum(axis=(0, 1)))
-        return corr.ravel()[self.pos] + np.sum(xmean[..., 0] * h[:, split:])
+        f *= h.view(complex).reshape(f.shape)
+        return self.inv(f.sum(axis=(0, 1))).ravel()[self.pos]
 
 
 def _check_zero_point(spec: KernelSpec, eta0: float, s: int) -> None:
@@ -404,8 +406,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     (``BatchKernelState.affine_split``), so the mean-square kernel of
     candidate c is (sum_k A_k^2 + D(c)) / n, and candidates differ only by
     D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2, which ``_UnitScorer`` gives
-    for all of them at once; for product weights, B = gamma_d A, from the
-    one sequence A^2.
+    for all of them at once, up to a shift they share; for product
+    weights, B = gamma_d A, from the one sequence A^2.
 
     Before the first dimension, K_d(0)^2, the largest term of every score
     of dimension d, is checked to be finite for every d <= s

@@ -7,9 +7,8 @@ The derivations pick, of the factorizations Gamma_ell 2^(-k ell) and
 gamma_jnu 2^(k nu), all of them the same weights, the least k >= 0 that
 keeps the kernel's order terms in double range (``_balanced``), and
 refuse the weights when no k does.  The rows the factors multiply drop
-their trailing zeros (``_trimmed``), so an infinite factor reaches a
-result only where a kept row meets it, and that result, not finite,
-raises FloatingPointError.
+their trailing zeros, so an infinite factor reaches a result only where a
+kept row meets it, and that result, not finite, raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -43,15 +42,6 @@ class Scaled(NamedTuple):
 
     def to_float(self) -> float:
         return math.ldexp(self.mantissa, self.exponent)
-
-
-def _trimmed(P: np.ndarray) -> np.ndarray:
-    """P without its trailing rows that are 0.0 at every point, but row 0:
-    such rows add exact zeros wherever they go, so no bit changes."""
-    k = len(P)
-    while k > 1 and not P[k - 1].any():
-        k -= 1
-    return P[:k]
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,13 @@ class TestCbc:
             S = np.array([1.0 + 1.5 * _TIE, 1.0 + 0.6 * _TIE, 1.0, 2.0])
             assert _first_within(S + shift) == 1
             assert _first_within(np.array([5.0]) + shift) == 0
+        # the rule reads differences of scores, so a shift shared by every
+        # score moves no pick, even where min + margin would round: x is the
+        # first multiple of 2^-54 above the margin 0.5 _TIE, and so just
+        # outside it, and -0.5 + x is exact
+        x = math.ceil(0.5 * _TIE * 2.0**54) * 2.0**-54
+        for shift in (0.0, -0.5):
+            assert _first_within(np.array([0.5, x, 0.0]) + shift) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_is_refused(self, bad, monkeypatch):
@@ -571,12 +578,16 @@ class TestUnitScorer:
         scorer = _UnitScorer(n, _eta_table(2, n))
         size = phi // 2 if folded else phi
         assert scorer.idx.shape[1] == math.prod(scorer.shape) == size
-        # per row of basis: the eta or eta^2 spectrum of every divisor
-        # class, as pairs of floats, then the classes' mean terms
-        *lead, last = scorer.shape
+        # a class for every divisor m > 1 of n: the point k = 0 alone meets
+        # eta(0) whatever the candidate, and no class reads it
         classes = len(scorer.idx)
+        assert classes == sum(n % m == 0 for m in range(1, n + 1)) - 1
+        assert np.all(scorer.idx != 0)
+        # per row of basis: the eta or eta^2 spectrum of every class, as
+        # pairs of floats, and nothing else
+        *lead, last = scorer.shape
         spectrum = math.prod(lead) * (last // 2 + 1)
-        assert scorer.basis.shape == (2, classes * (2 * spectrum + 1))
+        assert scorer.basis.shape == (2, classes * 2 * spectrum)
         # every candidate c <= n/2 is one position of the torus: all of
         # them where it is folded
         assert scorer.cands.tolist() == [
@@ -597,12 +608,12 @@ class TestUnitScorer:
         ]
         if alpha == spec.alpha:
             cases.append(_affine_inputs(spec, n, [1, n - 1]))
+        # the scorer gives D up to a shift shared by every candidate, which
+        # moves no ranking; n <= 4 has one candidate, and nothing to rank
         for u, v in cases:
             got = scorer(np.stack([u, v]), np.eye(2))
             want = _direct_D(u, v, etable, scorer.cands)
-            # n <= 4 has one candidate: compare with |D| there
-            scale = np.ptp(want) if len(want) > 1 else np.abs(want[0])
-            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            assert np.ptp(got - want) <= 1e-13 * np.ptp(want)
             # the mirror n - c of each candidate scores the same
             mirror = _direct_D(u, v, etable, n - scorer.cands)
             np.testing.assert_array_equal(mirror, want)
@@ -616,8 +627,7 @@ class TestUnitScorer:
         g = spec.scheme.gamma_jnu[1, 0]
         got = scorer((a * a)[None], np.array([[2.0 * g, g * g]]))
         want = _direct_D(2.0 * a * b, b * b, etable, scorer.cands)
-        scale = np.ptp(want) if len(want) > 1 else np.abs(want[0])
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.ptp(got - want) <= 1e-13 * np.ptp(want)
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
