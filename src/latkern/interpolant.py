@@ -75,13 +75,7 @@ def _check_spectrum(spectrum: np.ndarray) -> None:
 
 def _kernel_column(spec: KernelSpec, lat: Lattice, y) -> np.ndarray:
     """[K(t_j, y)]_j for j = 0..n-1, with y wrapped into [0, 1)^s."""
-    y = frac(y)
-    if y.shape != (lat.s,):
-        raise ValueError(
-            f"y has shape {y.shape}; the lattice needs shape ({lat.s},), "
-            "one component per coordinate"
-        )
-    return kernel_values_batch(spec, lat.columns().T, y)
+    return kernel_values_batch(spec, lat.columns().T, frac(y))
 
 
 def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:

@@ -9,7 +9,10 @@ both run one order-row recursion: coordinate j adds gamma_{j,nu} eta times
 row ell - nu to row ell, for nu = 1..sigma.  The state starts as one row of
 ones, each coordinate grows it by the sigma orders it can newly reach, and
 the trailing rows that have fallen to 0.0 at every point are dropped.
-Product weights keep one row and multiply it by 1 + gamma_j eta.
+Product weights keep one row and multiply it by 1 + gamma_j eta.  For
+every family a kernel value that is not finite is a numerical failure, and
+one that underflows is kept (``BatchKernelState.commit`` bounds what that
+costs).
 
 ``kernel_values_batch`` walks its points in blocks (``_block_points``), so
 no temporary grows with the batch.  Each block is formed coordinate-major,
@@ -40,10 +43,6 @@ import numpy as np
 from .special import MAX_BERNOULLI_DEGREE, bernoulli_poly
 from .weights import WeightScheme
 
-_TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal double
-# A floor on every running product that k <= 2^60 roundings, each by at
-# most 2^-53, cannot take below _TINY.
-_SAFE = 2.0**-1000
 # Differences per block of ``kernel_values_batch``: 256 KiB of floats, so a
 # block's differences, eta and factor rows stay in cache.
 _BLOCK = 2**15
@@ -190,14 +189,26 @@ class BatchKernelState:
         values (m,) or the rows of k coordinates (k, m).
 
         POD and SPOD add each row's order shift in turn.  Product weights
-        form 1 + gamma_j eta for every row at once and multiply them in by
-        one ``np.multiply.reduce`` in coordinate order, bit for bit the
-        row-by-row product.  FloatingPointError when a product value falls
-        below 2^-1022 on a nonzero factor, naming the coordinate: its bits
-        are lost, whatever factors follow.  min|P| times the product of
-        min(1, min|factor|) over the rows bounds every running product from
-        below, so the rows are checked one by one only where that bound is
-        not safely normal.
+        form the factor rows f_j = 1 + gamma_j eta for every row at once and
+        multiply them into P by one ``np.multiply.reduce`` in coordinate
+        order, bit for bit the row-by-row product.
+
+        One rule holds for all three families: a value that is not finite
+        is a numerical failure (``values`` raises), and a value that
+        underflows is kept.  For product weights each multiply rounds by at
+        most u = 2^-53 relative, or by at most 2^-1075 absolute where its
+        result is subnormal.  An error made at factor i reaches the result
+        times |f_(i+1) ... f_k| and at most k - i more roundings, and
+        (1 + u)^k < 2 for k <= 2^52.  So each new value differs from the
+        exact product P f_1 ... f_k of its factors by at most
+
+            k u / (1 - k u) |P f_1 ... f_k|
+                + k 2^-1074 max_i |f_(i+1) ... f_k|,   i = 1..k,
+
+        an empty product being 1.  A reproducing kernel has |eta| <= eta(0),
+        so |f_j| <= 1 + gamma_j eta(0) and, from a fresh state, the second
+        term is at most k 2^-1074 K(0): far below the rounding of the FFT
+        solve and the CBC scores, which read K at the scale of K(0).
         """
         etas = np.atleast_2d(np.asarray(etas, dtype=float))
         k = len(etas)
@@ -212,24 +223,8 @@ class BatchKernelState:
         np.multiply(g[:, :1], etas, out=T[1:])
         T[1:] += 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            low = np.minimum.reduce(np.abs(T), axis=1, initial=np.inf)
-            if low[0] * np.multiply.reduce(np.minimum(low[1:], 1.0)) >= _SAFE:
-                np.multiply.reduce(T, axis=0, out=self.P[0])
-            else:
-                self._multiply_rows(T[1:])
+            np.multiply.reduce(T, axis=0, out=self.P[0])
         self.dims_done += k
-
-    def _multiply_rows(self, factors) -> None:
-        """Multiply the product row by each factor row in turn, checking
-        each running product for a fall below 2^-1022."""
-        for i, factor in enumerate(factors, start=1):
-            live = (self.P[0] != 0.0) & (factor != 0.0)
-            self.P *= factor
-            if np.any(live & (np.abs(self.P[0]) < _TINY)):
-                raise FloatingPointError(
-                    f"a product kernel value fell below 2^-1022 at "
-                    f"coordinate {self.dims_done + i}"
-                )
 
     def values(self) -> np.ndarray:
         """The current kernel values."""
@@ -248,7 +243,7 @@ def kernel_values_batch(
     spec: KernelSpec, dy: np.ndarray, y=None
 ) -> np.ndarray:
     """K evaluated at a batch of difference vectors dy of shape (m, s), or
-    at dy - y for an offset y of shape (s,).
+    at dy - y for an offset y of shape (s,); ValueError for any other shape.
 
     Each block of ``_block_points(s)`` points is transposed to (s, m), which
     costs no copy for a coordinate-major dy, and y is subtracted there: no
@@ -258,6 +253,13 @@ def kernel_values_batch(
     if dy.ndim != 2:
         raise ValueError("the differences must form a 2-D array")
     m, s = dy.shape
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (s,):
+            raise ValueError(
+                f"y has shape {y.shape}; the differences need shape ({s},), "
+                "one component per coordinate"
+            )
     step = _block_points(s)
     out = np.empty(m)
     for a in range(0, max(m, 1), step):  # an empty batch is one empty block

@@ -308,7 +308,7 @@ class TestParameterLength:
         lat = Lattice(16, np.array([1, 7, 5, 3]))
         itp = build(_spec((0.9, 0.6, 0.4, 0.3)), lat, np.arange(16.0))
         msg = re.escape(
-            f"y has shape {np.shape(y)}; the lattice needs shape (4,)"
+            f"y has shape {np.shape(y)}; the differences need shape (4,)"
         )
         with pytest.raises(ValueError, match=msg):
             evaluate(itp, y)
@@ -326,7 +326,7 @@ class TestParameterLength:
         lat = Lattice(8, np.array(z))
         itp = build(_spec((0.9, 0.6)[: len(z)]), lat, np.arange(8.0))
         want = f"({len(z)},)"
-        msg = f"y has shape {got}; the lattice needs shape {want}"
+        msg = f"y has shape {got}; the differences need shape {want}"
         for call in (lambda: evaluate(itp, y), lambda: itp.shifted_union(y)):
             with pytest.raises(ValueError) as info:
                 call()
