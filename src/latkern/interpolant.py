@@ -16,14 +16,15 @@ residual from the values given to `build`, which are kept by reference and
 must not change afterwards.
 
 Kernel columns are formed coordinate-major, from `Lattice.columns()`, so
-the kernel walks the (s, n) differences at unit stride; it takes the
-offset y and subtracts it block by block, so no (s, n) array of
-differences is formed.  `Interpolant.shifted_union` allocates its (..., n)
-result once, in the memory order of the coefficients, and fills it in row
-blocks of about 2^16 complex entries (1 MiB): each block's product with
-the column's spectrum goes into one reused buffer and is inverse
-transformed into the result's rows.  So its transient memory is the
-result plus about 1 MiB, not a second full-size complex array, and a
+the kernel walks the (s, n) differences at unit stride.  It takes the
+raw offset y: it wraps y into [0, 1)^s, refuses a y that is not
+finite or not of shape (s,), and subtracts it block by block, so no (s, n)
+array of differences is formed.  `Interpolant.shifted_union` allocates its
+(..., n) result once, in the memory order of the coefficients, and fills
+it in row blocks of about 2^16 complex entries (1 MiB): each block's
+product with the column's spectrum goes into one reused buffer and is
+inverse transformed into the result's rows.  So its transient memory is
+the result plus about 1 MiB, not a second full-size complex array, and a
 single function is a batch of one.  Each row's transform is independent,
 so the blocks keep the bits of one transform.
 
@@ -73,11 +74,6 @@ def _check_spectrum(spectrum: np.ndarray) -> None:
         )
 
 
-def _kernel_column(spec: KernelSpec, lat: Lattice, y) -> np.ndarray:
-    """[K(t_j, y)]_j for j = 0..n-1, with y wrapped into [0, 1)^s."""
-    return kernel_values_batch(spec, lat.columns().T, frac(y))
-
-
 def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
     """The Gram matrix's eigenvalues, rfft of its symmetric first column.
 
@@ -122,7 +118,7 @@ class Interpolant:
         """f_n(y + t_k) for k = 0..n-1 on the last axis, by one FFT product
         per row, taken in row blocks of about _ROW_BLOCK complex entries.
         """
-        col = _kernel_column(self.spec, self.lat, y)
+        col = kernel_values_batch(self.spec, self.lat.points(), y)
         # f_n(y + t_k) = sum_j c_j a_{j-k}(y): a correlation, hence the conj
         chat = np.conj(np.fft.rfft(col))
         n = self.lat.n
@@ -170,7 +166,7 @@ InterpolantBatch = Interpolant
 
 def evaluate(itp: Interpolant, y):
     """f_n(y): a float, or one value per function of a batch."""
-    return itp.coeffs @ _kernel_column(itp.spec, itp.lat, y)
+    return itp.coeffs @ kernel_values_batch(itp.spec, itp.lat.points(), y)
 
 
 def l2_error_estimate(itp: Interpolant, truth, shifts, sq_norm) -> float:

@@ -17,7 +17,7 @@ costs).
 ``kernel_values_batch`` walks its points in blocks (``_block_points``), so
 no temporary grows with the batch.  Each block is formed coordinate-major,
 an (s, m) array whose row j is coordinate j of its m points, minus an
-offset y when one is given; eta runs once on it, and its k = s rows go to
+offset {y} when one is given; eta runs once on it, and its k = s rows go to
 a fresh state as one (k, m) ``commit``.  Product weights multiply all k
 factor rows in at once, in coordinate order; POD and SPOD add each row's
 order shift in turn.  For POD and SPOD one contraction sums
@@ -243,7 +243,10 @@ def kernel_values_batch(
     spec: KernelSpec, dy: np.ndarray, y=None
 ) -> np.ndarray:
     """K evaluated at a batch of difference vectors dy of shape (m, s), or
-    at dy - y for an offset y of shape (s,); ValueError for any other shape.
+    at dy - {y} for an offset y of shape (s,): K is 1-periodic, so y is
+    wrapped into [0, 1)^s here, and y + k, k an integer vector, gives y's
+    bits.  ValueError for a y of any other shape or not finite.  dy is
+    unchecked, since a check would cost a pass over every difference.
 
     Each block of ``_block_points(s)`` points is transposed to (s, m), which
     costs no copy for a coordinate-major dy, and y is subtracted there: no
@@ -260,6 +263,10 @@ def kernel_values_batch(
                 f"y has shape {y.shape}; the differences need shape ({s},), "
                 "one component per coordinate"
             )
+        if not np.isfinite(y).all():
+            j = int(np.argmin(np.isfinite(y)))
+            raise ValueError(f"the offset must be finite: y_{j + 1} = {y[j]}")
+        y = frac(y)
     step = _block_points(s)
     out = np.empty(m)
     for a in range(0, max(m, 1), step):  # an empty batch is one empty block

@@ -411,7 +411,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
 
     Before the first dimension, K_d(0)^2, the largest term of every score
     of dimension d, is checked to be finite for every d <= s
-    (FloatingPointError otherwise, naming d).
+    (FloatingPointError otherwise, naming d); its kernel state refuses an
+    s past the weight sequence (ValueError, naming the first coordinate out).
 
     z_1 = 1 unscored: every unit gives the same one-dimensional point set.
     Later ties go to the smallest candidate by ``_first_within``.  The
@@ -420,8 +421,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if s < 1 or s > spec.scheme.dimension:
-        raise ValueError("target dimension outside the weight sequence")
+    if s < 1:
+        raise ValueError("s must be at least 1")
     etable = _eta_table(spec.alpha, n)
     _check_zero_point(spec, etable[0], s)
     scorer = _UnitScorer(n, etable) if s > 1 else None

@@ -124,19 +124,13 @@ class PdeWeightInput:
 
 @dataclass(frozen=True)
 class DerivedParams:
+    """A derivation's result; each puts lam in (1/alpha, 1]."""
+
     alpha: int
     lam: float
     scheme: WeightScheme
     scenario: str | None = None
     rate: float | None = None
-
-    def __post_init__(self):
-        if self.alpha % 2 != 0 or self.alpha < 2:
-            raise ValueError("alpha must be an even integer >= 2")
-        if not (1.0 / self.alpha < self.lam <= 1.0):
-            raise ValueError(
-                f"lambda {self.lam} outside (1/alpha, 1] for alpha {self.alpha}"
-            )
 
 
 # ---------------------------------------------------------------------------

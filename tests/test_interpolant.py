@@ -10,7 +10,6 @@ from latkern.experiments import derive_for_family
 from latkern.interpolant import (
     SingularSpectrumError,
     _check_spectrum,
-    _kernel_column,
     build,
     circulant_spectrum,
     evaluate,
@@ -85,7 +84,8 @@ class TestCoordinateMajorColumns:
         for y in ys:
             dy = np.ascontiguousarray(lat.points() - frac(y))
             np.testing.assert_array_equal(
-                _kernel_column(spec, lat, y), kernel_values_batch(spec, dy)
+                kernel_values_batch(spec, lat.points(), y),
+                kernel_values_batch(spec, dy),
             )
         want = np.fft.rfft(
             kernel_values_batch(spec, np.ascontiguousarray(lat.points()))
@@ -315,6 +315,18 @@ class TestParameterLength:
         with pytest.raises(ValueError, match=msg):
             itp.shifted_union(y)
         assert np.isfinite(evaluate(itp, [0.3] * 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_y_must_be_finite(self, bad):
+        # once a FloatingPointError that blamed an overflow
+        lat = Lattice(16, np.array([1, 7, 5, 3]))
+        itp = build(_spec((0.9, 0.6, 0.4, 0.3)), lat, np.arange(16.0))
+        y = [0.3, 0.1, bad, 0.7]
+        msg = re.escape(f"the offset must be finite: y_3 = {bad}")
+        with pytest.raises(ValueError, match=msg):
+            evaluate(itp, y)
+        with pytest.raises(ValueError, match=msg):
+            itp.shifted_union(y)
 
     @pytest.mark.parametrize(
         "z, y, got",

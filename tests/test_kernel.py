@@ -390,8 +390,32 @@ class TestBatchPath:
         y = [0.25, 0.5, -0.75]
         np.testing.assert_array_equal(
             kernel_values_batch(spec, dy, y),
-            kernel_values_batch(spec, dy - np.array(y)),
+            kernel_values_batch(spec, dy - frac(y)),
         )
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_offset_is_wrapped(self, family):
+        # the kernel is 1-periodic, so y and y + k give the same bits for an
+        # integer vector k; y has 20 bits, so y + k is exact
+        d = _derived(family, s=3)
+        spec = KernelSpec(d.alpha, d.scheme)
+        rng = np.random.default_rng(6)
+        dy = rng.random((64, 3))
+        y = rng.integers(0, 2**20, 3) / 2**20
+        want = kernel_values_batch(spec, dy, y)
+        for k in ([1, 0, 0], [-1, -1, -1], [3, -2, 7], [-8, 5, 1]):
+            np.testing.assert_array_equal(
+                kernel_values_batch(spec, dy, y + np.array(k)), want
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_offset_must_be_finite(self, bad):
+        # a NaN or infinite offset is an input error, not an overflow
+        d = _derived("spod", s=3)
+        spec = KernelSpec(d.alpha, d.scheme)
+        msg = f"the offset must be finite: y_2 = {bad}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            kernel_values_batch(spec, np.zeros((5, 3)), [0.25, bad, 0.5])
 
     @pytest.mark.parametrize("m", [1, 64])
     @pytest.mark.parametrize("seed", range(4))
@@ -559,7 +583,7 @@ class TestBlocks:
     @pytest.mark.parametrize("s", [1, 16, 40])
     def test_point_blocks_match_one_block(self, family, s):
         # m = b - 1 and b are one block, b + 1 two; with an offset y, the
-        # differences are formed block by block
+        # differences are formed block by block, from y wrapped into [0, 1)
         d = _derived(family, s=s)
         spec = KernelSpec(d.alpha, d.scheme)
         b = _block_points(s)
@@ -573,7 +597,7 @@ class TestBlocks:
             )
             np.testing.assert_array_equal(
                 kernel_values_batch(spec, cols.T, y),
-                _committed_by_hand(spec, cols - y[:, None]).values(),
+                _committed_by_hand(spec, cols - frac(y)[:, None]).values(),
             )
 
 

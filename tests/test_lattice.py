@@ -496,6 +496,52 @@ class TestCbc:
             1045, 2673, 435, 189, 2105, 3703, 2289, 1761,
         ]
 
+    # the fast searches of CHANGES.md's sha1 table, at the CLI's defaults
+    # (c = 0.2, theta = 2.4, p = 1/2.2); z only, since the last bits of
+    # S_d may depend on the machine
+    @pytest.mark.filterwarnings("ignore:criterion value dominated")
+    @pytest.mark.parametrize(
+        "family, s, n, theta, p, z",
+        [
+            ("pod", 10, 256, 2.4, 1 / 2.2,
+             [1, 99, 111, 27, 91, 121, 31, 87, 63, 19]),
+            ("spod", 10, 256, 2.4, 1 / 2.2,
+             [1, 99, 67, 113, 107, 119, 45, 35, 47, 91]),
+            ("spod", 12, 128, 3.6, 0.3,
+             [1, 47, 53, 29, 39, 19, 37, 15, 59, 61, 11, 61]),
+            # a multi-axis torus, a prime, and a power of 2
+            ("product", 16, 1000, 2.4, 1 / 2.2,
+             [1, 367, 419, 297, 221, 281, 241, 137, 57, 479, 309, 489, 271,
+              177, 287, 461]),
+            ("product", 16, 1021, 2.4, 1 / 2.2,
+             [1, 390, 442, 214, 174, 375, 284, 96, 492, 182, 248, 112, 66,
+              354, 434, 322]),
+            ("product", 32, 1024, 2.4, 1 / 2.2,
+             [1, 283, 359, 163, 125, 263, 219, 193, 199, 407, 183, 269, 157,
+              393, 69, 49, 451, 323, 479, 187, 473, 299, 169, 335, 423, 231,
+              137, 401, 379, 447, 139, 481]),
+        ],
+    )
+    def test_pinned_picks(self, family, s, n, theta, p, z):
+        spec = _study_spec(family, s, theta=theta, p=p)
+        assert cbc_construct(spec, n, s).z.tolist() == z
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_target_dimension_past_the_weights(self, family, monkeypatch):
+        # the kernel state names the first missing coordinate, before any
+        # candidate is scored
+        def unreachable(*args):
+            raise AssertionError("the search began")
+
+        monkeypatch.setattr("latkern.lattice._UnitScorer", unreachable)
+        spec = _study_spec(family, 4)
+        with pytest.raises(
+            ValueError, match="coordinate 5 is past the weight sequence"
+        ):
+            cbc_construct(spec, 64, 5)
+        with pytest.raises(ValueError, match="s must be at least 1"):
+            cbc_construct(spec, 64, 0)
+
     def test_pick_is_the_exact_minimum_spod_256(self):
         # The search's pick must be within _TIE of the spread of S_2 above
         # the exact minimum.  Ranking by the full score, whose 1e-12 tie

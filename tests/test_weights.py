@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -49,9 +50,25 @@ class TestDeriveSpod:
         assert d.lam == pytest.approx(5 / 6)
 
     def test_lambda_in_range(self):
-        for p in (1 / 1.1, 1 / 2.2, 1 / 3.3):
-            d = derive_spod(_input(p), 6)
-            assert 1.0 / d.alpha < d.lam <= 1.0
+        # every derivation puts lambda in (1/alpha, 1]; nothing else checks
+        # it.  A refusal comes from the derivation's own rule.
+        own_rule = "not POD-admissible|require p < 1/2|delta must lie"
+        derive = {"spod": derive_spod, "pod": derive_pod,
+                  "product": derive_product}
+        deltas = {"spod": [0.1], "pod": [0.1],
+                  "product": [0.01, 0.05, 0.1, 0.2]}
+        kept = dict.fromkeys(derive, 0)
+        for p in np.round(np.arange(0.12, 1.0, 0.01), 2):
+            for family, fn in derive.items():
+                for delta in deltas[family]:
+                    try:
+                        d = fn(_input(p, delta=delta), 6)
+                    except ValueError as e:
+                        assert re.search(own_rule, str(e)), (family, p, e)
+                        continue
+                    assert 1.0 / d.alpha < d.lam <= 1.0, (family, p, delta)
+                    kept[family] += 1
+        assert kept == {"spod": 88, "pod": 53, "product": 138}
 
 
 class TestDerivePod:
