@@ -10,10 +10,11 @@ solve uses numpy's real transforms along the last axis.
 One type, `Interpolant`, holds one function (values shaped (n,)) or a
 batch of functions sharing the lattice and kernel (values shaped (B, n)):
 the transforms act on the last axis, so the batch needs no branch.
-Building runs one forward transform.  The coefficients and the residual
-each cost an inverse transform, so each is computed on first read: the
-residual from the values given to `build`, which are kept by reference and
-must not change afterwards.
+Building runs one forward transform and divides it by the spectrum, which
+`build` forms unless its caller formed it first.  The coefficients and the
+residual each cost an inverse transform, so each is computed on first
+read: the residual from the values given to `build`, which are kept by
+reference and must not change afterwards.
 
 Kernel columns are formed coordinate-major, from `Lattice.columns()`, so
 the kernel walks the (s, n) differences at unit stride.  It takes the
@@ -137,23 +138,22 @@ class Interpolant:
         return out
 
 
-def build(spec: KernelSpec, lat: Lattice, values) -> Interpolant:
+def build(spec: KernelSpec, lat: Lattice, values,
+          spectrum=None) -> Interpolant:
     """Interpolant of values (n,) or (B, n) at the points of lat.
 
-    Only the forward transform and the division by the spectrum run here;
-    values is kept by reference for ``Interpolant.residual``.
+    spectrum is lat's, of shape (n // 2 + 1,) as ``circulant_spectrum``
+    returns it, for a caller that formed it first; by default it is formed
+    here.  Besides, only the forward transform and the division by the
+    spectrum run; values is kept by reference for ``Interpolant.residual``.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (lat.n,):
         raise ValueError("values must have one entry per lattice point")
-    return _build(spec, lat, circulant_spectrum(spec, lat), values)
-
-
-def _build(
-    spec: KernelSpec, lat: Lattice, spectrum: np.ndarray, values: np.ndarray
-) -> Interpolant:
-    """``build`` from lat's circulant spectrum and float values (n,) or
-    (B, n), for a caller that formed the spectrum before the values."""
+    if spectrum is None:
+        spectrum = circulant_spectrum(spec, lat)
+    elif np.shape(spectrum) != (lat.n // 2 + 1,):
+        raise ValueError(f"the spectrum must have shape ({lat.n // 2 + 1},)")
     coeff_fft = np.fft.rfft(values)
     coeff_fft /= spectrum
     return Interpolant(spec, lat, spectrum, coeff_fft, values)

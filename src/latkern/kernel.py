@@ -121,15 +121,8 @@ class BatchKernelState:
         self.P = np.ones((1, m))
 
     def _gammas(self, k: int = 1) -> np.ndarray:
-        """The next k coordinates' rows of gamma_jnu (gamma_j in column 0);
-        ValueError if they run past the weight sequence."""
-        j = self.dims_done
-        if j + k > self.scheme.dimension:
-            raise ValueError(
-                f"coordinate {self.scheme.dimension + 1} is past the weight "
-                "sequence"
-            )
-        return self.scheme.gamma_jnu[j : j + k]
+        """The next k coordinates' rows, by ``WeightScheme.rows``."""
+        return self.scheme.rows(self.dims_done, self.dims_done + k)
 
     def _add_shift(self, w, base=None) -> np.ndarray:
         """base (P, or zeros if None) grown by sigma rows, plus w times the

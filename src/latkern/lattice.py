@@ -411,8 +411,9 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
 
     Before the first dimension, K_d(0)^2, the largest term of every score
     of dimension d, is checked to be finite for every d <= s
-    (FloatingPointError otherwise, naming d); its kernel state refuses an
-    s past the weight sequence (ValueError, naming the first coordinate out).
+    (FloatingPointError otherwise, naming d); there the scheme refuses an s
+    past its sequence (``WeightScheme.rows``: ValueError, naming the first
+    coordinate out).
 
     z_1 = 1 unscored: every unit gives the same one-dimensional point set.
     Later ties go to the smallest candidate by ``_first_within``.  The

@@ -99,6 +99,15 @@ class WeightScheme:
     def dimension(self) -> int:
         return self.gamma_jnu.shape[0]
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """gamma_jnu's rows for coordinates start + 1 .. stop; ValueError,
+        naming the first coordinate out, if stop is past the sequence."""
+        if stop > self.dimension:
+            raise ValueError(
+                f"coordinate {self.dimension + 1} is past the weight sequence"
+            )
+        return self.gamma_jnu[start:stop]
+
 
 @dataclass(frozen=True)
 class PdeWeightInput:
@@ -372,46 +381,40 @@ def squared_weight_prefixes(
 
     x is typically 2*zeta(2*alpha).  One pass of the factored recursion
     adds a coordinate per step, so all s prefixes cost what Q_s does: no
-    subset enumeration.  For POD and SPOD (POD is the sigma = 1 case)
-    each prefix contracts the order-pair sums r[ell, ell'] with
-    Gamma_ell Gamma_ell' in one array step, summing the nonzero terms.
-    FloatingPointError when a Q_d is not finite.
+    subset enumeration.  For POD and SPOD (POD is the sigma = 1 case) a
+    plain loop adds each coordinate's order-pair terms to r[ell, ell'], and
+    each prefix sums the nonzero Gamma_ell Gamma_ell' r[ell, ell'].
+    ValueError for s < 1 or an s past the weight sequence
+    (``WeightScheme.rows``); FloatingPointError when a Q_d is not finite.
     """
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    g = scheme.rows(0, s)
     out = []
     if scheme.kind == "product":
         q = 1.0
-        g = scheme.gamma_jnu[:s, 0]
-        for f in (1.0 + g * g * x).tolist():
+        for f in (1.0 + g[:, 0] * g[:, 0] * x).tolist():
             q *= f
             out.append(q)
     else:
         # gamma_u^2 couples two order indices; track both.  Each step widens
         # r by the sigma orders per index that the coordinate can reach and
-        # adds c r shifted by (nu, nu'), c = x gamma_nu gamma_nu', for every
-        # pair in turn: T[0] holds r and T[(nu - 1) sigma + nu'] that term,
-        # and one sum over T's first axis adds them in that order (numpy
-        # pairs terms up only along a reduced axis it walks innermost, and
-        # each slab of T holds at least 4 entries).  The trailing all-zero
-        # rows and columns go: r[0, 0] = 1 stays, so the last nonzero
-        # entry's row and the largest column bound them.
+        # adds ((x gamma_nu) gamma_nu') r shifted by (nu, nu') for every
+        # pair in turn, nu' fastest.  The trailing all-zero rows and columns
+        # go: r[0, 0] = 1 stays, so the last nonzero entry's row and the
+        # largest column bound them.
         sigma, G = scheme.sigma, scheme.Gamma
-        g = scheme.gamma_jnu[:s]
-        cs = (x * g)[:, :, None, None, None] * g[:, None, :, None, None]
         r = np.ones((1, 1))
         with np.errstate(over="ignore"):
-            for c in cs:
+            for c in x * g[:, :, None] * g[:, None, :]:
                 a, b = r.shape
-                T = np.zeros((sigma * sigma + 1, a + sigma, b + sigma))
-                T[0, :a, :b] = r
-                s0, s1, s2 = T.strides
-                terms = np.ndarray(
-                    (sigma, sigma, a, b), buffer=T, offset=s0 + s1 + s2,
-                    strides=(sigma * s0 + s1, s0 + s2, s1, s2),
-                )
-                np.multiply(c, r, out=terms)
-                r = np.add.reduce(T, axis=0)
-                i, j = np.nonzero(r)
-                r = r[: i[-1] + 1, : j.max() + 1]
+                new = np.zeros((a + sigma, b + sigma))
+                new[:a, :b] = r
+                for nu, c_nu in enumerate(c, start=1):
+                    for nup, c_pair in enumerate(c_nu, start=1):
+                        new[nu : nu + a, nup : nup + b] += c_pair * r
+                i, j = np.nonzero(new)
+                r = new[: i[-1] + 1, : j.max() + 1]
                 out.append(float(np.sum(G[i] * G[j] * r[i, j])))
     for d, q in enumerate(out, start=1):
         if not math.isfinite(q):

@@ -210,6 +210,28 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(spec, Lattice(8, np.array([1, 3, 5])), np.zeros(7))
 
+    @pytest.mark.parametrize("shape", [(15,), (3, 15)])
+    def test_given_spectrum_keeps_the_bits(self, shape):
+        # a caller that formed the spectrum first gets the interpolant that
+        # build forms on its own
+        spec = _spec()
+        lat = Lattice(15, np.array([1, 4, 11]))
+        v = np.random.default_rng(3).standard_normal(shape)
+        want = build(spec, lat, v)
+        got = build(spec, lat, v, circulant_spectrum(spec, lat))
+        for name in ("spectrum", "coeff_fft", "coeffs"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+        assert got.residual == want.residual
+
+    def test_spectrum_of_the_wrong_shape_refused(self):
+        spec = _spec()
+        lat = Lattice(16, np.array([1, 7, 5]))
+        spectrum = circulant_spectrum(spec, lat)  # 9 entries
+        for bad in (spectrum[:-1], np.append(spectrum, 1.0), spectrum[None]):
+            with pytest.raises(ValueError, match=r"must have shape \(9,\)"):
+                build(spec, lat, np.zeros(16), bad)
+
 
 class TestEvaluate:
     def test_interpolation_condition(self):

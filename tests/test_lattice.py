@@ -212,6 +212,20 @@ class TestLattice:
 
 
 class TestCriterion:
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_lattice_past_the_weights(self, family, monkeypatch):
+        # Q_4 of weights with 3 coordinates is refused before any kernel
+        # value is formed
+        def unreachable(*args):
+            raise AssertionError("the kernel was evaluated")
+
+        monkeypatch.setattr("latkern.lattice._mean_square_kernel", unreachable)
+        spec = _study_spec(family, 3)
+        with pytest.raises(
+            ValueError, match="coordinate 4 is past the weight sequence"
+        ):
+            criterion_S(spec, Lattice(16, np.array([1, 3, 5, 7])))
+
     def test_n1_closed_form(self):
         spec = _product_spec([1.0])
         got = criterion_S(spec, Lattice(1, np.array([1])))

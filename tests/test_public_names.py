@@ -14,7 +14,8 @@ own definition, or a part after the first of a dotted string in
 The reference implementations in ``tests/reference.py`` exist to check
 production code, so each of its public functions and classes needs a
 caller in another test file.  No module raises AssertionError, which a caller cannot tell from a
-failed test: numerical failures raise ArithmeticError.  The package
+failed test: numerical failures raise ArithmeticError.  No module imports
+another's private name.  The package
 computes in plain floats, so no module clips exponent shifts.  The runtime
 needs numpy alone.
 """
@@ -220,6 +221,22 @@ class TestEveryReferenceIsUsed:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_reference_name_has_a_caller(self, name, tested):
         assert name in tested, f"reference.{name} checks nothing"
+
+
+def test_no_module_imports_a_private_name():
+    # a private helper has one home: a second module that needs it calls a
+    # public name, which the caller checks and the benchmark's spans see
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("latkern")
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} {node.module}.{a.name}"
+                    for a in node.names if a.name.startswith("_")
+                ]
+    assert not found, f"imports of another module's private name: {found}"
 
 
 def test_no_module_raises_assertion_error():

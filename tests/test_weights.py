@@ -230,6 +230,19 @@ class TestWeightScheme:
         with pytest.raises(ValueError, match=need):
             scheme(G[None, :])
 
+    def test_rows_are_bounded_by_the_sequence(self):
+        # rows(start, stop) gives coordinates start + 1 .. stop, and names
+        # the first coordinate past the sequence
+        sch = WeightScheme("product", gamma_j=[0.5, 0.4, 0.3])
+        assert sch.rows(0, 3).tolist() == [[0.5], [0.4], [0.3]]
+        assert sch.rows(1, 2).tolist() == [[0.4]]
+        assert sch.rows(3, 3).shape == (0, 1)
+        for start, stop in ((0, 4), (3, 4), (2, 5)):
+            with pytest.raises(
+                ValueError, match="coordinate 4 is past the weight sequence"
+            ):
+                sch.rows(start, stop)
+
 
 class TestRescaling:
     @pytest.mark.parametrize("k", [3, 11])
@@ -386,6 +399,25 @@ def _squared_weight_sum_loop(scheme, s, x):
 
 
 class TestSquaredWeightSum:
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_s_past_the_weights_refused(self, family):
+        # weights of 3 coordinates give Q_1..Q_3 and refuse Q_4 and Q_5
+        d = {
+            "product": derive_product,
+            "pod": derive_pod,
+            "spod": derive_spod,
+        }[family](_input(1 / 2.2, s=3), 3)
+        x = 2.0 * zeta(2 * d.alpha)
+        assert len(squared_weight_prefixes(d.scheme, 3, x)) == 3
+        for f in (squared_weight_prefixes, squared_weight_sum):
+            for s in (4, 5):
+                with pytest.raises(
+                    ValueError, match="coordinate 4 is past the weight sequence"
+                ):
+                    f(d.scheme, s, x)
+            with pytest.raises(ValueError, match="s must be at least 1"):
+                f(d.scheme, 0, x)
+
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_matches_subset_enumeration(self, family):
         import itertools
