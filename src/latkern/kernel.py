@@ -20,17 +20,20 @@ an (s, m) array whose row j is coordinate j of its m points, minus an
 offset {y} when one is given; eta runs once on it, and its k = s rows go to
 a fresh state as one (k, m) ``commit``.  Product weights multiply all k
 factor rows in at once, in coordinate order; POD and SPOD add each row's
-order shift in turn.  For POD and SPOD one contraction sums
+order shift in turn.  For POD and SPOD the contraction sums
 Gamma_ell P[ell] in row order, so it rounds as adding them one at a time
-does.  Every step acts on each point alone, so the blocks keep the bits of
-one whole batch.  Besides it, only the CBC search in ``latkern.lattice``
-steps a state itself.
+does: one ``np.add.reduce`` over the rows adds each whole row to the
+running sum.  A one-point batch is a single column, which the reduce would
+sum pairwise, so it takes ``np.add.accumulate``.  Every step acts on each
+point alone, so the blocks keep the bits of one whole batch.  Besides it,
+only the CBC search in ``latkern.lattice`` steps a state itself.
 
 For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
-the current contraction and B the contraction of the order-shifted rows.
-``BatchKernelState.affine_split`` returns A and B, from which
-``latkern.lattice._UnitScorer`` scores every CBC candidate of a dimension.
+the current contraction and B the contraction of the order-shifted rows,
+which for product weights is gamma_j A.  ``BatchKernelState.affine_split``
+returns A and B, from which ``latkern.lattice._UnitScorer`` scores every
+CBC candidate of a dimension.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ class BatchKernelState:
     dropped, and product weights one.  ``affine_split`` gives the kernel
     values as an affine function of a trial next coordinate without
     committing; ``commit`` advances the state.
+
+    The methods set no numpy error state: their callers ignore overflow
+    and invalid operations once per search or block, and a row past double
+    range reaches ``values`` and ``affine_split`` as inf or NaN, which they
+    refuse.
     """
 
     def __init__(self, scheme: WeightScheme, m: int):
@@ -134,9 +142,8 @@ class BatchKernelState:
         out = np.zeros((len(P) + len(g), P.shape[1]))
         if base is not None:
             out[: len(base)] = base
-        with np.errstate(over="ignore", invalid="ignore"):
-            for nu in range(1, len(g) + 1):
-                out[nu : nu + len(P)] += g[nu - 1] * w * P
+        for nu in range(1, len(g) + 1):
+            out[nu : nu + len(P)] += g[nu - 1] * w * P
         return _trimmed(out)
 
     def _contract(self, P) -> np.ndarray:
@@ -144,47 +151,42 @@ class BatchKernelState:
         P[0] (product); FloatingPointError for a value that is not finite.
         """
         if self.scheme.kind == "product":
-            K = P[0].copy()
+            return _finite(P[0].copy())
+        G = self.scheme.Gamma[: len(P), None]
+        T = P * G
+        if T.shape[1] == 1:
+            # one point (the CBC's zero-point check, a last block of one)
+            # is one contiguous column, which np.add.reduce sums pairwise
+            K = np.add.accumulate(T, out=T)[-1]
         else:
-            G = self.scheme.Gamma[: len(P), None]
-            with np.errstate(over="ignore", invalid="ignore"):
-                T = P * G
-                # accumulate adds in row order (sum may pair terms up); + 0.0
-                # turns a sum of -0.0 terms into +0.0
-                K = np.add.accumulate(T, out=T)[-1] + 0.0
-        bad = ~np.isfinite(K)
-        if bad.any():
-            why = "a kernel row overflowed"
-            if self.scheme.kind != "product" and np.isinf(G).any():
-                ell = int(np.argmax(np.isinf(G)))
-                why = f"order factor Gamma_{ell} = inf meets a nonzero row"
-            raise FloatingPointError(
-                f"kernel value {K[np.argmax(bad)]} is not finite: {why}"
-            )
-        return K
+            # T is C-ordered: the reduce adds its rows in order
+            K = np.add.reduce(T, axis=0)
+        K += 0.0  # a sum of -0.0 terms becomes +0.0
+        return _finite(K, G)
 
     def affine_split(self):
         """(A, B): A + eta * B are the kernel values if eta were the next
-        coordinate's factor values.
+        coordinate's factor values.  Both are new arrays, which a later
+        ``commit`` leaves as they are.
 
         A is the current contraction, B the contraction of the coefficient
-        of eta in the next rows: gamma_j P for product weights, the order
-        shift of P for POD and SPOD.
+        of eta in the next rows: for POD and SPOD the order shift of P, and
+        for product weights gamma_j P[0], formed as gamma_j A.
         """
+        A = self._contract(self.P)
         if self.scheme.kind == "product":
-            shift = self._gammas()[0, 0] * self.P
-        else:
-            shift = self._add_shift(1.0)
-        return self._contract(self.P), self._contract(shift)
+            return A, _finite(self._gammas()[0, 0] * A)
+        return A, self._contract(self._add_shift(1.0))
 
     def commit(self, etas: np.ndarray) -> None:
         """Advance by the coordinates of etas, in order: one row of factor
         values (m,) or the rows of k coordinates (k, m).
 
         POD and SPOD add each row's order shift in turn.  Product weights
-        form the factor rows f_j = 1 + gamma_j eta for every row at once and
-        multiply them into P by one ``np.multiply.reduce`` in coordinate
-        order, bit for bit the row-by-row product.
+        multiply P in place by the factor rows f_j = 1 + gamma_j eta in
+        coordinate order: one row by one multiply, and k rows, formed at
+        once, by one ``np.multiply.reduce`` over [P, f_1, ..., f_k], bit
+        for bit the row-by-row product.
 
         One rule holds for all three families: a value that is not finite
         is a numerical failure (``values`` raises), and a value that
@@ -211,17 +213,35 @@ class BatchKernelState:
                 self.P = self._add_shift(row, self.P)
                 self.dims_done += 1
             return
-        T = np.empty((k + 1, etas.shape[1]))  # P, then the k factor rows
-        T[0] = self.P[0]
-        np.multiply(g[:, :1], etas, out=T[1:])
-        T[1:] += 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        if k == 1:
+            f = g[0, 0] * etas[0]
+            f += 1.0
+            self.P[0] *= f
+        else:
+            T = np.empty((k + 1, etas.shape[1]))  # P, then the factor rows
+            T[0] = self.P[0]
+            np.multiply(g[:, :1], etas, out=T[1:])
+            T[1:] += 1.0
             np.multiply.reduce(T, axis=0, out=self.P[0])
         self.dims_done += k
 
     def values(self) -> np.ndarray:
         """The current kernel values."""
         return self._contract(self.P)
+
+
+def _finite(K: np.ndarray, G=None) -> np.ndarray:
+    """K, or FloatingPointError naming its first value that is not finite;
+    G is the order factors that K contracts (POD, SPOD), if any."""
+    if np.isfinite(K).all():
+        return K
+    why = "a kernel row overflowed"
+    if G is not None and np.isinf(G).any():
+        ell = int(np.argmax(np.isinf(G)))
+        why = f"order factor Gamma_{ell} = inf meets a nonzero row"
+    raise FloatingPointError(
+        f"kernel value {K[np.argmin(np.isfinite(K))]} is not finite: {why}"
+    )
 
 
 def _block_points(s: int) -> int:
@@ -266,7 +286,9 @@ def kernel_values_batch(
         block = dy[a : a + step].T
         if y is not None:
             block = block - y[:, None]
+        etas = eta(spec.alpha, block)
         state = BatchKernelState(spec.scheme, block.shape[1])
-        state.commit(eta(spec.alpha, block))
-        out[a : a + step] = state.values()
+        with np.errstate(over="ignore", invalid="ignore"):
+            state.commit(etas)
+            out[a : a + step] = state.values()
     return out

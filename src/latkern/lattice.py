@@ -157,11 +157,13 @@ def criterion_S(spec: KernelSpec, lat: Lattice) -> float:
 
 
 # Candidates tie when their S_d differ by at most _TIE times the spread of
-# S_d over all candidates; the smallest of the tied ones is taken.  On the
-# search's own inputs the FFT scores were measured within 3.2e-16 of that
-# spread of their exact values, up to a shift shared by every candidate
-# (test_tie_margin_above_fft_noise asserts _TIE / 100), so rounding can
-# decide a tie only for a candidate within 0.32 % of the margin of its edge.
+# S_d over all candidates; the smallest of the tied ones is taken.  The FFT
+# scores' error, up to a shift shared by every candidate, is measured, not
+# bounded: 1.3e-16 to 3.5e-16 of the spread at nine sampled dimensions of
+# `cbc --weights pod --p 0.30303 --theta 3.6 --s 300 --n-list 1024` (3.5e-16
+# at d = 50), below _TIE / 100 in test_tie_margin_above_fft_noise.  Rounding
+# can thus decide a tie for a candidate within about 0.35 % of the margin of
+# its edge.  ROADMAP item 23 plans a bound.
 _TIE = 1e-13
 
 
@@ -376,7 +378,8 @@ def _check_zero_point(spec: KernelSpec, eta0: float, s: int) -> None:
 
     eta(0) > 0 and the weights are positive, so K_d(0) cannot decrease
     with d: one commit of the s coordinates and a finite K_s(0)^2 clear
-    every d.  Only otherwise are the dimensions walked, to name d.
+    every d.  Only otherwise are the dimensions walked, to name d.  It runs
+    under ``cbc_construct``'s error state.
     """
     state = BatchKernelState(spec.scheme, 1)
     state.commit(np.full((s, 1), eta0))
@@ -425,21 +428,24 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     if s < 1:
         raise ValueError("s must be at least 1")
     etable = _eta_table(spec.alpha, n)
-    _check_zero_point(spec, etable[0], s)
-    scorer = _UnitScorer(n, etable) if s > 1 else None
-    product = spec.scheme.kind == "product"
-    eye = np.eye(2)
-    karr = np.arange(n, dtype=np.int64)
-    state = BatchKernelState(spec.scheme, n)
-    subs = squared_weight_prefixes(spec.scheme, s, 2.0 * zeta(2 * spec.alpha))
-    z: list[int] = []
-    crit_trace: list[float] = []
-    bound_trace: list[float] = []
-    lost_trace: list[float] = []
-    for d, sub in enumerate(subs, start=1):
-        a, b = state.affine_split()
-        c = 1
-        with np.errstate(over="ignore", invalid="ignore"):
+    # one error state for the whole search: a kernel row or score past
+    # double range shows as inf or NaN, which the state refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_zero_point(spec, etable[0], s)
+        scorer = _UnitScorer(n, etable) if s > 1 else None
+        product = spec.scheme.kind == "product"
+        eye = np.eye(2)
+        karr = np.arange(n, dtype=np.int64)
+        state = BatchKernelState(spec.scheme, n)
+        x = 2.0 * zeta(2 * spec.alpha)
+        subs = squared_weight_prefixes(spec.scheme, s, x)
+        z: list[int] = []
+        crit_trace: list[float] = []
+        bound_trace: list[float] = []
+        lost_trace: list[float] = []
+        for d, sub in enumerate(subs, start=1):
+            a, b = state.affine_split()
+            c = 1
             if z:
                 if product:  # b = gamma_d a: one sequence, a^2
                     g = spec.scheme.gamma_jnu[d - 1, 0]
@@ -457,12 +463,12 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
             vals = row * b
             vals += a
             score = float(np.einsum("k,k->", vals, vals))
-        z.append(c)
-        sd, lost = _criterion_from_parts(score / n, sub)
-        state.commit(row)
-        crit_trace.append(sd)
-        bound_trace.append(math.sqrt(2.0) * sd**0.25)
-        lost_trace.append(lost)
+            z.append(c)
+            sd, lost = _criterion_from_parts(score / n, sub)
+            state.commit(row)
+            crit_trace.append(sd)
+            bound_trace.append(math.sqrt(2.0) * sd**0.25)
+            lost_trace.append(lost)
     return CbcReport(
         n=n,
         z=np.array(z, dtype=np.int64),

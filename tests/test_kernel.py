@@ -39,12 +39,11 @@ from reference import (
 )
 
 
-def _wide_state(rng, m=64, mag_bits=300, power=14.0):
-    """A POD state with Gamma_ell = (ell!)^power, about 620 bits from
-    first to last at power 14, and random rows P: normal entries times
-    2^k, |k| <= mag_bits, with all-zero rows, all-zero samples and
-    scattered zeros."""
-    s = 16
+def _wide_state(rng, m=64, mag_bits=300, power=14.0, s=16):
+    """A POD state of s coordinates with Gamma_ell = (ell!)^power, about
+    620 bits from first to last at power 14 and s = 16, and random rows P:
+    normal entries times 2^k, |k| <= mag_bits, with all-zero rows, all-zero
+    samples and scattered zeros."""
     G = gamma_arrays(xfactorial(ell).powf(power) for ell in range(s + 1))
     sch = WeightScheme("pod", gamma_j=np.ones(s), Gamma=G)
     state = BatchKernelState(sch, m)
@@ -288,6 +287,30 @@ class TestBatchPath:
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
+    def test_affine_split_outlives_commit(self, family):
+        # a product-weight commit multiplies the state's row in place; the
+        # A and B taken before it keep their values
+        d = _derived(family)
+        ev = eta(d.alpha, np.random.default_rng(6).random((2, 16)))
+        state = BatchKernelState(d.scheme, 16)
+        state.commit(ev[0])
+        a, b = state.affine_split()
+        want = a.copy(), b.copy()
+        state.commit(ev[1])
+        np.testing.assert_array_equal(a, want[0])
+        np.testing.assert_array_equal(b, want[1])
+
+    def test_product_split_refuses_b_past_range(self):
+        # A = 1 + eta(0) after one coordinate is finite, but B = gamma_2 A
+        # is not for gamma_2 = 1e308
+        spec = KernelSpec(2, WeightScheme("product", gamma_j=[1.0, 1e308]))
+        state = _committed_by_hand(spec, np.zeros((1, 3)))
+        with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="kernel value inf is not finite"
+        ):
+            state.affine_split()
+
+    @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_empty_batch(self, family):
         d = _derived(family)
         spec = KernelSpec(d.alpha, d.scheme)
@@ -417,7 +440,9 @@ class TestBatchPath:
         with pytest.raises(ValueError, match=re.escape(msg)):
             kernel_values_batch(spec, np.zeros((5, 3)), [0.25, bad, 0.5])
 
-    @pytest.mark.parametrize("m", [1, 64])
+    # m = 1 takes the contraction's one-column route, m = 2 is the
+    # smallest batch that the row-order reduction sums
+    @pytest.mark.parametrize("m", [1, 2, 64])
     @pytest.mark.parametrize("seed", range(4))
     def test_contract_matches_row_loop(self, seed, m):
         # the one-step contraction against the row-by-row oracle, bit for
@@ -426,13 +451,15 @@ class TestBatchPath:
         assert np.log2(state.scheme.Gamma[-1]) > 600
         np.testing.assert_array_equal(state._contract(P), _row_loop(state, P))
 
-    @pytest.mark.parametrize("m", [1, 64])
-    def test_contract_sums_in_row_order(self, m):
+    # 61 rows of 1024 points: at least the 56 order rows that a SPOD
+    # s = 300 search at n = 1024 keeps
+    @pytest.mark.parametrize("s, m", [(16, 1), (16, 2), (16, 64), (60, 1024)])
+    def test_contract_sums_in_row_order(self, s, m):
         # terms of one size, where the order of the additions shows in the
         # bits; one sample (m = 1) is a single column, which numpy's
         # pairwise sum would split up
         for seed in range(20):
-            state, P = _wide_state(np.random.default_rng(seed), m, 0, 0.0)
+            state, P = _wide_state(np.random.default_rng(seed), m, 0, 0.0, s)
             np.testing.assert_array_equal(
                 state._contract(P), _row_loop(state, P)
             )

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import warnings
@@ -539,6 +540,16 @@ class TestCbc:
     def test_pinned_picks(self, family, s, n, theta, p, z):
         spec = _study_spec(family, s, theta=theta, p=p)
         assert cbc_construct(spec, n, s).z.tolist() == z
+
+    @pytest.mark.filterwarnings("ignore:criterion value dominated")
+    def test_pinned_picks_at_high_s(self):
+        # the 300 picks of `cbc --weights spod --s 300 --n-list 1024`, whose
+        # kernel state keeps 56 of its 601 order rows; no candidate lies
+        # within 1 % of a tie margin there (ROADMAP, Baselines)
+        z = cbc_construct(_study_spec("spod", 300), 1024, 300).z.tolist()
+        assert z[:8] == [1, 275, 179, 319, 109, 299, 143, 191]
+        digest = hashlib.sha1(",".join(map(str, z)).encode()).hexdigest()
+        assert digest == "e1f739505accf58ee2326a26f3b8ab6e7bd11100"
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_target_dimension_past_the_weights(self, family, monkeypatch):
