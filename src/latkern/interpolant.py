@@ -16,11 +16,11 @@ residual each cost an inverse transform, so each is computed on first
 read: the residual from the values given to `build`, which are kept by
 reference and must not change afterwards.
 
-Kernel columns are formed coordinate-major, from `Lattice.columns()`, so
-the kernel walks the (s, n) differences at unit stride.  It takes the
-raw offset y: it wraps y into [0, 1)^s, refuses a y that is not
-finite or not of shape (s,), and subtracts it block by block, so no (s, n)
-array of differences is formed.  `Interpolant.shifted_union` allocates its
+Kernel columns are formed coordinate-major: `Lattice.points()` is the
+transpose of a C-contiguous (s, n) array, so the kernel walks the (s, n)
+differences at unit stride.  It takes the raw offset y: it wraps y into
+[0, 1)^s, refuses a y that is not finite or not of shape (s,), and
+subtracts it block by block, so no (s, n) array of differences is formed.  `Interpolant.shifted_union` allocates its
 (..., n) result once, in the memory order of the coefficients, and fills
 it in row blocks of about 2^16 complex entries (1 MiB): each block's
 product with the column's spectrum goes into one reused buffer and is
@@ -81,7 +81,7 @@ def circulant_spectrum(spec: KernelSpec, lat: Lattice) -> np.ndarray:
     The column is K(t_j, 0).  Raises SingularSpectrumError when
     min/max |lambda| is below 1e-13.
     """
-    spectrum = np.fft.rfft(kernel_values_batch(spec, lat.columns().T)).real
+    spectrum = np.fft.rfft(kernel_values_batch(spec, lat.points())).real
     _check_spectrum(spectrum)
     return spectrum
 

@@ -32,8 +32,9 @@ For every weight family the kernel value after one more coordinate is
 affine in that coordinate's factor values: A + eta * B per point, with A
 the current contraction and B the contraction of the order-shifted rows,
 which for product weights is gamma_j A.  ``BatchKernelState.affine_split``
-returns A and B, from which ``latkern.lattice._UnitScorer`` scores every
-CBC candidate of a dimension.
+returns A and B, and gamma_j for product weights, from which
+``latkern.lattice._UnitScorer`` scores every CBC candidate of a dimension:
+the search reads no field of a weight scheme.
 """
 
 from __future__ import annotations
@@ -165,18 +166,20 @@ class BatchKernelState:
         return _finite(K, G)
 
     def affine_split(self):
-        """(A, B): A + eta * B are the kernel values if eta were the next
-        coordinate's factor values.  Both are new arrays, which a later
+        """(A, B, g): A + eta * B are the kernel values if eta were the next
+        coordinate's factor values.  A and B are new arrays, which a later
         ``commit`` leaves as they are.
 
         A is the current contraction, B the contraction of the coefficient
         of eta in the next rows: for POD and SPOD the order shift of P, and
-        for product weights gamma_j P[0], formed as gamma_j A.
+        g is None; for product weights gamma_j P[0], formed as g A with g
+        the next coordinate's gamma_j.
         """
         A = self._contract(self.P)
         if self.scheme.kind == "product":
-            return A, _finite(self._gammas()[0, 0] * A)
-        return A, self._contract(self._add_shift(1.0))
+            g = self._gammas()[0, 0]
+            return A, _finite(g * A), g
+        return A, self._contract(self._add_shift(1.0)), None
 
     def commit(self, etas: np.ndarray) -> None:
         """Advance by the coordinates of etas, in order: one row of factor

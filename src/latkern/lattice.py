@@ -67,12 +67,11 @@ class Lattice:
     def s(self) -> int:
         return len(self.z)
 
-    def columns(self) -> np.ndarray:
-        """The points coordinate-major, a C-contiguous (s, n) array: row j
-        holds coordinate j of every point, {k z_j / n} for k = 0..n-1.
+    def points(self) -> np.ndarray:
+        """All n points as an (n, s) array; row k is t_k, row 0 is 0.
 
-        The lattice's one point array, of which `points` is a view; computed
-        on the first call and kept, read-only.
+        A view: the transpose of the lattice's one point array, C-contiguous
+        (s, n), computed on the first call and kept, read-only.
         """
         cols = self.__dict__.get("_columns")
         if cols is None:
@@ -80,15 +79,7 @@ class Lattice:
             cols = (self.z[:, None] * k % self.n) / self.n
             cols.flags.writeable = False
             object.__setattr__(self, "_columns", cols)
-        return cols
-
-    def points(self) -> np.ndarray:
-        """All n points as an (n, s) array; row k is t_k, row 0 is 0.
-
-        The read-only transpose of `columns()`, a view, not a copy: its
-        memory is Fortran-ordered.
-        """
-        return self.columns().T
+        return cols.T
 
 
 @dataclass
@@ -115,7 +106,7 @@ class CbcReport:
 
 
 def _mean_square_kernel(spec: KernelSpec, lat: Lattice) -> float:
-    K = kernel_values_batch(spec, lat.columns().T)
+    K = kernel_values_batch(spec, lat.points())
     with np.errstate(over="ignore"):
         return float(np.sum(np.square(K))) / lat.n
 
@@ -377,14 +368,12 @@ def _check_zero_point(spec: KernelSpec, eta0: float, s: int) -> None:
     the kernel is largest, and every score of dimension d sums K_d(0)^2.
 
     eta(0) > 0 and the weights are positive, so K_d(0) cannot decrease
-    with d: one commit of the s coordinates and a finite K_s(0)^2 clear
-    every d.  Only otherwise are the dimensions walked, to name d.  It runs
-    under ``cbc_construct``'s error state.
+    with d: a finite K_s(0)^2, one kernel value, clears every d.  Only
+    otherwise are the dimensions walked, to name d, under
+    ``cbc_construct``'s error state.
     """
-    state = BatchKernelState(spec.scheme, 1)
-    state.commit(np.full((s, 1), eta0))
     try:
-        k0 = float(state.values()[0])
+        k0 = float(kernel_values_batch(spec, np.zeros((1, s)))[0])
     except FloatingPointError:  # K_s(0) itself is not finite
         k0 = math.inf
     if math.isfinite(k0 * k0):
@@ -410,7 +399,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     candidate c is (sum_k A_k^2 + D(c)) / n, and candidates differ only by
     D(c) = sum_k 2 A_k B_k eta + B_k^2 eta^2, which ``_UnitScorer`` gives
     for all of them at once, up to a shift they share; for product
-    weights, B = gamma_d A, from the one sequence A^2.
+    weights the split gives gamma_d, B = gamma_d A, and the one sequence
+    A^2 is scored.
 
     Before the first dimension, K_d(0)^2, the largest term of every score
     of dimension d, is checked to be finite for every d <= s
@@ -433,8 +423,8 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
     with np.errstate(over="ignore", invalid="ignore"):
         _check_zero_point(spec, etable[0], s)
         scorer = _UnitScorer(n, etable) if s > 1 else None
-        product = spec.scheme.kind == "product"
         eye = np.eye(2)
+        uv = np.empty((2, n))
         karr = np.arange(n, dtype=np.int64)
         state = BatchKernelState(spec.scheme, n)
         x = 2.0 * zeta(2 * spec.alpha)
@@ -444,14 +434,16 @@ def cbc_construct(spec: KernelSpec, n: int, s: int) -> CbcReport:
         bound_trace: list[float] = []
         lost_trace: list[float] = []
         for d, sub in enumerate(subs, start=1):
-            a, b = state.affine_split()
+            a, b, g = state.affine_split()
             c = 1
             if z:
-                if product:  # b = gamma_d a: one sequence, a^2
-                    g = spec.scheme.gamma_jnu[d - 1, 0]
+                if g is not None:  # b = g a: one sequence, a^2
                     D = scorer((a * a)[None], np.array([[2.0 * g, g * g]]))
                 else:
-                    D = scorer(np.stack([2.0 * a * b, b * b]), eye)
+                    np.multiply(a, 2.0, out=uv[0])
+                    uv[0] *= b
+                    np.multiply(b, b, out=uv[1])
+                    D = scorer(uv, eye)
                 i = _first_within(D)
                 if i is None:
                     raise FloatingPointError(

@@ -128,7 +128,10 @@ def stirling2(sigma: int, m: int) -> int:
 
 
 def bell_touchard(sigma: int, x: float) -> float:
-    """Touchard polynomial Bell_sigma(x) = sum_m S(sigma, m) x^m."""
+    """Touchard polynomial Bell_sigma(x) = sum_m S(sigma, m) x^m, its terms
+    added left to right on every Python version (the builtin sum of
+    Python floats is compensated from 3.12 on)."""
     if sigma < 0:
         raise ValueError("bell_touchard requires sigma >= 0")
-    return float(sum(stirling2(sigma, m) * x**m for m in range(sigma + 1)))
+    terms = [stirling2(sigma, m) * x**m for m in range(sigma + 1)]
+    return float(np.add.accumulate(terms)[-1])

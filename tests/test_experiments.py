@@ -620,6 +620,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {conf}:2: {line}: {why}")
 
+    def test_config_value_refused_later_names_the_setting(
+        self, tmp_path, capsys
+    ):
+        # only the checks above carry the file's path:line; theta is
+        # checked when the study forms its diffusion model, whose message
+        # is the flag's and names the setting, not the line
+        conf = tmp_path / "cfg"
+        conf.write_text("theta = 0.5\n")
+        sizes = ["--s", "2", "--n-list", "16"]
+        assert cli(["--config", str(conf), "cbc", *sizes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need finite c >= 0 and theta > 1")
+        assert "theta=0.5" in err and str(conf) not in err
+        assert cli(["cbc", *sizes, "--theta", "0.5"]) == 1
+        assert capsys.readouterr().err == err
+
     def test_flag_the_study_refuses_keeps_its_message(self, capsys):
         assert cli(["dimtrunc-study", "--mesh-level", "0"]) == 1
         assert capsys.readouterr().err == (

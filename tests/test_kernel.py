@@ -272,7 +272,9 @@ class TestBatchPath:
 
     @pytest.mark.parametrize("family", ["product", "pod", "spod"])
     def test_affine_split_matches_commit(self, family):
-        # A + eta * B is the kernel value after committing eta, per point
+        # A + eta * B is the kernel value after committing eta, per point;
+        # for product weights g is the next coordinate's gamma_j and
+        # B = g A bit for bit, and for POD and SPOD g is None
         d = _derived(family)
         spec = KernelSpec(d.alpha, d.scheme)
         rng = np.random.default_rng(5)
@@ -280,7 +282,12 @@ class TestBatchPath:
         state = BatchKernelState(spec.scheme, 16)
         for j in range(6):
             ev = eta(spec.alpha, dy[:, j])
-            a, b = state.affine_split()
+            a, b, g = state.affine_split()
+            if family == "product":
+                assert g == spec.scheme.gamma_jnu[j, 0]
+                np.testing.assert_array_equal(b, g * a)
+            else:
+                assert g is None
             got = a + ev * b
             state.commit(ev)
             want = state.values()
@@ -294,7 +301,7 @@ class TestBatchPath:
         ev = eta(d.alpha, np.random.default_rng(6).random((2, 16)))
         state = BatchKernelState(d.scheme, 16)
         state.commit(ev[0])
-        a, b = state.affine_split()
+        a, b, _ = state.affine_split()
         want = a.copy(), b.copy()
         state.commit(ev[1])
         np.testing.assert_array_equal(a, want[0])
@@ -642,7 +649,7 @@ class TestTrim:
         d = derive_spod(inp, 100)
         spec = KernelSpec(d.alpha, d.scheme)
         lat = Lattice(64, cbc_construct(spec, 64, 100).z)
-        return spec, eta(d.alpha, lat.columns())
+        return spec, eta(d.alpha, lat.points().T)
 
     def test_state_matches_full_recursion(self, spod100):
         spec, etas = spod100
@@ -651,7 +658,7 @@ class TestTrim:
         state = BatchKernelState(sch, etas.shape[1])
         for d, row in enumerate(etas):
             full = full_state_rows(sch, etas[:d])
-            a, b = state.affine_split()
+            a, b, _ = state.affine_split()
             np.testing.assert_array_equal(a, full_contraction(sch, full))
             np.testing.assert_array_equal(
                 b, full_contraction(sch, full_shift_rows(sch, full))

@@ -122,7 +122,7 @@ def _affine_inputs(spec, n, z):
     etable = _eta_table(spec.alpha, n)
     for c in z:
         state.commit(etable[k * c % n])
-    a, b = state.affine_split()
+    a, b, _ = state.affine_split()
     return 2.0 * a * b, b * b
 
 
@@ -167,30 +167,26 @@ class TestLattice:
                 diff, pts[(k - kp) % 7], atol=1e-12
             )
 
-    def test_points_computed_once_and_read_only(self):
-        lat = Lattice(11, np.array([1, 3, 7]))
+    @pytest.mark.parametrize("n", [11, 64])
+    def test_points_computed_once_and_read_only(self, n):
+        # the lattice's one point array: kept, read-only, C-contiguous
+        # (s, n), of which points() is the transpose, bit for bit the
+        # closed form
+        lat = Lattice(n, np.array([1, 3, 7]))
         pts = lat.points()
-        assert lat.points().base is lat.columns()
+        cols = pts.base
+        assert lat.points().base is cols
+        assert cols.shape == (3, n) and cols.flags.c_contiguous
+        np.testing.assert_array_equal(pts, cols.T)
         closed = np.array(
-            [[(k * zj % 11) / 11 for zj in (1, 3, 7)] for k in range(11)]
+            [[(k * zj % n) / n for zj in (1, 3, 7)] for k in range(n)]
         )
         np.testing.assert_array_equal(pts, closed)
         with pytest.raises(ValueError, match="read-only"):
             pts[1, 0] = 0.5
-        np.testing.assert_array_equal(lat.points(), closed)
-
-    @pytest.mark.parametrize("n", [11, 64])
-    def test_columns_computed_once_and_read_only(self, n):
-        # the lattice's one point array: kept, read-only, C-contiguous
-        # (s, n), and bit for bit the transpose of points()
-        lat = Lattice(n, np.array([1, 3, 7]))
-        cols = lat.columns()
-        assert lat.columns() is cols
-        assert cols.shape == (3, n) and cols.flags.c_contiguous
-        np.testing.assert_array_equal(cols, lat.points().T)
         with pytest.raises(ValueError, match="read-only"):
             cols[0, 1] = 0.5
-        np.testing.assert_array_equal(lat.columns(), lat.points().T)
+        np.testing.assert_array_equal(lat.points(), closed)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
@@ -694,8 +690,8 @@ class TestUnitScorer:
         spec = _product_spec([0.9, 0.6, 0.4], alpha)
         state = BatchKernelState(spec.scheme, n)
         state.commit(etable)
-        a, b = state.affine_split()
-        g = spec.scheme.gamma_jnu[1, 0]
+        a, b, g = state.affine_split()
+        assert g == spec.scheme.gamma_jnu[1, 0]
         got = scorer((a * a)[None], np.array([[2.0 * g, g * g]]))
         want = _direct_D(2.0 * a * b, b * b, etable, scorer.cands)
         assert np.ptp(got - want) <= 1e-13 * np.ptp(want)

@@ -16,7 +16,9 @@ production code, so each of its public functions and classes needs a
 caller in another test file.  No module raises AssertionError, which a caller cannot tell from a
 failed test: numerical failures raise ArithmeticError.  No module imports
 another's private name.  The package
-computes in plain floats, so no module clips exponent shifts.  The runtime
+computes in plain floats, so no module clips exponent shifts.  Only
+``weights.py`` and ``kernel.py`` read a weight scheme's fields: the CBC
+search takes gamma_d from the kernel state's affine split.  The runtime
 needs numpy alone.
 """
 
@@ -262,6 +264,28 @@ def test_no_module_clips_exponents():
                 f"{path.name}:{node.lineno} calls np.clip; the package "
                 "computes in plain floats, with no exponent shifts to clip"
             )
+
+
+_SCHEME_FIELDS = {
+    "kind", "gamma_j", "gamma_jnu", "Gamma", "sigma", "dimension", "rows"
+}
+
+
+def test_only_weights_and_kernel_read_a_scheme():
+    # a scheme (a name `scheme` or `sch`, or an attribute `.scheme`) is
+    # passed on by every other module, never read: the weights reach the
+    # search through the kernel state and the squared-weight sums
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("weights.py", "kernel.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in _SCHEME_FIELDS:
+                base = node.value
+                name = getattr(base, "attr", getattr(base, "id", None))
+                if name in ("scheme", "sch"):
+                    found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"reads of a weight scheme's fields: {found}"
 
 
 def test_runtime_needs_numpy_alone():

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from latkern.pde import DiffusionModel, decay_sequence
 from latkern.special import (
     bell_touchard,
     bernoulli_poly,
@@ -118,3 +119,17 @@ class TestBellTouchard:
 
     def test_sigma2_at_half(self):
         assert bell_touchard(2, 0.5) == pytest.approx(0.75)
+
+    def test_terms_added_left_to_right(self):
+        # one rounding per term, in order, whatever the Python version:
+        # the builtin sum of floats is compensated from 3.12 on.  The b_j
+        # are those of `cbc --weights pod --p 0.30303 --theta 3.6 --s 300`
+        # (sigma = 3 there), as numpy floats and as Python floats
+        b = decay_sequence(DiffusionModel(0.2, 3.6, 300), 300)
+        for sigma in range(7):
+            for x in (*b, *b.tolist()):
+                want = 0.0
+                for m in range(sigma + 1):
+                    want += stirling2(sigma, m) * x**m
+                got = bell_touchard(sigma, x)
+                assert type(got) is float and got == want
